@@ -4,13 +4,17 @@ Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
 denominator).  On top of that this module provides complex numbers with
 rational real and imaginary parts, and univariate polynomials with rational
 coefficients including a multiplicity-detecting gcd tower.
+
+Hot loops do not use these types: they work on scaled Gaussian integers,
+a matrix as ``(den, re, im)`` with one positive common denominator and two
+integer grids (:func:`scaled_gaussian_grid`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -272,17 +276,8 @@ class RationalPolynomial:
 def _primitive_int_coeffs(p: RationalPolynomial) -> list:
     """Clear denominators and divide out the content; sign-normalize the
     leading coefficient to be positive."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _content_strip([int(c * den) for c in p.coeffs])
 
 
 def _trim_int(cs: list) -> list:
@@ -363,3 +358,13 @@ def poly_gcd_tower(p: RationalPolynomial, depth: int) -> RationalPolynomial:
         d = d.derivative()
         g = poly_gcd(g, d)
     return g
+
+
+def scaled_gaussian_grid(rows) -> Tuple[int, List[List[int]], List[List[int]]]:
+    """A grid of Gaussian rationals (such as ``HermitianMatrix.entries``) as
+    ``(den, re, im)``: the least common denominator ``den > 0`` and fresh
+    integer grids with ``rows[i][j] == (re[i][j] + i*im[i][j]) / den``."""
+    den = math.lcm(*(c.denominator for row in rows for z in row for c in (z.re, z.im)))
+    re = [[z.re.numerator * (den // z.re.denominator) for z in row] for row in rows]
+    im = [[z.im.numerator * (den // z.im.denominator) for z in row] for row in rows]
+    return den, re, im

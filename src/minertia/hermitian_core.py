@@ -1,20 +1,23 @@
 """Hermitian matrices over the Gaussian rationals and their exact inertia.
 
-The central routine is :func:`inertia`: a symmetric congruence elimination
-that diagonalizes X by exact rational congruences P*XP and reads the
-signature off the resulting diagonal.  Sylvester's law of inertia makes the
+The central routine is :func:`inertia`: a fraction-free (Bareiss-style)
+symmetric congruence elimination on the matrix scaled to Gaussian integers,
+reading the signature off the pivots.  Sylvester's law of inertia makes the
 sign counts independent of the congruences chosen, so no eigenvalues are
-ever computed.
+ever computed.  :func:`char_poly` uses Berkowitz's division-free algorithm
+on the same integer form; the two share no elimination step, so they serve
+as independent checks of each other (see :mod:`minertia.oracles`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import InconsistencyError, NotHermitianError, SingularTransformError
-from .exactnum import GaussianRational, RationalPolynomial
+from .exactnum import GaussianRational, RationalPolynomial, scaled_gaussian_grid
 
 
 @dataclass(frozen=True)
@@ -118,38 +121,21 @@ class HermitianMatrix:
 
     def is_scalar(self) -> bool:
         d = self.entries[0][0]
-        for i in range(self.q):
-            for j in range(self.q):
-                if i == j:
-                    if self.entries[i][j] != d:
-                        return False
-                elif not self.entries[i][j].is_zero():
-                    return False
-        return True
+        rows = enumerate(self.entries)
+        return all(e == (d if i == j else 0) for i, row in rows for j, e in enumerate(row))
 
     def trace(self) -> Fraction:
-        t = Fraction(0)
-        for i in range(self.q):
-            t += self.entries[i][i].re
-        return t
+        return sum((self.entries[i][i].re for i in range(self.q)), Fraction(0))
 
     def add(self, other: "HermitianMatrix") -> "HermitianMatrix":
         self._check_size(other)
-        return HermitianMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.q)]
-                for i in range(self.q)
-            ]
-        )
+        pairs = zip(self.entries, other.entries)
+        return HermitianMatrix([[a + b for a, b in zip(r, s)] for r, s in pairs])
 
     def sub(self, other: "HermitianMatrix") -> "HermitianMatrix":
         self._check_size(other)
-        return HermitianMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.q)]
-                for i in range(self.q)
-            ]
-        )
+        pairs = zip(self.entries, other.entries)
+        return HermitianMatrix([[a - b for a, b in zip(r, s)] for r, s in pairs])
 
     def scale(self, factor) -> "HermitianMatrix":
         """Scale by a real rational; complex factors would break Hermitian symmetry."""
@@ -164,15 +150,8 @@ class HermitianMatrix:
     def shift(self, s) -> "HermitianMatrix":
         """X - s*I for a real rational s."""
         s = Fraction(s)
-        return HermitianMatrix(
-            [
-                [
-                    self.entries[i][j] - s if i == j else self.entries[i][j]
-                    for j in range(self.q)
-                ]
-                for i in range(self.q)
-            ]
-        )
+        rows = enumerate(self.entries)
+        return HermitianMatrix([[e - s if i == j else e for j, e in enumerate(r)] for i, r in rows])
 
     def __add__(self, other):
         return self.add(other)
@@ -214,76 +193,83 @@ class HermitianMatrix:
             raise ValueError(f"entries must be a full {q}x{q} grid")
         return cls([[GaussianRational.from_json(e) for e in row] for row in entries])
 
+    @classmethod
+    def from_scaled(cls, den: int, re: list, im: list) -> "HermitianMatrix":
+        """Inverse of :func:`~minertia.exactnum.scaled_gaussian_grid`."""
+        def z(a, b):
+            return GaussianRational(Fraction(a, den), Fraction(b, den))
+
+        return cls([[z(a, b) for a, b in zip(ra, ia)] for ra, ia in zip(re, im)])
+
     def to_complex_rows(self) -> list:
         """Float image, row-major nested lists of python complex."""
         return [[complex(e) for e in row] for row in self.entries]
 
 
-def _pivot_key(x: Fraction):
-    # bit-size heuristic for coefficient-growth control
-    return abs(x.numerator).bit_length() + x.denominator.bit_length()
+def _exact_quotient(a: int, b: int) -> int:
+    quo, rem = divmod(a, b)
+    if rem:
+        raise InconsistencyError(f"fraction-free division by {b} left remainder {rem}")
+    return quo
 
 
-def inertia(X: HermitianMatrix) -> Inertia:
-    """Exact signature of X by symmetric congruence elimination.
+def grid_inertia(re: list, im: list) -> Inertia:
+    """Exact signature of the Hermitian matrix re + i*im of integer grids
+    (any positive scale; overwritten) by fraction-free symmetric elimination.
 
-    Pivot on a nonzero diagonal entry (smallest bit-size first) and take the
-    Schur complement; if the active diagonal is all zero but some
-    off-diagonal h_ij is not, a congruence sending e_i to e_i + c*e_j with
-    c in {1, i} makes the (i,i) entry nonzero.  All steps are congruences,
-    so the diagonal sign counts equal the eigenvalue sign counts.
+    Bareiss' scheme with symmetric pivots: after pivots d_1..d_k each active
+    entry is a (k+1)-minor of a congruent copy of the input, so the update
+    (d*a_kl - a_kp*a_pl) / prev divides exactly (checked), and the step's
+    true pivot is d / prev.  Pivot on the nonzero diagonal entry of smallest
+    bit size; if the active diagonal is all zero but some h_ij is not, the
+    congruence e_i -> e_i + c*e_j with c in {1, i} makes (i,i) nonzero.
+    Sylvester's law makes the pivot signs the eigenvalue sign counts.
     """
-    q = X.q
-    m = [list(row) for row in X.entries]
-    active = list(range(q))
+    active = list(range(len(re)))
     n_plus = n_minus = n_zero = 0
+    prev = 1
     while active:
-        pivot = None
-        best = None
+        pivot = best = None
         for p in active:
-            d = m[p][p]
-            if not d.re and not d.im:
-                continue
-            if d.im:
-                raise InconsistencyError(f"non-real diagonal at {p}: {d}")
-            key = _pivot_key(d.re)
-            if best is None or key < best:
+            if im[p][p]:
+                raise InconsistencyError(f"non-real diagonal at {p}: {im[p][p]}i")
+            key = abs(re[p][p]).bit_length()
+            if key and (best is None or key < best):
                 best, pivot = key, p
         if pivot is None:
-            target = None
-            for ii, i in enumerate(active):
-                for j in active[ii + 1 :]:
-                    if not m[i][j].is_zero():
-                        target = (i, j)
-                        break
-                if target:
-                    break
+            pairs = ((i, j) for n, i in enumerate(active) for j in active[n + 1 :])
+            target = next(((i, j) for i, j in pairs if re[i][j] or im[i][j]), None)
             if target is None:
                 n_zero += len(active)
                 break
             i, j = target
-            c = GaussianRational(1) if m[i][j].re else GaussianRational(0, 1)
-            cc = c.conj()
-            for l in active:
-                m[i][l] = m[i][l] + cc * m[j][l]
-            for k in active:
-                m[k][i] = m[k][i] + c * m[k][j]
+            cr, ci = (1, 0) if re[i][j] else (0, 1)  # c = cr + i*ci
+            for l in active:  # row i += conj(c) * row j
+                re[i][l] += cr * re[j][l] + ci * im[j][l]
+                im[i][l] += cr * im[j][l] - ci * re[j][l]
+            for k in active:  # then column i += c * column j
+                re[k][i] += cr * re[k][j] - ci * im[k][j]
+                im[k][i] += cr * im[k][j] + ci * re[k][j]
             continue
-        d = m[pivot][pivot].re
-        if d > 0:
-            n_plus += 1
-        else:
-            n_minus += 1
+        d = re[pivot][pivot]
+        positive = (d > 0) == (prev > 0)  # the true pivot is d / prev
+        n_plus, n_minus = n_plus + positive, n_minus + (not positive)
         active.remove(pivot)
-        prow = m[pivot]
+        pr, pi = re[pivot], im[pivot]
         for k in active:
-            f = m[k][pivot] / d
-            if f.is_zero():
-                continue
-            mk = m[k]
+            rk, ik = re[k], im[k]
+            a, b = rk[pivot], ik[pivot]
             for l in active:
-                mk[l] = mk[l] - f * prow[l]
+                rk[l] = _exact_quotient(d * rk[l] - a * pr[l] + b * pi[l], prev)
+                ik[l] = _exact_quotient(d * ik[l] - a * pi[l] - b * pr[l], prev)
+        prev = d
     return Inertia(n_plus, n_minus, n_zero)
+
+
+def inertia(X: HermitianMatrix) -> Inertia:
+    """Exact signature of X (see :func:`grid_inertia`); no eigenvalues."""
+    _, re, im = scaled_gaussian_grid(X.entries)
+    return grid_inertia(re, im)
 
 
 def minimal_inertia(X: HermitianMatrix) -> int:
@@ -295,79 +281,74 @@ def rank(X: HermitianMatrix) -> int:
     return inertia(X).rank
 
 
-def _mat_mul(a, b, n):
-    out = [[GaussianRational(0)] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            f = ai[k]
-            if f.is_zero():
-                continue
-            bk = b[k]
-            for j in range(n):
-                if not bk[j].is_zero():
-                    oi[j] = oi[j] + f * bk[j]
-    return out
+def _gaussian_dot(xr, xi, ur, ui):
+    # sum_k (xr_k + i*xi_k)(ur_k + i*ui_k) as (re, im)
+    return (
+        sum(map(mul, xr, ur)) - sum(map(mul, xi, ui)),
+        sum(map(mul, xr, ui)) + sum(map(mul, xi, ur)),
+    )
 
 
-def _is_invertible(p, n) -> bool:
-    # plain elimination over the Gaussian rationals, any nonzero pivot
-    m = [list(row) for row in p]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not m[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            return False
-        m[col], m[piv] = m[piv], m[col]
-        d = m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / d
-            if f.is_zero():
-                continue
-            for cdx in range(col, n):
-                m[r][cdx] = m[r][cdx] - f * m[col][cdx]
-    return True
+def _gaussian_mat_mul(ar, ai, br, bi):
+    # (ar + i*ai)(br + i*bi) on integer grids
+    cols = list(zip(zip(*br), zip(*bi)))
+    prods = [[_gaussian_dot(xr, xi, cr, ci) for cr, ci in cols] for xr, xi in zip(ar, ai)]
+    return [[z[0] for z in row] for row in prods], [[z[1] for z in row] for row in prods]
 
 
 def congruence_transform(X: HermitianMatrix, P: Sequence[Sequence]) -> HermitianMatrix:
-    """P* X P for an invertible Gaussian-rational matrix P."""
+    """P* X P for an invertible Gaussian-rational matrix P, on integer grids."""
     q = X.q
     rows = [[_as_gaussian(e) for e in row] for row in P]
     if len(rows) != q or any(len(r) != q for r in rows):
         raise ValueError(f"transform must be {q}x{q}")
-    if not _is_invertible(rows, q):
+    dp, pr, pi = scaled_gaussian_grid(rows)
+    sr, si = [list(c) for c in zip(*pr)], [[-v for v in c] for c in zip(*pi)]  # P*
+    # P is invertible iff P*P is positive definite
+    if grid_inertia(*_gaussian_mat_mul(sr, si, pr, pi)).n_plus < q:
         raise SingularTransformError("transform matrix is singular")
-    p_star = [[rows[j][i].conj() for j in range(q)] for i in range(q)]
-    xp = _mat_mul([list(r) for r in X.entries], rows, q)
-    result = _mat_mul(p_star, xp, q)
-    return HermitianMatrix(result)
+    dx, xr, xi = scaled_gaussian_grid(X.entries)
+    re, im = _gaussian_mat_mul(sr, si, *_gaussian_mat_mul(xr, xi, pr, pi))
+    return HermitianMatrix.from_scaled(dx * dp * dp, re, im)
+
+
+def _berkowitz(re: list, im: list) -> list:
+    """Coefficients [1, c_1, ..., c_q] of det(yI - B) = sum c_k y^(q-k) for a
+    Hermitian Gaussian-integer matrix B = re + i*im, division free.
+
+    Berkowitz's recursion borders the trailing principal block A with corner
+    a, row R and column C = R*: the new polynomial is the Toeplitz matrix of
+    (1, -a, -RC, -RAC, ..., -RA^(n-2)C) times the old one.  Each R A^s C is
+    a Hermitian form, so a nonzero imaginary part is an arithmetic fault.
+    """
+    q = len(re)
+    poly = [1]
+    for r in range(q - 1, -1, -1):
+        if im[r][r]:
+            raise InconsistencyError(f"non-real diagonal at {r} in characteristic polynomial")
+        col = [1, -re[r][r]]
+        rr, ri = re[r][r + 1 :], im[r][r + 1 :]  # border row R; block A; column C = R*
+        ar, ai = [row[r + 1 :] for row in re[r + 1 :]], [row[r + 1 :] for row in im[r + 1 :]]
+        vr, vi = [row[r] for row in re[r + 1 :]], [row[r] for row in im[r + 1 :]]
+        for s in range(q - 1 - r):
+            if s:  # v = A v
+                vr, vi = zip(*[_gaussian_dot(xr, xi, vr, vi) for xr, xi in zip(ar, ai)])
+            t_re, t_im = _gaussian_dot(rr, ri, vr, vi)
+            if t_im:
+                raise InconsistencyError("non-real Berkowitz coefficient")
+            col.append(-t_re)
+        padded = poly + [0]  # Toeplitz product: new[i] = sum_j col[i - j] * poly[j]
+        poly = [sum(col[i - j] * padded[j] for j in range(i + 1)) for i in range(len(padded))]
+    return poly
 
 
 def char_poly(X: HermitianMatrix) -> RationalPolynomial:
     """Characteristic polynomial det(xI - X), exact rational coefficients.
 
-    Uses the trace recursion (Faddeev-LeVerrier); every coefficient of a
-    Hermitian matrix must come out real, which is asserted.
+    Berkowitz's division-free algorithm runs on the integer matrix den*X;
+    the coefficient of x^(q-k) is then divided by den^k.  Every coefficient
+    of a Hermitian matrix must come out real, which is asserted.
     """
-    q = X.q
-    a = [list(row) for row in X.entries]
-    coeffs = [Fraction(0)] * q + [Fraction(1)]  # ascending, x^q leading
-    mk = [row[:] for row in a]
-    for k in range(1, q + 1):
-        tr = GaussianRational(0)
-        for i in range(q):
-            tr = tr + mk[i][i]
-        if tr.im:
-            raise InconsistencyError("complex trace in characteristic polynomial")
-        ck = -tr.re / k
-        coeffs[q - k] = ck
-        if k == q:
-            break
-        for i in range(q):
-            mk[i][i] = mk[i][i] + ck
-        mk = _mat_mul(a, mk, q)
-    return RationalPolynomial(coeffs)
+    den, re, im = scaled_gaussian_grid(X.entries)
+    poly = _berkowitz(re, im)
+    return RationalPolynomial([Fraction(c, den**k) for k, c in enumerate(poly)][::-1])

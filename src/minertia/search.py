@@ -16,18 +16,20 @@ reports are reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import kernels
 from .errors import HypothesisNotMetError
-from .exactnum import GaussianRational, format_rational, parse_rational
-from .hermitian_core import HermitianMatrix, Inertia, inertia
+from .exactnum import GaussianRational, format_rational, parse_rational, scaled_gaussian_grid
+from .hermitian_core import HermitianMatrix, Inertia, grid_inertia, inertia
 from .strata import dim_limit_min_inertia_ge2
 
 _MASK64 = (1 << 64) - 1
@@ -76,48 +78,72 @@ class SearchConfig:
             raise ValueError("verify_fraction must lie in [0, 1]")
 
 
-class _Echelon:
-    """Incremental exact rank over the rationals (row reduction)."""
+MODULUS = (1 << 61) - 1  # Mersenne prime
 
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: List[List[Fraction]] = []
-        self.pivots: List[int] = []
 
-    def try_add(self, vec: Sequence[Fraction]) -> bool:
-        row = [Fraction(v) for v in vec]
-        for r, p in zip(self.rows, self.pivots):
-            if row[p]:
-                f = row[p] / r[p]
-                for i in range(p, self.width):
-                    row[i] -= f * r[i]
-        for p, v in enumerate(row):
-            if v:
-                self.rows.append(row)
-                self.pivots.append(p)
-                order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
-                self.rows = [self.rows[i] for i in order]
-                self.pivots = [self.pivots[i] for i in order]
+class ModularEchelon:
+    """Incremental linear independence of integer vectors over Q.
+
+    Vectors are reduced mod the prime ``MODULUS`` against echelon rows that
+    are only appended, so :meth:`copy` is a cheap snapshot.  While the
+    accepted vectors are independent mod p, a nonzero reduction proves
+    independence over Q (a rational dependency, cleared of denominators and
+    content, would reduce to one mod p).  A zero reduction is re-tested by
+    the exact rank of the Gram matrix; a vector accepted that way breaks
+    independence mod p, so every later test is exact too.
+    """
+
+    def __init__(self):
+        self.rows: List[Tuple[int, List[int]]] = []  # (pivot, row[pivot:])
+        self.accepted: List[Sequence[int]] = []
+        self.exact_only = False
+
+    def copy(self) -> "ModularEchelon":
+        new = ModularEchelon()
+        new.rows, new.accepted = list(self.rows), list(self.accepted)
+        new.exact_only = self.exact_only
+        return new
+
+    def try_add(self, vec: Sequence[int]) -> bool:
+        """Accept ``vec`` and return True iff it is independent of the
+        vectors accepted so far."""
+        if not self.exact_only:
+            row = [v % MODULUS for v in vec]
+            for p, tail in self.rows:
+                f = row[p] % MODULUS
+                if f:  # entries are reduced once, at the end
+                    row[p:] = [a - f * b for a, b in zip(row[p:], tail)]
+            row = [v % MODULUS for v in row]
+            lead = next((k for k, v in enumerate(row) if v), None)
+            if lead is not None:
+                inv = pow(row[lead], -1, MODULUS)
+                self.rows.append((lead, [v * inv % MODULUS for v in row[lead:]]))
+                self.accepted.append(vec)
                 return True
-        return False
+        vecs = self.accepted + [vec]
+        gram = [[sum(map(mul, u, v)) for v in vecs] for u in vecs]
+        if grid_inertia(gram, [[0] * len(vecs) for _ in vecs]).rank < len(vecs):
+            return False
+        self.accepted.append(vec)
+        self.exact_only = True
+        return True
 
 
-def real_coordinates(X: HermitianMatrix) -> List[Fraction]:
-    """Coordinates of X in the q^2-dimensional real vector space of
-    Hermitian matrices: diagonal, then Re and Im of the upper triangle."""
-    coords = [X.entries[i][i].re for i in range(X.q)]
-    for i in range(X.q):
-        for j in range(i + 1, X.q):
-            coords.append(X.entries[i][j].re)
-            coords.append(X.entries[i][j].im)
-    return coords
+def _coordinates(grid) -> List[int]:
+    """Integer coordinates of a scaled Hermitian grid ``(den, re, im)`` in
+    the q^2-dimensional real space of Hermitian matrices: diagonal, then Re
+    and Im of the upper triangle (dropping den keeps (in)dependence)."""
+    _, re, im = grid
+    q = len(re)
+    upper = [v for i in range(q) for j in range(i + 1, q) for v in (re[i][j], im[i][j])]
+    return [re[i][i] for i in range(q)] + upper
 
 
 class SubspaceBasis:
     """An ordered, exactly independent list of Hermitian matrices spanning
     a real subspace."""
 
-    __slots__ = ("q", "basis")
+    __slots__ = ("q", "basis", "_grids")
 
     def __init__(self, q: int, basis: Sequence[HermitianMatrix]):
         basis = tuple(basis)
@@ -125,12 +151,14 @@ class SubspaceBasis:
             raise ValueError("all basis matrices must share the subspace size")
         if len(basis) > q * q:
             raise ValueError(f"dimension {len(basis)} exceeds q^2 = {q * q}")
-        ech = _Echelon(q * q)
-        for k, b in enumerate(basis):
-            if not ech.try_add(real_coordinates(b)):
+        grids = tuple(scaled_gaussian_grid(b.entries) for b in basis)
+        ech = ModularEchelon()
+        for k, grid in enumerate(grids):
+            if not ech.try_add(_coordinates(grid)):
                 raise ValueError(f"basis matrix {k} is linearly dependent")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_grids", grids)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceBasis is immutable")
@@ -140,20 +168,18 @@ class SubspaceBasis:
         return len(self.basis)
 
     def element(self, coeffs: Sequence[Fraction]) -> HermitianMatrix:
-        """Exact linear combination sum_i coeffs[i] * basis[i]."""
+        """Exact linear combination sum_i coeffs[i] * basis[i], summed on
+        the basis' integer grids over one common denominator."""
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count must match dimension")
-        q = self.q
-        zero = GaussianRational(0)
-        acc = [[zero] * q for _ in range(q)]
-        for c, b in zip(coeffs, self.basis):
-            f = Fraction(c)
-            if not f:
-                continue
-            for i in range(q):
-                for j in range(q):
-                    acc[i][j] = acc[i][j] + b.entries[i][j] * f
-        return HermitianMatrix(acc)
+        terms = [(f, g) for f, g in zip(map(Fraction, coeffs), self._grids) if f]
+        den = math.lcm(*(f.denominator * g[0] for f, g in terms))
+        re = im = [[0] * self.q] * self.q  # rows are replaced below, never mutated
+        for f, (d, br, bi) in terms:
+            s = f.numerator * (den // (f.denominator * d))
+            re = [[a + s * b for a, b in zip(ra, rb)] for ra, rb in zip(re, br)]
+            im = [[a + s * b for a, b in zip(ia, ib)] for ia, ib in zip(im, bi)]
+        return HermitianMatrix.from_scaled(den, re, im)
 
     def float_image(self) -> np.ndarray:
         """(dim, q, q) complex128 image of the basis."""
@@ -195,11 +221,11 @@ def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
     if not 1 <= dim <= q * q:
         raise ValueError(f"dim must lie in [1, {q * q}], got {dim}")
     rng = _stream(seed, _PURPOSE_BASIS)
-    ech = _Echelon(q * q)
+    ech = ModularEchelon()
     basis: List[HermitianMatrix] = []
     while len(basis) < dim:
         cand = _random_hermitian(q, rng)
-        if ech.try_add(real_coordinates(cand)):
+        if ech.try_add(_coordinates(scaled_gaussian_grid(cand.entries))):
             basis.append(cand)
     return SubspaceBasis(q, basis)
 
@@ -276,13 +302,9 @@ def _certify(
     fracs = tuple(Fraction(float(x)).limit_denominator(cap) for x in coeff_row)
     if not any(fracs):
         return None
-    element = L.element(fracs)
-    if element.is_zero():
-        return None
+    element = L.element(fracs)  # nonzero, as the basis is independent
     inr = inertia(element)
-    if inr.m > 1:
-        return None
-    return Witness(fracs, element, inr)
+    return Witness(fracs, element, inr) if inr.m <= 1 else None
 
 
 def _exact_m_of_float_coeffs(L: SubspaceBasis, coeff_row: np.ndarray) -> Optional[int]:
@@ -291,10 +313,7 @@ def _exact_m_of_float_coeffs(L: SubspaceBasis, coeff_row: np.ndarray) -> Optiona
     fracs = tuple(Fraction(float(x)) for x in coeff_row)
     if not any(fracs):
         return None
-    element = L.element(fracs)
-    if element.is_zero():
-        return None
-    return inertia(element).m
+    return inertia(L.element(fracs)).m  # a nonzero element, see _certify
 
 
 def _batched_stats(basisf, coeffs, tol, workers):
@@ -307,11 +326,7 @@ def _batched_stats(basisf, coeffs, tol, workers):
             )
     else:
         parts = [kernels.batch_stats(basisf, coeffs[s:e], tol) for s, e in chunks]
-    npl = np.concatenate([p[0] for p in parts])
-    nmi = np.concatenate([p[1] for p in parts])
-    nun = np.concatenate([p[2] for p in parts])
-    f = np.concatenate([p[3] for p in parts])
-    return npl, nmi, nun, f
+    return tuple(np.concatenate(col) for col in zip(*parts))  # npl, nmi, nun, f
 
 
 def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchReport:
@@ -562,7 +577,7 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
         warnings.warn(warning)
 
     rng = _stream(cfg.seed, _PURPOSE_GROW)
-    ech = _Echelon(q * q)
+    ech = ModularEchelon()
     basis: List[HermitianMatrix] = []
     steps: List[GrowStep] = []
     salt = 0
@@ -574,18 +589,16 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
             attempts += 1
             salt += 1
             cand = _random_hermitian(q, rng)
-            if not ech.try_add(real_coordinates(cand)):
+            grown = ech.copy()  # a rejected candidate leaves ech untouched
+            if not grown.try_add(_coordinates(scaled_gaussian_grid(cand.entries))):
                 continue
             trial = SubspaceBasis(q, basis + [cand])
             report = run_search(trial, cfg, _salt=salt)
             if report.witness is None:
                 basis.append(cand)
+                ech = grown
                 accepted = True
                 break
-            # undo the echelon insertion by rebuilding without the candidate
-            ech = _Echelon(q * q)
-            for b in basis:
-                ech.try_add(real_coordinates(b))
             rejected += 1
         steps.append(GrowStep(slot, attempts, accepted, rejected))
         if not accepted:
