@@ -23,6 +23,8 @@ RationalLike = Union[Fraction, int]
 
 def parse_rational(text: str) -> Fraction:
     """Parse the text form ``p/q`` or ``p``."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational: {text!r} (expected a string 'p/q')")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

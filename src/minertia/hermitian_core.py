@@ -187,8 +187,11 @@ class HermitianMatrix:
     def from_json(cls, obj: dict) -> "HermitianMatrix":
         if not isinstance(obj, dict) or "q" not in obj or "entries" not in obj:
             raise ValueError("matrix JSON needs keys 'q' and 'entries'")
-        q = int(obj["q"])
-        entries = obj["entries"]
+        q, entries = obj["q"], obj["entries"]
+        if not isinstance(q, int) or isinstance(q, bool):
+            raise ValueError(f"matrix 'q' must be an integer, got {q!r}")
+        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+            raise ValueError("matrix 'entries' must be a list of rows (lists)")
         if len(entries) != q or any(len(row) != q for row in entries):
             raise ValueError(f"entries must be a full {q}x{q} grid")
         return cls([[GaussianRational.from_json(e) for e in row] for row in entries])

@@ -1,56 +1,100 @@
-"""Float fast-path backend selection.
+"""Float fast-path kernels: batched sampling statistics and coordinate
+descent on the minimal-inertia objective, in numpy.
 
-The compiled extension is preferred when importable; the numpy fallback is
-behaviorally identical (up to floating-point noise) and is always used for
-matrices larger than the compiled kernel's fixed buffers.  Set
-MINERTIA_PURE=1 to force the fallback.
+All decisions taken from these estimates are re-verified in exact
+arithmetic by the search module, so float error here can cost time but
+never soundness.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _kernels_py
-
-_COMPILED = None
-if os.environ.get("MINERTIA_PURE") != "1":
-    try:
-        from . import _kernels as _COMPILED  # type: ignore[no-redef]
-    except ImportError:
-        _COMPILED = None
-
-#: Size cap of the compiled kernel's stack buffers.
-COMPILED_MAX_Q = 32
-
-BACKEND = _COMPILED.BACKEND if _COMPILED is not None else _kernels_py.BACKEND
+#: The "backend" field of search and profile reports; the only backend.
+BACKEND = "numpy"
 
 
-def available_backends():
-    names = ["numpy"]
-    if _COMPILED is not None:
-        names.insert(0, "compiled")
-    return names
-
-
-def _impl(q: int):
-    if _COMPILED is not None and q <= COMPILED_MAX_Q:
-        return _COMPILED
-    return _kernels_py
-
-
-def eig_ascending(a: np.ndarray) -> np.ndarray:
-    return _impl(a.shape[0]).eig_ascending(a)
-
-
-def sign_counts(a: np.ndarray, tol: float):
-    return _impl(a.shape[0]).sign_counts(a, tol)
+def _objective_from_eigs(ev: np.ndarray) -> float:
+    # f >= 0 exactly when at most one eigenvalue of some sign remains
+    q = ev.shape[0]
+    scale = float(np.max(np.abs(ev)))
+    if scale == 0.0:
+        return -np.inf
+    if q == 1:
+        return 1.0
+    return float(max(ev[1], -ev[q - 2]) / scale)
 
 
 def batch_stats(basis: np.ndarray, coeffs: np.ndarray, tol: float):
-    return _impl(basis.shape[1]).batch_stats(basis, coeffs, tol)
+    """Per-sample sign counts and objective for elements sum_i c_i B_i.
+
+    basis: (d, q, q) complex128; coeffs: (n, d) float64.
+    Returns int64 arrays (n_plus, n_minus, n_uncertain) and float64 f.
+    """
+    d, q, _ = basis.shape
+    n = coeffs.shape[0]
+    flat = basis.reshape(d, q * q)
+    xs = (coeffs @ flat).reshape(n, q, q)
+    ev = np.linalg.eigvalsh(xs)
+    scale = np.abs(ev).max(axis=1)
+    thr = tol * scale
+    n_plus = (ev > thr[:, None]).sum(axis=1).astype(np.int64)
+    n_minus = (ev < -thr[:, None]).sum(axis=1).astype(np.int64)
+    n_unc = q - n_plus - n_minus
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if q == 1:
+            f = np.where(scale > 0, 1.0, -np.inf)
+        else:
+            f = np.where(
+                scale > 0,
+                np.maximum(ev[:, 1], -ev[:, q - 2]) / np.where(scale > 0, scale, 1.0),
+                -np.inf,
+            )
+    return n_plus, n_minus, n_unc, f.astype(np.float64)
 
 
-def coordinate_descent(basis: np.ndarray, c0: np.ndarray, sweeps: int, margin: float):
-    return _impl(basis.shape[1]).coordinate_descent(basis, c0, sweeps, margin)
+def coordinate_descent(
+    basis: np.ndarray,
+    c0: np.ndarray,
+    sweeps: int,
+    margin: float,
+):
+    """Greedy coordinate ascent of f on the unit coefficient sphere.
+
+    Fixed step schedule: the step halves whenever a full sweep brings no
+    improvement.  Stops early once f >= margin.  Returns (c, f, evals, hit).
+    """
+    d, q, _ = basis.shape
+    flat = basis.reshape(d, q * q)
+
+    def f_of(c):
+        x = (c @ flat).reshape(q, q)
+        return _objective_from_eigs(np.linalg.eigvalsh(x))
+
+    c = np.asarray(c0, dtype=np.float64).copy()
+    norm = np.linalg.norm(c)
+    if norm == 0.0:
+        return c, -np.inf, 0, False
+    c /= norm
+    f = f_of(c)
+    evals = 1
+    step = 0.5
+    for _ in range(sweeps):
+        if f >= margin:
+            return c, f, evals, True
+        improved = False
+        for i in range(d):
+            for sgn in (1.0, -1.0):
+                cand = c.copy()
+                cand[i] += sgn * step
+                cand /= np.linalg.norm(cand)
+                fc = f_of(cand)
+                evals += 1
+                if fc > f:
+                    c, f = cand, fc
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < 1e-7:
+                break
+    return c, f, evals, f >= margin

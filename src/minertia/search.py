@@ -76,6 +76,14 @@ class SearchConfig:
             raise ValueError("denominator_cap must be >= 1")
         if not 0 <= self.verify_fraction <= 1:
             raise ValueError("verify_fraction must lie in [0, 1]")
+        if self.descent_steps < 0:
+            raise ValueError("descent_steps must be >= 0")
+        if self.descent_starts < 0:
+            raise ValueError("descent_starts must be >= 0")
+        if self.grow_attempts_per_dim < 1:
+            raise ValueError("grow_attempts_per_dim must be >= 1")
+        if not (math.isfinite(self.certify_margin) and self.certify_margin >= 0):
+            raise ValueError("certify_margin must be finite and >= 0")
 
 
 MODULUS = (1 << 61) - 1  # Mersenne prime
@@ -329,18 +337,24 @@ def _batched_stats(basisf, coeffs, tol, workers):
     return tuple(np.concatenate(col) for col in zip(*parts))  # npl, nmi, nun, f
 
 
+def _sample(L: SubspaceBasis, cfg: SearchConfig, purpose: int, salt: int = 0):
+    """``cfg.samples`` seeded unit coefficient rows drawn from the stream
+    (seed, purpose, salt) and their float statistics.
+
+    Returns (float image of L, coeffs, n_plus, n_minus, n_uncertain, f)."""
+    basisf = L.float_image()
+    coeffs = _stream(cfg.seed, purpose, salt).standard_normal((cfg.samples, L.dim))
+    norms = np.linalg.norm(coeffs, axis=1)
+    norms[norms == 0] = 1.0
+    coeffs /= norms[:, None]
+    return (basisf, coeffs) + _batched_stats(basisf, coeffs, cfg.float_tolerance, cfg.workers)
+
+
 def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchReport:
     """Full falsifier pass: sampling histogram, exact escalation of
     tolerance-band samples, certification of direct hits, then coordinate
     descent from the most promising starts."""
-    basisf = L.float_image()
-    rng = _stream(cfg.seed, _PURPOSE_FALSIFY, _salt)
-    coeffs = rng.standard_normal((cfg.samples, L.dim))
-    norms = np.linalg.norm(coeffs, axis=1)
-    norms[norms == 0] = 1.0
-    coeffs /= norms[:, None]
-
-    npl, nmi, nun, f = _batched_stats(basisf, coeffs, cfg.float_tolerance, cfg.workers)
+    basisf, coeffs, npl, nmi, nun, f = _sample(L, cfg, _PURPOSE_FALSIFY, _salt)
 
     histogram: Dict[int, int] = {}
     escalations = 0
@@ -448,14 +462,7 @@ def empirical_min_inertia_profile(L: SubspaceBasis, cfg: SearchConfig) -> Profil
     Float fast path with exact escalation of tolerance-band samples and
     exact spot verification of a configurable fraction; identical output
     for any worker count."""
-    basisf = L.float_image()
-    rng = _stream(cfg.seed, _PURPOSE_PROFILE)
-    coeffs = rng.standard_normal((cfg.samples, L.dim))
-    norms = np.linalg.norm(coeffs, axis=1)
-    norms[norms == 0] = 1.0
-    coeffs /= norms[:, None]
-
-    npl, nmi, nun, _ = _batched_stats(basisf, coeffs, cfg.float_tolerance, cfg.workers)
+    _, coeffs, npl, nmi, nun, _ = _sample(L, cfg, _PURPOSE_PROFILE)
 
     spot_every = int(round(1 / cfg.verify_fraction)) if cfg.verify_fraction > 0 else 0
     histogram: Dict[int, int] = {}

@@ -51,6 +51,21 @@ class TestInertiaCommand:
         code, _, _ = run(capsys, "inertia", "--matrix", "/nonexistent/x.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"q": 1, "entries": [[{"re": 1, "im": 0}]]},
+            {"q": 2, "entries": [1, 2]},
+        ],
+        ids=["numeric-rational", "flat-entries"],
+    )
+    def test_malformed_matrix_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "inertia", "--matrix", str(path))
+        assert code == 2
+        assert len(err.splitlines()) == 1
+
 
 class TestClassifyCommand:
     def test_d2_label(self, tmp_path, capsys):
@@ -184,6 +199,15 @@ class TestSearchCommand:
     def test_seed_required(self, capsys):
         code, _, _ = run(capsys, "search", "--q", "4", "--dim", "3")
         assert code == 1
+
+    def test_negative_descent_steps_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--q", "5", "--dim", "9", "--seed", "1",
+            "--descent-steps", "-3",
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
 
 
 class TestGrowCommand:

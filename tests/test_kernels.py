@@ -2,11 +2,6 @@ import numpy as np
 import pytest
 
 from minertia import kernels
-from minertia import _kernels_py
-
-BACKENDS = [pytest.param(_kernels_py, id="numpy")]
-if kernels._COMPILED is not None:
-    BACKENDS.insert(0, pytest.param(kernels._COMPILED, id="compiled"))
 
 
 def random_hermitian_f(rng, q):
@@ -19,55 +14,12 @@ def nprng():
     return np.random.default_rng(20240917)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-class TestEigAscending:
-    def test_matches_numpy_eigvalsh(self, impl, nprng):
-        for _ in range(300):
-            q = int(nprng.integers(1, 10))
-            h = random_hermitian_f(nprng, q)
-            got = impl.eig_ascending(h)
-            want = np.linalg.eigvalsh(h)
-            assert np.allclose(got, want, atol=1e-10 * max(1.0, np.abs(want).max()))
-            assert np.all(np.diff(got) >= -1e-12)
-
-    def test_known_diagonal(self, impl, nprng):
-        h = np.diag([3.0, -1.0, 0.0, 2.0]).astype(np.complex128)
-        assert np.allclose(impl.eig_ascending(h), [-1.0, 0.0, 2.0, 3.0])
-
-    def test_repeated_eigenvalues(self, impl, nprng):
-        h = np.diag([1.0, 1.0, 1.0, 5.0]).astype(np.complex128)
-        # rotate by a random unitary to fill in off-diagonal structure
-        a = nprng.standard_normal((4, 4)) + 1j * nprng.standard_normal((4, 4))
-        u, _ = np.linalg.qr(a)
-        m = u @ h @ u.conj().T
-        assert np.allclose(impl.eig_ascending(m), [1.0, 1.0, 1.0, 5.0], atol=1e-9)
-
-
-@pytest.mark.parametrize("impl", BACKENDS)
-class TestSignCounts:
-    def test_clear_signs(self, impl):
-        h = np.diag([4.0, -2.0, 1.0, -1.0, 0.0]).astype(np.complex128)
-        npl, nmi, nun = impl.sign_counts(h, 1e-9)
-        assert (npl, nmi, nun) == (2, 2, 1)
-
-    def test_tolerance_band(self, impl):
-        h = np.diag([1.0, 1e-14, -1e-14]).astype(np.complex128)
-        npl, nmi, nun = impl.sign_counts(h, 1e-9)
-        assert (npl, nmi, nun) == (1, 0, 2)
-
-    def test_zero_matrix(self, impl):
-        h = np.zeros((3, 3), dtype=np.complex128)
-        npl, nmi, nun = impl.sign_counts(h, 1e-9)
-        assert (npl, nmi, nun) == (0, 0, 3)
-
-
-@pytest.mark.parametrize("impl", BACKENDS)
 class TestBatchStats:
-    def test_matches_single_path(self, impl, nprng):
+    def test_matches_single_path(self, nprng):
         d, q, n = 4, 5, 64
         basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
         coeffs = nprng.standard_normal((n, d))
-        npl, nmi, nun, f = impl.batch_stats(basis, coeffs, 1e-9)
+        npl, nmi, nun, f = kernels.batch_stats(basis, coeffs, 1e-9)
         for i in range(n):
             x = np.tensordot(coeffs[i], basis, axes=(0, 0))
             ev = np.linalg.eigvalsh(x)
@@ -79,70 +31,42 @@ class TestBatchStats:
             assert nmi[i] == np.count_nonzero(ev < -thr)
             assert npl[i] + nmi[i] + nun[i] == q
 
-    def test_shape_validation(self, impl, nprng):
+    def test_shape_validation(self, nprng):
         basis = np.stack([random_hermitian_f(nprng, 3) for _ in range(2)])
         with pytest.raises(ValueError):
-            impl.batch_stats(basis, nprng.standard_normal((5, 3)), 1e-9)
+            kernels.batch_stats(basis, nprng.standard_normal((5, 3)), 1e-9)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
 class TestCoordinateDescent:
-    def test_never_decreases_objective(self, impl, nprng):
+    def test_never_decreases_objective(self, nprng):
         d, q = 5, 5
         basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
         c0 = nprng.standard_normal(d)
         x0 = np.tensordot(c0 / np.linalg.norm(c0), basis, axes=(0, 0))
         ev0 = np.linalg.eigvalsh(x0)
         f0 = max(ev0[1], -ev0[q - 2]) / np.abs(ev0).max()
-        c, f, evals, hit = impl.coordinate_descent(basis, c0, 40, 1e-4)
+        c, f, evals, hit = kernels.coordinate_descent(basis, c0, 40, 1e-4)
         assert f >= f0 - 1e-12
         assert evals >= 1
         assert abs(np.linalg.norm(c) - 1.0) < 1e-9
 
-    def test_margin_stop(self, impl, nprng):
+    def test_margin_stop(self, nprng):
         # a basis that contains a definite matrix: objective can reach >= 0
         q = 4
         basis = np.stack(
             [np.eye(q, dtype=np.complex128), random_hermitian_f(nprng, q)]
         )
-        c, f, evals, hit = impl.coordinate_descent(
+        c, f, evals, hit = kernels.coordinate_descent(
             basis, np.array([1.0, 0.05]), 200, 1e-4
         )
         assert hit
         assert f >= 1e-4
 
-    def test_deterministic(self, impl, nprng):
+    def test_deterministic(self, nprng):
         d, q = 4, 4
         basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
         c0 = nprng.standard_normal(d)
-        r1 = impl.coordinate_descent(basis, c0, 30, 1e-4)
-        r2 = impl.coordinate_descent(basis, c0, 30, 1e-4)
+        r1 = kernels.coordinate_descent(basis, c0, 30, 1e-4)
+        r2 = kernels.coordinate_descent(basis, c0, 30, 1e-4)
         assert np.array_equal(r1[0], r2[0])
         assert r1[1:] == r2[1:]
-
-
-def test_backend_reported():
-    assert kernels.BACKEND in ("compiled", "numpy")
-    assert "numpy" in kernels.available_backends()
-
-
-@pytest.mark.skipif(kernels._COMPILED is None, reason="extension not built")
-def test_backends_agree_on_objective():
-    nprng = np.random.default_rng(7)
-    d, q, n = 6, 5, 128
-    basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
-    coeffs = nprng.standard_normal((n, d))
-    _, _, _, f1 = kernels._COMPILED.batch_stats(basis, coeffs, 1e-9)
-    _, _, _, f2 = _kernels_py.batch_stats(basis, coeffs, 1e-9)
-    assert np.allclose(f1, f2, atol=1e-9)
-
-
-@pytest.mark.skipif(kernels._COMPILED is None, reason="extension not built")
-def test_oversize_falls_back(monkeypatch):
-    # the dispatcher must route q > COMPILED_MAX_Q to the numpy fallback
-    q = kernels.COMPILED_MAX_Q + 1
-    h = np.diag(np.arange(q, dtype=np.float64) - q / 2).astype(np.complex128)
-    ev = kernels.eig_ascending(h)
-    assert ev.shape == (q,)
-    with pytest.raises(ValueError):
-        kernels._COMPILED.eig_ascending(h)

@@ -238,3 +238,17 @@ class TestConfigValidation:
             SearchConfig(seed=1, float_tolerance=0)
         with pytest.raises(ValueError):
             SearchConfig(seed=1, verify_fraction=1.5)
+
+    def test_descent_grow_and_margin_values(self):
+        bad = [
+            {"descent_steps": -3},
+            {"descent_starts": -1},
+            {"grow_attempts_per_dim": 0},
+            {"certify_margin": -1e-4},
+            {"certify_margin": float("nan")},
+            {"certify_margin": float("inf")},
+        ]
+        for kw in bad:
+            with pytest.raises(ValueError):
+                SearchConfig(seed=1, **kw)
+        SearchConfig(seed=1, descent_steps=0, descent_starts=0, certify_margin=0.0)
