@@ -204,10 +204,6 @@ class HermitianMatrix:
 
         return cls([[z(a, b) for a, b in zip(ra, ia)] for ra, ia in zip(re, im)])
 
-    def to_complex_rows(self) -> list:
-        """Float image, row-major nested lists of python complex."""
-        return [[complex(e) for e in row] for row in self.entries]
-
 
 def _exact_quotient(a: int, b: int) -> int:
     quo, rem = divmod(a, b)

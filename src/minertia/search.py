@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .errors import HypothesisNotMetError
-from .exactnum import GaussianRational, format_rational, parse_rational, scaled_gaussian_grid
+from .exactnum import format_rational, parse_rational, scaled_gaussian_grid
 from .hermitian_core import HermitianMatrix, Inertia, grid_inertia, inertia
 from .strata import dim_limit_min_inertia_ge2
 
@@ -70,8 +70,8 @@ class SearchConfig:
             raise ValueError("samples must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.float_tolerance <= 0:
-            raise ValueError("float_tolerance must be positive")
+        if not (math.isfinite(self.float_tolerance) and self.float_tolerance > 0):
+            raise ValueError("float_tolerance must be finite and positive")
         if self.denominator_cap < 1:
             raise ValueError("denominator_cap must be >= 1")
         if not 0 <= self.verify_fraction <= 1:
@@ -147,11 +147,28 @@ def _coordinates(grid) -> List[int]:
     return [re[i][i] for i in range(q)] + upper
 
 
+def _float_exponent(grid) -> int:
+    """Exponent e of the exact power of two 2^-e that scales a basis
+    matrix's float image into range: 0 while its largest |Re| or |Im|
+    lies in [2^-1000, 2^1000], else about that entry's binary logarithm."""
+    den, re, im = grid
+    top = max(abs(v) for rows in (re, im) for row in rows for v in row)
+    if den <= top << 1000 and top <= den << 1000:
+        return 0
+    return top.bit_length() - den.bit_length()
+
+
 class SubspaceBasis:
     """An ordered, exactly independent list of Hermitian matrices spanning
-    a real subspace."""
+    a real subspace.
 
-    __slots__ = ("q", "basis", "_grids")
+    The matrices are held as scaled Gaussian-integer grids ``(den, re, im)``
+    (see :func:`~minertia.exactnum.scaled_gaussian_grid`), on which
+    :meth:`element` and :meth:`float_image` work directly; the tuple of
+    ``HermitianMatrix`` in :attr:`basis` is built from them on first use.
+    The constructor checks independence exactly."""
+
+    __slots__ = ("q", "_grids", "_exps", "_basis")
 
     def __init__(self, q: int, basis: Sequence[HermitianMatrix]):
         basis = tuple(basis)
@@ -164,16 +181,35 @@ class SubspaceBasis:
         for k, grid in enumerate(grids):
             if not ech.try_add(_coordinates(grid)):
                 raise ValueError(f"basis matrix {k} is linearly dependent")
+        self._set(q, grids, basis)
+
+    @classmethod
+    def _from_grids(cls, q: int, grids: Sequence) -> "SubspaceBasis":
+        """A basis of grids whose independence a ``ModularEchelon`` has
+        already established; it is not checked again."""
+        new = object.__new__(cls)
+        new._set(q, tuple(grids), None)
+        return new
+
+    def _set(self, q, grids, basis):
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_grids", grids)
+        object.__setattr__(self, "_exps", tuple(map(_float_exponent, grids)))
+        object.__setattr__(self, "_basis", basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceBasis is immutable")
 
     @property
+    def basis(self) -> Tuple[HermitianMatrix, ...]:
+        if self._basis is None:
+            basis = tuple(HermitianMatrix.from_scaled(*g) for g in self._grids)
+            object.__setattr__(self, "_basis", basis)
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._grids)
 
     def element(self, coeffs: Sequence[Fraction]) -> HermitianMatrix:
         """Exact linear combination sum_i coeffs[i] * basis[i], summed on
@@ -190,10 +226,27 @@ class SubspaceBasis:
         return HermitianMatrix.from_scaled(den, re, im)
 
     def float_image(self) -> np.ndarray:
-        """(dim, q, q) complex128 image of the basis."""
-        return np.array(
-            [b.to_complex_rows() for b in self.basis], dtype=np.complex128
-        ).reshape(self.dim, self.q, self.q)
+        """(dim, q, q) complex128 image of the basis, matrix i scaled by
+        2^-e_i (see :func:`_float_exponent`).  int / int division rounds
+        correctly, so an unscaled entry equals ``complex(entry)``."""
+        re_vals: List[float] = []
+        im_vals: List[float] = []
+        for (den, re, im), e in zip(self._grids, self._exps):
+            if e:
+                up, den = max(-e, 0), den << max(e, 0)
+                re = [[a << up for a in row] for row in re]
+                im = [[b << up for b in row] for row in im]
+            re_vals += [a / den for row in re for a in row]
+            im_vals += [b / den for row in im for b in row]
+        image = np.empty((self.dim, self.q, self.q), dtype=np.complex128)
+        image.real.flat = re_vals
+        image.imag.flat = im_vals
+        return image
+
+    def _unscale(self, fracs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+        """Basis coefficients of the element that ``fracs`` combine on the
+        float image: coefficient i times 2^-e_i, exactly."""
+        return tuple(f * Fraction(2) ** -e if e else f for f, e in zip(fracs, self._exps))
 
     def to_json(self) -> dict:
         return {"q": self.q, "basis": [b.to_json() for b in self.basis]}
@@ -205,22 +258,28 @@ class SubspaceBasis:
         )
 
 
-def _random_hermitian(q: int, rng: np.random.Generator, max_num=9, max_den=9) -> HermitianMatrix:
-    # bounded-denominator rational entries
-    def frac():
-        return Fraction(
-            int(rng.integers(-max_num, max_num + 1)),
-            int(rng.integers(1, max_den + 1)),
-        )
-
-    entries = [[None] * q for _ in range(q)]
+def _random_grid(q: int, rng: np.random.Generator):
+    """Scaled grid ``(den, re, im)`` of a random Hermitian matrix with
+    entries n/d, |n| <= 9, 1 <= d <= 9.  Its 2q^2 integers come from one
+    draw: per row, the diagonal's (n, d), then (n, d) of Re and of Im of
+    each entry right of it (the order of one scalar draw per integer)."""
+    draws = rng.integers([-9, 1] * (q * q), [10, 10] * (q * q)).tolist()
+    nums, dens = draws[0::2], draws[1::2]
+    den = math.lcm(*(d // math.gcd(n, d) for n, d in zip(nums, dens)))
+    vals = iter([n * den // d for n, d in zip(nums, dens)])
+    re = [[0] * q for _ in range(q)]
+    im = [[0] * q for _ in range(q)]
     for i in range(q):
-        entries[i][i] = GaussianRational(frac())
+        re[i][i] = next(vals)
         for j in range(i + 1, q):
-            z = GaussianRational(frac(), frac())
-            entries[i][j] = z
-            entries[j][i] = z.conj()
-    return HermitianMatrix(entries)
+            re[i][j] = re[j][i] = next(vals)
+            im[i][j] = next(vals)
+            im[j][i] = -im[i][j]
+    return den, re, im
+
+
+def _random_hermitian(q: int, rng: np.random.Generator) -> HermitianMatrix:
+    return HermitianMatrix.from_scaled(*_random_grid(q, rng))
 
 
 def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
@@ -230,12 +289,12 @@ def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
         raise ValueError(f"dim must lie in [1, {q * q}], got {dim}")
     rng = _stream(seed, _PURPOSE_BASIS)
     ech = ModularEchelon()
-    basis: List[HermitianMatrix] = []
-    while len(basis) < dim:
-        cand = _random_hermitian(q, rng)
-        if ech.try_add(_coordinates(scaled_gaussian_grid(cand.entries))):
-            basis.append(cand)
-    return SubspaceBasis(q, basis)
+    grids: List[tuple] = []
+    while len(grids) < dim:
+        grid = _random_grid(q, rng)
+        if ech.try_add(_coordinates(grid)):
+            grids.append(grid)
+    return SubspaceBasis._from_grids(q, grids)
 
 
 @dataclass(frozen=True)
@@ -305,9 +364,10 @@ class SearchReport:
 def _certify(
     L: SubspaceBasis, coeff_row: np.ndarray, cap: int
 ) -> Optional[Witness]:
-    """Round float coefficients to rationals and re-verify exactly;
-    None when the rounded element is zero or fails min inertia <= 1."""
-    fracs = tuple(Fraction(float(x)).limit_denominator(cap) for x in coeff_row)
+    """Round float coefficients (on L's float image) to rationals, carry
+    them to L's basis and re-verify exactly; None when the rounded element
+    is zero or fails min inertia <= 1."""
+    fracs = L._unscale([Fraction(float(x)).limit_denominator(cap) for x in coeff_row])
     if not any(fracs):
         return None
     element = L.element(fracs)  # nonzero, as the basis is independent
@@ -318,7 +378,7 @@ def _certify(
 def _exact_m_of_float_coeffs(L: SubspaceBasis, coeff_row: np.ndarray) -> Optional[int]:
     """Exact minimal inertia of the rational lift of a float coefficient
     vector (floats are dyadic rationals, so the lift is exact)."""
-    fracs = tuple(Fraction(float(x)) for x in coeff_row)
+    fracs = L._unscale([Fraction(float(x)) for x in coeff_row])
     if not any(fracs):
         return None
     return inertia(L.element(fracs)).m  # a nonzero element, see _certify
@@ -353,7 +413,13 @@ def _sample(L: SubspaceBasis, cfg: SearchConfig, purpose: int, salt: int = 0):
 def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchReport:
     """Full falsifier pass: sampling histogram, exact escalation of
     tolerance-band samples, certification of direct hits, then coordinate
-    descent from the most promising starts."""
+    descent from the most promising starts.
+
+    Descent starts run one at a time in decreasing order of their sampled
+    objective, and each is certified as soon as it ends; the first that
+    certifies is the witness and no later start runs.  ``samples_used``
+    counts the objective evaluations actually made: the samples plus the
+    evaluations of the descents that ran."""
     basisf, coeffs, npl, nmi, nun, f = _sample(L, cfg, _PURPOSE_FALSIFY, _salt)
 
     histogram: Dict[int, int] = {}
@@ -376,20 +442,15 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
         if witness is not None:
             break
 
-    if witness is None and cfg.descent_starts > 0:
-        order = np.argsort(-f, kind="stable")[: cfg.descent_starts]
-        descent_results = []
-        for rank_pos, idx in enumerate(order):
+    if witness is None:
+        for idx in np.argsort(-f, kind="stable")[: cfg.descent_starts]:
             c, fval, evals, hit = kernels.coordinate_descent(
                 basisf, coeffs[idx], cfg.descent_steps, cfg.certify_margin
             )
             samples_used += evals
-            descent_results.append((rank_pos, c, fval, hit))
-        for rank_pos, c, fval, hit in descent_results:
             if hit or fval >= 0:
-                w = _certify(L, c, cfg.denominator_cap)
-                if w is not None:
-                    witness = w
+                witness = _certify(L, c, cfg.denominator_cap)
+                if witness is not None:
                     break
 
     return SearchReport(
@@ -585,7 +646,7 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
 
     rng = _stream(cfg.seed, _PURPOSE_GROW)
     ech = ModularEchelon()
-    basis: List[HermitianMatrix] = []
+    grids: List[tuple] = []
     steps: List[GrowStep] = []
     salt = 0
     for slot in range(target_dim):
@@ -595,14 +656,14 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
         while attempts < cfg.grow_attempts_per_dim:
             attempts += 1
             salt += 1
-            cand = _random_hermitian(q, rng)
+            grid = _random_grid(q, rng)
             grown = ech.copy()  # a rejected candidate leaves ech untouched
-            if not grown.try_add(_coordinates(scaled_gaussian_grid(cand.entries))):
+            if not grown.try_add(_coordinates(grid)):
                 continue
-            trial = SubspaceBasis(q, basis + [cand])
+            trial = SubspaceBasis._from_grids(q, grids + [grid])
             report = run_search(trial, cfg, _salt=salt)
             if report.witness is None:
-                basis.append(cand)
+                grids.append(grid)
                 ech = grown
                 accepted = True
                 break
@@ -613,9 +674,9 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
     return GrowReport(
         q=q,
         target_dim=target_dim,
-        achieved_dim=len(basis),
+        achieved_dim=len(grids),
         seed=cfg.seed,
-        basis=SubspaceBasis(q, basis),
+        basis=SubspaceBasis._from_grids(q, grids),
         steps=tuple(steps),
         certified=False,
         warning=warning,

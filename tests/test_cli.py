@@ -209,6 +209,16 @@ class TestSearchCommand:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_float_tolerance_exits_2(self, capsys, tol):
+        code, out, err = run(
+            capsys, "search", "--q", "4", "--dim", "3", "--seed", "5",
+            "--samples", "40", "--float-tolerance", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
 
 class TestGrowCommand:
     def test_basic(self, capsys):

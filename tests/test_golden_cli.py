@@ -9,6 +9,12 @@ three seeds, ``grow --q 5 --target 4`` at one seed and a smaller-budget
 ``grow`` that rejects candidates, each at one and two workers.  Any change
 to the exact core must reproduce it byte for byte.
 
+List the cases whose output would change (argv and the changed JSON
+keys, or ``code`` / ``stderr`` / ``stdout`` when those are not JSON
+documents), without writing anything; exit status 1 when any differ:
+
+    PYTHONPATH=src python tests/test_golden_cli.py --check
+
 Regenerate (only when an output change is intended and documented):
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -143,6 +149,32 @@ def _load():
     return doc["matrices"], doc["cases"]
 
 
+def _changed_keys(old, new, path=""):
+    """Dotted paths of the values that differ between two JSON documents."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = sorted(old.keys() | new.keys())
+        return [p for k in keys for p in _changed_keys(old.get(k), new.get(k), f"{path}{k}.")]
+    return [] if old == new else [path.rstrip(".") or "stdout"]
+
+
+def diff_corpus():
+    """(argv, changed keys) of every corpus case whose output differs now."""
+    matrices, cases = _load()
+    diffs = []
+    for case in cases:
+        stdin = "" if case["matrix"] is None else json.dumps(matrices[case["matrix"]])
+        got = run_cli(case["argv"], stdin)
+        keys = [k for k in ("code", "stderr") if got[k] != case[k]]
+        if got["stdout"] != case["stdout"]:
+            try:
+                keys += _changed_keys(json.loads(case["stdout"]), json.loads(got["stdout"]))
+            except json.JSONDecodeError:
+                keys.append("stdout")
+        if keys:
+            diffs.append((case["argv"], keys))
+    return diffs
+
+
 _MATRICES, _CASES = _load() if CORPUS.exists() else ([], [])
 
 
@@ -163,4 +195,9 @@ def test_output_is_byte_identical(case):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        found = diff_corpus()
+        for argv, keys in found:
+            print(" ".join(argv), "->", ", ".join(keys))
+        sys.exit(1 if found else 0)
     write_corpus()

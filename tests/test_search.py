@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minertia import kernels, search
+from minertia.cli import main
+from minertia.exactnum import GaussianRational, scaled_gaussian_grid
 from minertia.hermitian_core import HermitianMatrix, inertia
 from minertia.search import (
     GrowReport,
@@ -53,7 +61,71 @@ class TestSubspaceBasis:
 
     def test_json_round_trip(self):
         L = random_subspace(3, 4, seed=5)
-        assert SubspaceBasis.from_json(L.to_json()).basis == L.basis
+        back = SubspaceBasis.from_json(L.to_json())
+        assert back.basis == L.basis
+        assert back.to_json() == L.to_json()
+
+    @pytest.mark.parametrize("q,dim,seed", [(2, 4, 1), (4, 7, 2), (5, 9, 3)])
+    def test_grid_built_basis_matches_its_matrices(self, q, dim, seed):
+        L = random_subspace(q, dim, seed)
+        M = SubspaceBasis(q, L.basis)  # the checked constructor, from matrices
+        assert M._grids == L._grids
+        image = L.float_image()
+        assert np.array_equal(M.float_image(), image)
+        for k, b in enumerate(L.basis):
+            assert image[k].tolist() == [[complex(e) for e in row] for row in b.entries]
+        coeffs = [Fraction(k + 1, 7) for k in range(dim)]
+        assert M.element(coeffs) == L.element(coeffs)
+
+
+def _scalar_random_hermitian(q, rng):
+    """Reference draw: one scalar ``rng.integers`` call per integer and
+    Fraction entries, in the order random Hermitian candidates are drawn."""
+
+    def frac():
+        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+
+    entries = [[None] * q for _ in range(q)]
+    for i in range(q):
+        entries[i][i] = GaussianRational(frac())
+        for j in range(i + 1, q):
+            z = GaussianRational(frac(), frac())
+            entries[i][j] = z
+            entries[j][i] = z.conj()
+    return HermitianMatrix(entries)
+
+
+def _scalar_random_subspace(q, dim, seed):
+    rng = search._stream(seed, search._PURPOSE_BASIS)
+    basis = []
+    while len(basis) < dim:
+        cand = _scalar_random_hermitian(q, rng)
+        try:
+            SubspaceBasis(q, basis + [cand])
+        except ValueError:
+            continue
+        basis.append(cand)
+    return basis
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_candidate_draw_matches_scalar_draws(self, q, seed):
+        a = search._stream(seed, search._PURPOSE_BASIS)
+        b = search._stream(seed, search._PURPOSE_BASIS)
+        for _ in range(3):
+            ref = _scalar_random_hermitian(q, b)
+            grid = search._random_grid(q, a)
+            assert grid == scaled_gaussian_grid(ref.entries)
+            assert HermitianMatrix.from_scaled(*grid) == ref
+        assert a.integers(1 << 62) == b.integers(1 << 62)
+        assert a.standard_normal() == b.standard_normal()
+
+    @pytest.mark.parametrize("q,dim", [(2, 4), (3, 9), (4, 8), (5, 9), (6, 12)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_subspace_matches_scalar_draws(self, q, dim, seed):
+        assert random_subspace(q, dim, seed).basis == tuple(_scalar_random_subspace(q, dim, seed))
 
 
 class TestRandomSubspace:
@@ -132,6 +204,46 @@ class TestFalsifier:
         rep = run_search(L, SearchConfig(seed=19))
         doc = json.loads(json.dumps(rep.to_json()))
         assert SearchReport.from_json(doc).to_json() == rep.to_json()
+
+
+def _cli_search(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["search", *argv]) == 0
+    return json.loads(out.getvalue())
+
+
+class TestLazyDescent:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_descent_stops_at_first_certified_start(self, monkeypatch, workers):
+        real = kernels.coordinate_descent
+        runs = []
+
+        def counted(*args):
+            runs.append(real(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(kernels, "coordinate_descent", counted)
+        doc = _cli_search("--q", "5", "--dim", "9", "--seed", "1", "--workers", str(workers))
+        L, cfg = random_subspace(5, 9, 1), SearchConfig(seed=1, workers=workers)
+
+        def certify(result):
+            c, fval, _, hit = result
+            return search._certify(L, c, cfg.denominator_cap) if hit or fval >= 0 else None
+
+        # every start before the last fails to certify; the last gives the witness
+        assert 0 < len(runs) < cfg.descent_starts
+        assert [certify(r) for r in runs[:-1]] == [None] * (len(runs) - 1)
+        assert certify(runs[-1]).to_json() == doc["witness"]
+        assert doc["samples_used"] == cfg.samples + sum(r[2] for r in runs)
+
+        # the eager schedule (all starts, then the first that certifies in
+        # rank order) picks the same witness
+        basisf, coeffs, *_, f = search._sample(L, cfg, search._PURPOSE_FALSIFY)
+        order = np.argsort(-f, kind="stable")[: cfg.descent_starts]
+        eager = [real(basisf, coeffs[i], cfg.descent_steps, cfg.certify_margin) for i in order]
+        first = next(w for w in map(certify, eager) if w is not None)
+        assert first.to_json() == doc["witness"]
 
 
 def standard_basis(q):
@@ -217,6 +329,50 @@ class TestGrow:
         assert GrowReport.from_json(doc).to_json() == doc
 
 
+class TestFloatRange:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [10**400, -1],
+            [Fraction(1, 10**400), -1],
+            [Fraction(1, 10**400), -Fraction(1, 10**400)],
+            [-(10**400), Fraction(1, 10**400)],
+        ],
+    )
+    def test_out_of_range_entries_are_searched_and_certified(self, values):
+        L = SubspaceBasis(2, [HermitianMatrix.diagonal(values)])
+        image = L.float_image()
+        assert np.isfinite(image).all() and np.abs(image).max() > 0
+        rep = run_search(L, SearchConfig(seed=1, samples=10))
+        w = rep.witness
+        assert w is not None
+        assert L.element(w.coefficients) == w.element
+        assert inertia(w.element) == w.inertia and w.inertia.m <= 1
+
+    @pytest.mark.parametrize("k,scaled", [(1000, False), (1001, True), (-1000, False), (-1001, True)])
+    def test_only_out_of_range_images_are_scaled(self, k, scaled):
+        L = SubspaceBasis(2, [HermitianMatrix.diagonal([Fraction(2) ** k, -Fraction(2) ** k / 3])])
+        assert (L._exps != (0,)) == scaled
+        if scaled:
+            assert 0.5 <= np.abs(L.float_image()).max() < 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-1100, -600, 0, 600, 1100]), min_size=2, max_size=2),
+        st.integers(0, 2**32),
+    )
+    def test_run_search_never_raises_on_extreme_entries(self, exps, seed):
+        a = HermitianMatrix([[1, (1, 1), 0], [(1, -1), -2, 0], [0, 0, 3]])
+        b = HermitianMatrix([[0, 0, 2], [0, 1, (0, 1)], [2, (0, -1), -1]])
+        L = SubspaceBasis(3, [x.scale(Fraction(2) ** e) for x, e in zip((a, b), exps)])
+        assert np.isfinite(L.float_image()).all()
+        rep = run_search(L, SearchConfig(seed=seed, samples=20, descent_steps=10, descent_starts=2))
+        if rep.witness is not None:
+            w = rep.witness
+            assert L.element(w.coefficients) == w.element
+            assert inertia(w.element) == w.inertia and w.inertia.m <= 1
+
+
 class TestWitnessSerialization:
     def test_round_trip(self):
         L = SubspaceBasis(5, [unit_matrix(5, 0, 0)])
@@ -238,6 +394,11 @@ class TestConfigValidation:
             SearchConfig(seed=1, float_tolerance=0)
         with pytest.raises(ValueError):
             SearchConfig(seed=1, verify_fraction=1.5)
+
+    def test_float_tolerance_must_be_finite_and_positive(self):
+        for tol in (float("nan"), float("inf"), -1e-9):
+            with pytest.raises(ValueError):
+                SearchConfig(seed=1, float_tolerance=tol)
 
     def test_descent_grow_and_margin_values(self):
         bad = [
