@@ -43,7 +43,6 @@ from .exactnum import (
     Rational,
     RationalPolynomial,
     format_rational,
-    gaussian_arith,
     parse_rational,
     poly_gcd_tower,
 )

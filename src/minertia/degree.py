@@ -148,13 +148,7 @@ def verify_parity_law(lo: int, hi: int) -> int:
     (0 on a correct build).  Uses only the O(1) valuation per q."""
     bad = 0
     for q in range(max(lo, 3), hi + 1):
-        v2 = (
-            _factorial_v2(2 * q - 4)
-            + _factorial_v2(2 * q - 3)
-            - 2 * _factorial_v2(q - 2)
-            - 2 * _factorial_v2(q - 1)
-        )
-        odd = v2 == 0
+        odd = two_adic_valuation(q) == 0
         if odd != binary_disjoint(q - 2, q - 1) or odd != is_power_of_two_plus_one(q):
             bad += 1
     return bad

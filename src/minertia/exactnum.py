@@ -31,6 +31,13 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (an ``int``, not a ``bool``)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def format_rational(x: Fraction) -> str:
     """Inverse of parse_rational; denominator 1 renders as a bare integer."""
     x = Fraction(x)
@@ -144,27 +151,6 @@ class GaussianRational:
         if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
             raise ValueError(f"expected {{'re': ..., 'im': ...}}, got {obj!r}")
         return cls(parse_rational(obj["re"]), parse_rational(obj["im"]))
-
-
-GAUSSIAN_ZERO = GaussianRational(0)
-GAUSSIAN_ONE = GaussianRational(1)
-GAUSSIAN_I = GaussianRational(0, 1)
-
-
-def gaussian_arith(a: GaussianRational, b: GaussianRational, op: str) -> GaussianRational:
-    """Dispatch form of the field operations; ``op`` is one of
-    add, sub, mul, div, conj (conj ignores ``b``)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "conj":
-        return a.conj()
-    raise ValueError(f"unknown operation {op!r}")
 
 
 class RationalPolynomial:

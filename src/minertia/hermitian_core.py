@@ -17,7 +17,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import InconsistencyError, NotHermitianError, SingularTransformError
-from .exactnum import GaussianRational, RationalPolynomial, scaled_gaussian_grid
+from .exactnum import GaussianRational, RationalPolynomial, json_int, scaled_gaussian_grid
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,6 @@ class HermitianMatrix:
     def scalar(cls, q: int, s) -> "HermitianMatrix":
         return cls.diagonal([Fraction(s)] * q)
 
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i][j]
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
@@ -187,9 +184,7 @@ class HermitianMatrix:
     def from_json(cls, obj: dict) -> "HermitianMatrix":
         if not isinstance(obj, dict) or "q" not in obj or "entries" not in obj:
             raise ValueError("matrix JSON needs keys 'q' and 'entries'")
-        q, entries = obj["q"], obj["entries"]
-        if not isinstance(q, int) or isinstance(q, bool):
-            raise ValueError(f"matrix 'q' must be an integer, got {q!r}")
+        q, entries = json_int(obj["q"], "matrix 'q'"), obj["entries"]
         if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
             raise ValueError("matrix 'entries' must be a list of rows (lists)")
         if len(entries) != q or any(len(row) != q for row in entries):

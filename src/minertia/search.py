@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .errors import HypothesisNotMetError
-from .exactnum import format_rational, parse_rational, scaled_gaussian_grid
+from .exactnum import format_rational, json_int, parse_rational, scaled_gaussian_grid
 from .hermitian_core import HermitianMatrix, Inertia, grid_inertia, inertia
 from .strata import dim_limit_min_inertia_ge2
 
@@ -253,9 +253,8 @@ class SubspaceBasis:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SubspaceBasis":
-        return cls(
-            int(obj["q"]), [HermitianMatrix.from_json(b) for b in obj["basis"]]
-        )
+        q = json_int(obj["q"], "subspace 'q'")
+        return cls(q, [HermitianMatrix.from_json(b) for b in obj["basis"]])
 
 
 def _random_grid(q: int, rng: np.random.Generator):
@@ -276,10 +275,6 @@ def _random_grid(q: int, rng: np.random.Generator):
             im[i][j] = next(vals)
             im[j][i] = -im[i][j]
     return den, re, im
-
-
-def _random_hermitian(q: int, rng: np.random.Generator) -> HermitianMatrix:
-    return HermitianMatrix.from_scaled(*_random_grid(q, rng))
 
 
 def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
@@ -610,15 +605,13 @@ class GrowReport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GrowReport":
-        q = int(obj["q"])
+        basis = SubspaceBasis.from_json(obj)
         return cls(
-            q=q,
+            q=basis.q,
             target_dim=int(obj["target_dim"]),
             achieved_dim=int(obj["achieved_dim"]),
             seed=int(obj["seed"]),
-            basis=SubspaceBasis(
-                q, [HermitianMatrix.from_json(b) for b in obj["basis"]]
-            ),
+            basis=basis,
             steps=tuple(GrowStep.from_json(s) for s in obj["steps"]),
             certified=bool(obj["certified"]),
             warning=obj["warning"],

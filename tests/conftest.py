@@ -1,85 +1,21 @@
-"""Shared random generators for the test suite.
+"""Shared fixtures for the test suite.
 
-Generation runs on stdlib ``random`` so it is independent of the package's
-own numpy-based streams.  The hermitian generator mixes in structured
-matrices (zero diagonal, low rank, singular) so the elimination branches
-and oracle comparisons see the hard cases, not just generic ones.
+The random matrix generators live in :mod:`minertia.criteria`, so the
+acceptance criteria, `minertia check` and every other test draw the same
+matrices; the other test modules import them from here.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from minertia.exactnum import GaussianRational
-from minertia.hermitian_core import HermitianMatrix
-
-
-def rand_fraction(rng: random.Random, max_num=9, max_den=9) -> Fraction:
-    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-
-
-def rand_gaussian(rng: random.Random, max_num=9, max_den=9) -> GaussianRational:
-    return GaussianRational(
-        rand_fraction(rng, max_num, max_den), rand_fraction(rng, max_num, max_den)
-    )
-
-
-def rand_hermitian_generic(rng: random.Random, q: int, max_num=9, max_den=9) -> HermitianMatrix:
-    entries = [[None] * q for _ in range(q)]
-    for i in range(q):
-        entries[i][i] = GaussianRational(rand_fraction(rng, max_num, max_den))
-        for j in range(i + 1, q):
-            z = rand_gaussian(rng, max_num, max_den)
-            entries[i][j] = z
-            entries[j][i] = z.conj()
-    return HermitianMatrix(entries)
-
-
-def rand_hermitian_zero_diag(rng: random.Random, q: int) -> HermitianMatrix:
-    entries = [[None] * q for _ in range(q)]
-    for i in range(q):
-        entries[i][i] = GaussianRational(0)
-        for j in range(i + 1, q):
-            z = rand_gaussian(rng, 5, 5)
-            entries[i][j] = z
-            entries[j][i] = z.conj()
-    return HermitianMatrix(entries)
-
-
-def rand_psd(rng: random.Random, q: int, r: int) -> HermitianMatrix:
-    """A*A for a random r x q complex rational A; PSD of rank <= r."""
-    a = [[rand_gaussian(rng, 5, 5) for _ in range(q)] for _ in range(r)]
-    entries = [
-        [
-            sum((a[k][i].conj() * a[k][j] for k in range(r)), GaussianRational(0))
-            for j in range(q)
-        ]
-        for i in range(q)
-    ]
-    return HermitianMatrix(entries)
-
-
-def rand_low_rank(rng: random.Random, q: int, pos: int, neg: int) -> HermitianMatrix:
-    plus = rand_psd(rng, q, pos) if pos else HermitianMatrix.zero(q)
-    minus = rand_psd(rng, q, neg) if neg else HermitianMatrix.zero(q)
-    return plus.sub(minus)
-
-
-def rand_hermitian(rng: random.Random, q: int) -> HermitianMatrix:
-    roll = rng.random()
-    if roll < 0.65:
-        return rand_hermitian_generic(rng, q)
-    if roll < 0.80:
-        return rand_hermitian_zero_diag(rng, q)
-    pos = rng.randint(0, max(1, q // 2))
-    neg = rng.randint(0, max(1, q // 2))
-    return rand_low_rank(rng, q, pos, neg)
-
-
-def rand_square(rng: random.Random, q: int, max_num=4, max_den=4):
-    """Plain (not Hermitian) Gaussian-rational matrix as nested lists."""
-    return [[rand_gaussian(rng, max_num, max_den) for _ in range(q)] for _ in range(q)]
+from minertia.criteria import (  # noqa: F401
+    rand_hermitian,
+    rand_hermitian_generic,
+    rand_low_rank,
+    rand_psd,
+    rand_square,
+)
 
 
 @pytest.fixture

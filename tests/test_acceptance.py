@@ -1,4 +1,6 @@
-"""Acceptance suite: every exit criterion at its stated tolerance.
+"""Acceptance suite: every criterion of :mod:`minertia.criteria` at full
+budget, one test each (`minertia check` runs the same criteria at a small
+budget).
 
 Each test prints one PASS line (visible with `pytest -s`); tolerances are
 zero wherever both sides are exact.  Run with:
@@ -6,214 +8,27 @@ zero wherever both sides are exact.  Run with:
     pytest tests/test_acceptance.py -v -s
 """
 
-import json
-import random
-import time
-from fractions import Fraction
-
 import pytest
 
-from conftest import rand_hermitian, rand_low_rank, rand_psd, rand_square
-from minertia.bounds import Assumptions, best_bound, catalog, catalog_best_bound, k2_less_than_8chi
-from minertia.degree import (
-    degree_binomial_form,
-    degree_product_form,
-    verify_parity_law,
-)
-from minertia.hermitian_core import (
-    HermitianMatrix,
-    congruence_transform,
-    inertia,
-    minimal_inertia,
-)
-from minertia.oracles import descartes_inertia
-from minertia.search import SearchConfig, falsify_min_inertia, random_subspace
-from minertia.errors import SingularTransformError
-
-
-def report(n: int, text: str):
-    print(f"PASS criterion {n}: {text}")
-
-
-def test_criterion_01_degree_values_and_form_agreement():
-    t0 = time.time()
-    assert degree_product_form(3) == 3
-    assert degree_product_form(4) == 20
-    assert degree_product_form(5) == 175
-    for q in range(3, 51):
-        assert degree_product_form(q) == degree_binomial_form(q)
-    assert degree_product_form(3) % 2 == 1
-    assert degree_product_form(5) % 2 == 1
-    assert degree_product_form(4) % 2 == 0
-    elapsed = time.time() - t0
-    assert elapsed < 5.0
-    report(1, f"degree 3/20/175, forms agree on [3,50] ({elapsed:.2f}s < 5s)")
-
-
-def test_criterion_02_parity_law_sweep_to_1e6():
-    t0 = time.time()
-    violations = verify_parity_law(3, 10**6)
-    elapsed = time.time() - t0
-    assert violations == 0
-    assert elapsed < 60.0
-    report(2, f"parity law holds on [3,1e6] ({elapsed:.1f}s < 60s)")
-
-
-def test_criterion_03_inertia_oracle_equivalence():
-    t0 = time.time()
-    rng = random.Random(3001)
-    total = 0
-    for q in range(2, 7):
-        for _ in range(1000):
-            x = rand_hermitian(rng, q)
-            assert inertia(x) == descartes_inertia(x)
-            total += 1
-    report(3, f"{total} matrices match the sign-variation oracle exactly "
-              f"({time.time() - t0:.1f}s)")
-
-
-def test_criterion_04_sylvester_invariance():
-    t0 = time.time()
-    rng = random.Random(3002)
-    done = 0
-    while done < 500:
-        q = rng.randint(2, 5)
-        x = rand_hermitian(rng, q)
-        p = rand_square(rng, q)
-        try:
-            y = congruence_transform(x, p)
-        except SingularTransformError:
-            continue
-        assert inertia(y) == inertia(x)
-        done += 1
-    report(4, f"500 congruences preserve inertia exactly ({time.time() - t0:.1f}s)")
-
-
-def test_criterion_05_sign_count_identities():
-    t0 = time.time()
-    rng = random.Random(3003)
-    for _ in range(1000):
-        q = rng.randint(2, 6)
-        x = rand_hermitian(rng, q)
-        inr = inertia(x)
-        assert inr.n_plus + inr.n_minus + inr.n_zero == q
-        assert inr.rank >= 2 * inr.m
-        lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        if rng.random() < 0.5:
-            lam = -lam
-        assert minimal_inertia(x.scale(lam)) == inr.m
-        # m = 0 iff X or -X is PSD, both sides read off exact inertias
-        x_psd = inertia(x).n_minus == 0
-        negx_psd = inertia(x.neg()).n_minus == 0
-        assert (inr.m == 0) == (x_psd or negx_psd)
-    report(5, f"1000 matrices satisfy the sign-count identities exactly "
-              f"({time.time() - t0:.1f}s)")
-
-
-def test_criterion_06_cone_elements_keep_m_le_1():
-    t0 = time.time()
-    rng = random.Random(3004)
-    checked = 0
-    while checked < 1000:
-        q = rng.randint(4, 6)
-        y = rand_low_rank(rng, q, rng.randint(0, 1), rng.randint(0, 1))
-        t = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        s = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        x = y.scale(t).add(HermitianMatrix.identity(q).scale(s))
-        if x.is_zero():
-            continue
-        assert minimal_inertia(x) <= 1
-        checked += 1
-    report(6, f"1000 cone combinations keep minimal inertia <= 1 "
-              f"({time.time() - t0:.1f}s)")
-
-
-def test_criterion_07_nonzero_psd_trace_positive():
-    t0 = time.time()
-    rng = random.Random(3005)
-    checked = 0
-    while checked < 1000:
-        q = rng.randint(3, 6)
-        x = rand_psd(rng, q, rng.randint(1, 2))
-        if x.is_zero():
-            continue
-        assert minimal_inertia(x) == 0
-        assert x.trace() > 0
-        checked += 1
-    report(7, f"1000 nonzero PSD matrices of rank <= 2 have positive trace "
-              f"({time.time() - t0:.1f}s)")
-
-
-def test_criterion_08_bound_regressions():
-    expected = {3: 9, 4: 10, 5: 17, 6: 17, 7: 20}
-    for q, want in expected.items():
-        rep = best_bound(Assumptions(q=q, no_irregular_pencils_genus_ge2=True))
-        assert rep.best == want, f"q={q}: {rep.best} != {want}"
-    rep = best_bound(Assumptions(q=4, no_irregular_pencils_genus_ge2=True))
-    assert "general_type" in rep.best_names
-    report(8, "best bounds reproduce 9/10/17/17/20 for q = 3..7")
-
-
-def test_criterion_09_k2_chain():
-    for k in range(3, 21):
-        q = (1 << k) + 1
-        rec = k2_less_than_8chi(q)
-        assert rec.strict
-        assert rec.K2_upper == 8 * q - 17
-        assert rec.eight_chi == 8 * q - 16
-    report(9, "K^2 upper bound 8q-17 < 8chi = 8q-16 for all q = 2^k+1, k = 3..20")
-
-
-def test_criterion_10_catalog_consistency():
-    for rec in catalog():
-        bound = catalog_best_bound(rec)
-        assert rec.h11 >= bound, f"{rec.name}: h11={rec.h11} < bound={bound}"
-    report(10, f"all {len(catalog())} catalog records beat their applicable bounds")
-
-
-SEEDS = list(range(5000, 5100))
-
-
-def _run_falsifier_batch():
-    results = []
-    for seed in SEEDS:
-        L = random_subspace(5, 9, seed=seed)
-        cfg = SearchConfig(seed=seed)
-        w = falsify_min_inertia(L, cfg)
-        blob = None
-        if w is not None:
-            # exact certification: recompute from scratch
-            element = L.element(w.coefficients)
-            assert element == w.element
-            assert not element.is_zero()
-            assert inertia(element) == w.inertia
-            assert w.inertia.m <= 1
-            blob = json.dumps(w.to_json(), sort_keys=True)
-        results.append((seed, blob))
-    return results
+from minertia.criteria import CRITERIA, Budget
 
 
 @pytest.fixture(scope="module")
-def falsifier_batch():
-    t0 = time.time()
-    results = _run_falsifier_batch()
-    return results, time.time() - t0
+def full_budget():
+    # one instance for the module: criteria 11 and 12 share its first falsifier batch
+    return Budget(full=True)
 
 
-def test_criterion_11_falsifier_statistics(falsifier_batch):
-    results, elapsed = falsifier_batch
-    successes = sum(1 for _, blob in results if blob is not None)
-    assert successes >= 95, f"only {successes}/100 subspaces falsified"
-    assert elapsed < 600.0, f"batch took {elapsed:.0f}s"
-    report(11, f"{successes}/100 dim-9 subspaces at q=5 falsified with exact "
-               f"certificates ({elapsed:.1f}s < 600s)")
+def _acceptance_test(criterion):
+    number = int(criterion.__name__.split("_")[1])
+
+    def test(full_budget):
+        print(f"PASS criterion {number}: {criterion(full_budget)}")
+
+    return test
 
 
-def test_criterion_12_determinism_byte_for_byte(falsifier_batch):
-    first, _ = falsifier_batch
-    second = _run_falsifier_batch()
-    assert [s for s, _ in first] == [s for s, _ in second]
-    for (seed, blob1), (_, blob2) in zip(first, second):
-        assert blob1 == blob2, f"witness differs on rerun for seed {seed}"
-    report(12, "rerun with identical seeds reproduces identical witnesses "
-               "byte for byte")
+# One named function per criterion rather than pytest.mark.parametrize, so the
+# ids stay test_criterion_<NN>_<name> and `pytest -k criterion_11` selects one.
+for _criterion in CRITERIA:
+    globals()[f"test_{_criterion.__name__}"] = _acceptance_test(_criterion)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from minertia import criteria
 from minertia.cli import main
 from minertia.hermitian_core import HermitianMatrix
 from minertia.search import SearchReport
@@ -266,6 +267,27 @@ class TestCheckCommand:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("ok") >= 10
+
+    def test_failing_criterion_exits_3_and_the_others_still_run(self, capsys, monkeypatch):
+        entries = list(criteria.CRITERIA)
+        broken = entries[4].__name__
+
+        def fail(budget):
+            raise AssertionError("forced failure")
+
+        fail.__name__ = broken
+        entries[4] = fail
+        monkeypatch.setattr(criteria, "CRITERIA", tuple(entries))
+        code, out, err = run(capsys, "check")
+        assert code == 3
+        assert err == f"inconsistency: failed: {broken}\n"
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            f"FAIL {broken}: AssertionError: forced failure"
+        ]
+        ok = [line.split(":")[0] for line in lines if line.startswith("ok ")]
+        assert ok == [f"ok   {c.__name__}" for c in entries if c is not fail]
+        assert len(lines) == len(entries)
 
 
 class TestUsageErrors:

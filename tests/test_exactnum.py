@@ -9,7 +9,6 @@ from minertia.exactnum import (
     GaussianRational,
     RationalPolynomial,
     format_rational,
-    gaussian_arith,
     parse_rational,
     poly_gcd,
     poly_gcd_tower,
@@ -80,16 +79,13 @@ class TestGaussianRational:
         with pytest.raises(ZeroDivisionError):
             GaussianRational(1) / GaussianRational(0)
 
-    def test_arith_dispatch(self):
+    def test_add_sub_with_integers(self):
         a = GaussianRational(2, 1)
         b = GaussianRational(1, -1)
-        assert gaussian_arith(a, b, "add") == GaussianRational(3, 0)
-        assert gaussian_arith(a, b, "sub") == GaussianRational(1, 2)
-        assert gaussian_arith(a, b, "mul") == GaussianRational(3, -1)
-        assert gaussian_arith(a, b, "div") * b == a
-        assert gaussian_arith(a, b, "conj") == GaussianRational(2, -1)
-        with pytest.raises(ValueError):
-            gaussian_arith(a, b, "pow")
+        assert a + b == GaussianRational(3, 0)
+        assert a - b == GaussianRational(1, 2)
+        assert 1 + a == a + 1 == GaussianRational(3, 1)
+        assert 1 - a == GaussianRational(-1, -1)
 
     def test_json_round_trip(self):
         z = GaussianRational(Fraction(-5, 3), Fraction(7, 2))

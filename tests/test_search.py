@@ -65,6 +65,17 @@ class TestSubspaceBasis:
         assert back.basis == L.basis
         assert back.to_json() == L.to_json()
 
+    # each bad q sits on a basis of the size int(q) gives, so int() would accept it
+    @pytest.mark.parametrize("bad_q,size", [(2.9, 2), ("2", 2), (True, 1)])
+    @pytest.mark.parametrize("report", [False, True], ids=["basis", "grow_report"])
+    def test_from_json_rejects_non_integer_q(self, bad_q, size, report):
+        L = random_subspace(size, 1, seed=1)
+        doc = L.to_json()
+        if report:
+            doc = GrowReport(size, 1, 1, 1, L, (), False, None).to_json()
+        with pytest.raises(ValueError, match="'q' must be an integer"):
+            (GrowReport if report else SubspaceBasis).from_json({**doc, "q": bad_q})
+
     @pytest.mark.parametrize("q,dim,seed", [(2, 4, 1), (4, 7, 2), (5, 9, 3)])
     def test_grid_built_basis_matches_its_matrices(self, q, dim, seed):
         L = random_subspace(q, dim, seed)
