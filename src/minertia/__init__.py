@@ -58,12 +58,10 @@ from .hermitian_core import (
 from .oracles import descartes_inertia
 from .search import (
     GrowReport,
-    ProfileReport,
     SearchConfig,
     SearchReport,
     SubspaceBasis,
     Witness,
-    empirical_min_inertia_profile,
     falsify_min_inertia,
     grow_subspace,
     random_subspace,

@@ -9,12 +9,14 @@ maximum of the applicable ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import HypothesisNotMetError
+from .jsonrecord import json_int, json_record
 
 
+@json_record
 @dataclass(frozen=True)
 class PencilData:
     """A fibration over a genus-b curve; fiber_component_counts lists the
@@ -24,15 +26,15 @@ class PencilData:
     fiber_component_counts: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.b < 1:
+        if json_int(self.b, "base genus") < 1:
             raise ValueError(f"base genus must be >= 1, got {self.b}")
-        object.__setattr__(
-            self, "fiber_component_counts", tuple(int(l) for l in self.fiber_component_counts)
-        )
-        if any(l < 1 for l in self.fiber_component_counts):
+        counts = tuple(self.fiber_component_counts)
+        if any(json_int(l, "fiber component count") < 1 for l in counts):
             raise ValueError("every fiber component count must be >= 1")
+        object.__setattr__(self, "fiber_component_counts", counts)
 
 
+@json_record
 @dataclass(frozen=True)
 class Assumptions:
     q: int
@@ -56,39 +58,8 @@ class Assumptions:
                 "no_irregular_pencils_genus_ge2 is set"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "p_g": self.p_g,
-            "no_irregular_pencils_genus_ge2": self.no_irregular_pencils_genus_ge2,
-            "pencil": None
-            if self.pencil is None
-            else {
-                "b": self.pencil.b,
-                "fiber_component_counts": list(self.pencil.fiber_component_counts),
-            },
-            "minimal_surface": self.minimal_surface,
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Assumptions":
-        pencil = obj.get("pencil")
-        return cls(
-            q=int(obj["q"]),
-            p_g=None if obj.get("p_g") is None else int(obj["p_g"]),
-            no_irregular_pencils_genus_ge2=bool(
-                obj.get("no_irregular_pencils_genus_ge2", False)
-            ),
-            pencil=None
-            if pencil is None
-            else PencilData(
-                b=int(pencil["b"]),
-                fiber_component_counts=tuple(pencil["fiber_component_counts"]),
-            ),
-            minimal_surface=bool(obj.get("minimal_surface", False)),
-        )
-
-
+@json_record
 @dataclass(frozen=True)
 class BoundEntry:
     name: str
@@ -96,24 +67,8 @@ class BoundEntry:
     applicable: bool
     note: str
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "applicable": self.applicable,
-            "note": self.note,
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoundEntry":
-        return cls(
-            str(obj["name"]),
-            None if obj["value"] is None else int(obj["value"]),
-            bool(obj["applicable"]),
-            str(obj["note"]),
-        )
-
-
+@json_record
 @dataclass(frozen=True)
 class BoundReport:
     q: int
@@ -121,25 +76,6 @@ class BoundReport:
     bounds: Tuple[BoundEntry, ...]
     best: int
     best_names: Tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "assumptions": self.assumptions.to_json(),
-            "bounds": [b.to_json() for b in self.bounds],
-            "best": self.best,
-            "best_names": list(self.best_names),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoundReport":
-        return cls(
-            int(obj["q"]),
-            Assumptions.from_json(obj["assumptions"]),
-            tuple(BoundEntry.from_json(b) for b in obj["bounds"]),
-            int(obj["best"]),
-            tuple(str(n) for n in obj["best_names"]),
-        )
 
 
 def bmy_bound(p_g: int, q: int) -> int:
@@ -265,9 +201,6 @@ class SurfaceIdentities:
     c2: int
     K2: int
 
-    def to_json(self) -> dict:
-        return {"chi": self.chi, "c2": self.c2, "K2": self.K2}
-
 
 def surface_identities(q: int, p_g: int, h11: int) -> SurfaceIdentities:
     """chi = 1 - q + p_g, c2 = 2 - 4q + 2*p_g + h11, K2 = 12*chi - c2
@@ -287,15 +220,6 @@ class K2GapRecord:
     eight_chi: int
     strict: bool
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "chi": self.chi,
-            "K2_upper": self.K2_upper,
-            "eight_chi": self.eight_chi,
-            "strict": self.strict,
-        }
-
 
 def k2_less_than_8chi(q: int) -> K2GapRecord:
     """For p_g = 2q - 3 and q = 2^k + 1 with k >= 3: the h11 >= 4q - 3
@@ -314,6 +238,7 @@ def k2_less_than_8chi(q: int) -> K2GapRecord:
     return K2GapRecord(q, chi, k2_upper, eight_chi, k2_upper < eight_chi)
 
 
+@json_record
 @dataclass(frozen=True)
 class SurfaceRecord:
     name: str
@@ -322,27 +247,6 @@ class SurfaceRecord:
     h11: int
     no_irregular_pencils: bool
     note: str
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "q": self.q,
-            "p_g": self.p_g,
-            "h11": self.h11,
-            "no_irregular_pencils": self.no_irregular_pencils,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SurfaceRecord":
-        return cls(
-            str(obj["name"]),
-            int(obj["q"]),
-            None if obj["p_g"] is None else int(obj["p_g"]),
-            int(obj["h11"]),
-            bool(obj["no_irregular_pencils"]),
-            str(obj["note"]),
-        )
 
 
 def _product_family(q: int) -> SurfaceRecord:

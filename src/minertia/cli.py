@@ -64,6 +64,8 @@ def _load_matrix(path: str) -> HermitianMatrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"matrix file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("matrix file is nested too deeply to be a matrix") from None
     return HermitianMatrix.from_json(obj)
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InconsistencyError
+from .jsonrecord import json_record
 
 #: Largest q for which parity_record materializes the full integer degree.
 MATERIALIZE_LIMIT = 200
@@ -77,6 +78,7 @@ def two_adic_valuation(q: int) -> int:
     )
 
 
+@json_record
 @dataclass(frozen=True)
 class DegreeRecord:
     q: int
@@ -85,27 +87,6 @@ class DegreeRecord:
     is_odd: bool
     q_is_2k_plus_1: bool
     k: Optional[int]
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "degree": self.degree,
-            "v2": self.v2,
-            "is_odd": self.is_odd,
-            "q_is_2k_plus_1": self.q_is_2k_plus_1,
-            "k": self.k,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DegreeRecord":
-        return cls(
-            int(obj["q"]),
-            None if obj["degree"] is None else int(obj["degree"]),
-            int(obj["v2"]),
-            bool(obj["is_odd"]),
-            bool(obj["q_is_2k_plus_1"]),
-            None if obj["k"] is None else int(obj["k"]),
-        )
 
     def csv_row(self) -> list:
         return [

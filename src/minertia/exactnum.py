@@ -13,6 +13,7 @@ integer grids (:func:`scaled_gaussian_grid`).
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -21,21 +22,23 @@ Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse the text form ``p/q`` or ``p``."""
+    """Parse the text form ``p/q`` or ``p`` (ASCII digits, an optional
+    leading minus, surrounding whitespace ignored); nothing else, so no
+    exponent, decimal point, underscore or plus sign."""
     if not isinstance(text, str):
         raise ValueError(f"not a rational: {text!r} (expected a string 'p/q')")
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not a rational: {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(text.strip())
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
-
-
-def json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer (an ``int``, not a ``bool``)."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def format_rational(x: Fraction) -> str:

@@ -17,9 +17,11 @@ from operator import mul
 from typing import Sequence
 
 from .errors import InconsistencyError, NotHermitianError, SingularTransformError
-from .exactnum import GaussianRational, RationalPolynomial, json_int, scaled_gaussian_grid
+from .exactnum import GaussianRational, RationalPolynomial, scaled_gaussian_grid
+from .jsonrecord import json_int, json_record
 
 
+@json_record(derived=("m", "rank"))
 @dataclass(frozen=True)
 class Inertia:
     """Eigenvalue sign counts (n_plus, n_minus, n_zero) of a Hermitian matrix."""
@@ -43,19 +45,6 @@ class Inertia:
 
     def negated(self) -> "Inertia":
         return Inertia(self.n_minus, self.n_plus, self.n_zero)
-
-    def to_json(self) -> dict:
-        return {
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "n_zero": self.n_zero,
-            "m": self.m,
-            "rank": self.rank,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Inertia":
-        return cls(int(obj["n_plus"]), int(obj["n_minus"]), int(obj["n_zero"]))
 
 
 def _as_gaussian(value) -> GaussianRational:

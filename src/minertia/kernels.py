@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: The "backend" field of search and profile reports; the only backend.
+#: The "backend" field of search reports; the only backend.
 BACKEND = "numpy"
 
 

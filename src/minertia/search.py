@@ -28,15 +28,15 @@ import numpy as np
 
 from . import kernels
 from .errors import HypothesisNotMetError
-from .exactnum import format_rational, json_int, parse_rational, scaled_gaussian_grid
+from .exactnum import scaled_gaussian_grid
 from .hermitian_core import HermitianMatrix, Inertia, grid_inertia, inertia
+from .jsonrecord import json_int, json_list, json_object, json_record
 from .strata import dim_limit_min_inertia_ge2
 
 _MASK64 = (1 << 64) - 1
 _PURPOSE_BASIS = 1
 _PURPOSE_FALSIFY = 2
-_PURPOSE_PROFILE = 3
-_PURPOSE_GROW = 4
+_PURPOSE_GROW = 4  # 3 is retired: renumbering a purpose would change its outputs
 
 _CHUNK = 4096
 
@@ -62,7 +62,6 @@ class SearchConfig:
     denominator_cap: int = 1 << 16
     descent_starts: int = 12
     certify_margin: float = 1e-4
-    verify_fraction: float = 0.02
     grow_attempts_per_dim: int = 8
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class SearchConfig:
             raise ValueError("float_tolerance must be finite and positive")
         if self.denominator_cap < 1:
             raise ValueError("denominator_cap must be >= 1")
-        if not 0 <= self.verify_fraction <= 1:
-            raise ValueError("verify_fraction must lie in [0, 1]")
         if self.descent_steps < 0:
             raise ValueError("descent_steps must be >= 0")
         if self.descent_starts < 0:
@@ -253,8 +250,12 @@ class SubspaceBasis:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SubspaceBasis":
+        json_object(obj, "subspace")
+        if "q" not in obj or "basis" not in obj:
+            raise ValueError("subspace JSON needs keys 'q' and 'basis'")
         q = json_int(obj["q"], "subspace 'q'")
-        return cls(q, [HermitianMatrix.from_json(b) for b in obj["basis"]])
+        basis = json_list(obj["basis"], "subspace 'basis'")
+        return cls(q, [HermitianMatrix.from_json(b) for b in basis])
 
 
 def _random_grid(q: int, rng: np.random.Generator):
@@ -292,6 +293,7 @@ def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
     return SubspaceBasis._from_grids(q, grids)
 
 
+@json_record
 @dataclass(frozen=True)
 class Witness:
     """An exactly certified element with minimal inertia <= 1."""
@@ -300,22 +302,8 @@ class Witness:
     element: HermitianMatrix
     inertia: Inertia
 
-    def to_json(self) -> dict:
-        return {
-            "coefficients": [format_rational(c) for c in self.coefficients],
-            "element": self.element.to_json(),
-            "inertia": self.inertia.to_json(),
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Witness":
-        return cls(
-            tuple(parse_rational(c) for c in obj["coefficients"]),
-            HermitianMatrix.from_json(obj["element"]),
-            Inertia.from_json(obj["inertia"]),
-        )
-
-
+@json_record
 @dataclass(frozen=True)
 class SearchReport:
     q: int
@@ -327,33 +315,6 @@ class SearchReport:
     workers: int
     backend: str
     escalations: int
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "dim": self.dim,
-            "seed": self.seed,
-            "witness": None if self.witness is None else self.witness.to_json(),
-            "samples_used": self.samples_used,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "workers": self.workers,
-            "backend": self.backend,
-            "escalations": self.escalations,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SearchReport":
-        return cls(
-            int(obj["q"]),
-            int(obj["dim"]),
-            int(obj["seed"]),
-            None if obj["witness"] is None else Witness.from_json(obj["witness"]),
-            int(obj["samples_used"]),
-            {int(k): int(v) for k, v in obj["histogram"].items()},
-            int(obj["workers"]),
-            str(obj["backend"]),
-            int(obj["escalations"]),
-        )
 
 
 def _certify(
@@ -392,19 +353,6 @@ def _batched_stats(basisf, coeffs, tol, workers):
     return tuple(np.concatenate(col) for col in zip(*parts))  # npl, nmi, nun, f
 
 
-def _sample(L: SubspaceBasis, cfg: SearchConfig, purpose: int, salt: int = 0):
-    """``cfg.samples`` seeded unit coefficient rows drawn from the stream
-    (seed, purpose, salt) and their float statistics.
-
-    Returns (float image of L, coeffs, n_plus, n_minus, n_uncertain, f)."""
-    basisf = L.float_image()
-    coeffs = _stream(cfg.seed, purpose, salt).standard_normal((cfg.samples, L.dim))
-    norms = np.linalg.norm(coeffs, axis=1)
-    norms[norms == 0] = 1.0
-    coeffs /= norms[:, None]
-    return (basisf, coeffs) + _batched_stats(basisf, coeffs, cfg.float_tolerance, cfg.workers)
-
-
 def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchReport:
     """Full falsifier pass: sampling histogram, exact escalation of
     tolerance-band samples, certification of direct hits, then coordinate
@@ -415,7 +363,12 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
     certifies is the witness and no later start runs.  ``samples_used``
     counts the objective evaluations actually made: the samples plus the
     evaluations of the descents that ran."""
-    basisf, coeffs, npl, nmi, nun, f = _sample(L, cfg, _PURPOSE_FALSIFY, _salt)
+    basisf = L.float_image()
+    coeffs = _stream(cfg.seed, _PURPOSE_FALSIFY, _salt).standard_normal((cfg.samples, L.dim))
+    norms = np.linalg.norm(coeffs, axis=1)
+    norms[norms == 0] = 1.0
+    coeffs /= norms[:, None]  # seeded unit coefficient rows
+    npl, nmi, nun, f = _batched_stats(basisf, coeffs, cfg.float_tolerance, cfg.workers)
 
     histogram: Dict[int, int] = {}
     escalations = 0
@@ -469,92 +422,7 @@ def falsify_min_inertia(L: SubspaceBasis, cfg: SearchConfig) -> Optional[Witness
     return run_search(L, cfg).witness
 
 
-@dataclass(frozen=True)
-class ProfileReport:
-    q: int
-    dim: int
-    seed: int
-    samples: int
-    histogram: Dict[int, int]
-    escalations: int
-    spot_checked: int
-    spot_mismatches: int
-    workers: int
-    backend: str
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "dim": self.dim,
-            "seed": self.seed,
-            "samples": self.samples,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "escalations": self.escalations,
-            "spot_checked": self.spot_checked,
-            "spot_mismatches": self.spot_mismatches,
-            "workers": self.workers,
-            "backend": self.backend,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ProfileReport":
-        return cls(
-            int(obj["q"]),
-            int(obj["dim"]),
-            int(obj["seed"]),
-            int(obj["samples"]),
-            {int(k): int(v) for k, v in obj["histogram"].items()},
-            int(obj["escalations"]),
-            int(obj["spot_checked"]),
-            int(obj["spot_mismatches"]),
-            int(obj["workers"]),
-            str(obj["backend"]),
-        )
-
-
-def empirical_min_inertia_profile(L: SubspaceBasis, cfg: SearchConfig) -> ProfileReport:
-    """Histogram of minimal inertia over sampled unit elements.
-
-    Float fast path with exact escalation of tolerance-band samples and
-    exact spot verification of a configurable fraction; identical output
-    for any worker count."""
-    _, coeffs, npl, nmi, nun, _ = _sample(L, cfg, _PURPOSE_PROFILE)
-
-    spot_every = int(round(1 / cfg.verify_fraction)) if cfg.verify_fraction > 0 else 0
-    histogram: Dict[int, int] = {}
-    escalations = 0
-    spot_checked = 0
-    spot_mismatches = 0
-    for i in range(cfg.samples):
-        if nun[i] > 0:
-            escalations += 1
-            m = _exact_m_of_float_coeffs(L, coeffs[i])
-            if m is None:
-                continue
-        else:
-            m = int(min(npl[i], nmi[i]))
-            if spot_every and i % spot_every == 0:
-                spot_checked += 1
-                exact = _exact_m_of_float_coeffs(L, coeffs[i])
-                if exact is not None and exact != m:
-                    spot_mismatches += 1
-                    m = exact
-        histogram[m] = histogram.get(m, 0) + 1
-
-    return ProfileReport(
-        q=L.q,
-        dim=L.dim,
-        seed=cfg.seed,
-        samples=cfg.samples,
-        histogram=histogram,
-        escalations=escalations,
-        spot_checked=spot_checked,
-        spot_mismatches=spot_mismatches,
-        workers=cfg.workers,
-        backend=kernels.BACKEND,
-    )
-
-
+@json_record
 @dataclass(frozen=True)
 class GrowStep:
     target_slot: int
@@ -562,24 +430,16 @@ class GrowStep:
     accepted: bool
     rejected_with_witness: int
 
-    def to_json(self) -> dict:
-        return {
-            "target_slot": self.target_slot,
-            "attempts": self.attempts,
-            "accepted": self.accepted,
-            "rejected_with_witness": self.rejected_with_witness,
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GrowStep":
-        return cls(
-            int(obj["target_slot"]),
-            int(obj["attempts"]),
-            bool(obj["accepted"]),
-            int(obj["rejected_with_witness"]),
-        )
+def _flat_basis(basis: SubspaceBasis) -> list:
+    return basis.to_json()["basis"]
 
 
+def _read_flat_basis(value, doc: dict) -> SubspaceBasis:
+    return SubspaceBasis.from_json({"q": doc.get("q"), "basis": value})
+
+
+@json_record(custom={"basis": (_flat_basis, _read_flat_basis)})
 @dataclass(frozen=True)
 class GrowReport:
     q: int
@@ -590,32 +450,6 @@ class GrowReport:
     steps: Tuple[GrowStep, ...]
     certified: bool  # always False: candidates only, never a proof
     warning: Optional[str]
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "target_dim": self.target_dim,
-            "achieved_dim": self.achieved_dim,
-            "seed": self.seed,
-            "basis": [b.to_json() for b in self.basis.basis],
-            "steps": [s.to_json() for s in self.steps],
-            "certified": self.certified,
-            "warning": self.warning,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GrowReport":
-        basis = SubspaceBasis.from_json(obj)
-        return cls(
-            q=basis.q,
-            target_dim=int(obj["target_dim"]),
-            achieved_dim=int(obj["achieved_dim"]),
-            seed=int(obj["seed"]),
-            basis=basis,
-            steps=tuple(GrowStep.from_json(s) for s in obj["steps"]),
-            certified=bool(obj["certified"]),
-            warning=obj["warning"],
-        )
 
 
 def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:

@@ -21,8 +21,9 @@ from .errors import (
     NotProjectivePointError,
     UnsupportedSizeError,
 )
-from .exactnum import RationalPolynomial, format_rational, poly_gcd_tower
+from .exactnum import RationalPolynomial, poly_gcd_tower
 from .hermitian_core import HermitianMatrix, char_poly, inertia
+from .jsonrecord import json_record
 
 
 class StratumLabel(enum.Enum):
@@ -44,27 +45,11 @@ class ConeLabel(enum.Enum):
     NOT_IN_C2 = "NotInC2"
 
 
+@json_record(keys={"label": "cone"})
 @dataclass(frozen=True)
 class ConeClassification:
     label: ConeLabel
     apex_shift: Optional[Fraction]
-
-    def to_json(self) -> dict:
-        return {
-            "cone": self.label.value,
-            "apex_shift": None
-            if self.apex_shift is None
-            else format_rational(self.apex_shift),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConeClassification":
-        from .exactnum import parse_rational
-
-        return cls(
-            ConeLabel(obj["cone"]),
-            None if obj["apex_shift"] is None else parse_rational(obj["apex_shift"]),
-        )
 
 
 def d2_real_dimension(q: int) -> int:

@@ -48,6 +48,14 @@ class TestIndividualBounds:
         with pytest.raises(ValueError):
             PencilData(b=1, fiber_component_counts=(0,))
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"b": 2.5}, {"b": True}, {"b": 2, "fiber_component_counts": (2.7,)}]
+    )
+    def test_pencil_rejects_non_integers(self, kwargs):
+        # these used to become b=2.5 in the bound (14.5) or a count of 2
+        with pytest.raises(ValueError, match="must be an integer"):
+            best_bound(Assumptions(q=5, pencil=PencilData(**kwargs)))
+
     def test_power_of_two_q(self):
         assert power_of_two_q_bound(5, True) == 17
         assert power_of_two_q_bound(3, True) == 9

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -66,6 +67,21 @@ class TestInertiaCommand:
         code, _, err = run(capsys, "inertia", "--matrix", str(path))
         assert code == 2
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["1e-10000000", "1.5", "1_000", "\u0663"])
+    def test_rational_outside_the_grammar_exits_2_at_once(self, tmp_path, capsys, text):
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps({"q": 1, "entries": [[{"re": text, "im": "0"}]]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "inertia", "--matrix", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+
+    def test_deeply_nested_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(capsys, "inertia", "--matrix", str(path))
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
 
 
 class TestClassifyCommand:

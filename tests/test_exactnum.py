@@ -36,6 +36,14 @@ class TestRationalText:
         with pytest.raises(ValueError):
             parse_rational("1/0")
 
+    # Fraction() takes all of these; the documented grammar is -?[0-9]+(/[0-9]+)?
+    @pytest.mark.parametrize(
+        "text", ["1e-10000000", "1e5", "1.5", ".5", "1_000", "\u0663", "+1", "1/-2", "1 / 2", "inf"]
+    )
+    def test_parse_accepts_only_the_documented_grammar(self, text):
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rational(text)
+
     @given(fractions_st)
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x

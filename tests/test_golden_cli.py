@@ -6,8 +6,12 @@ stdout, stderr and exit code of every command run on them: ``inertia``,
 zero-diagonal, low-rank of both signs, scalar, cone members, and entries
 with numerators and denominators near 2^100), ``search --q 5 --dim 9`` at
 three seeds, ``grow --q 5 --target 4`` at one seed and a smaller-budget
-``grow`` that rejects candidates, each at one and two workers.  Any change
-to the exact core must reproduce it byte for byte.
+``grow`` that rejects candidates, each at one and two workers, and the
+table commands: ``degree`` at single q and as json/csv tables (with and
+without ``--parity-only``), ``bound`` with pencil hypotheses and as
+json/csv tables, and ``catalog`` as json and csv.  Any change to the exact
+core must reproduce it byte for byte, and every JSON report in it must
+read back through its class's ``from_json`` to the same document.
 
 List the cases whose output would change (argv and the changed JSON
 keys, or ``code`` / ``stderr`` / ``stdout`` when those are not JSON
@@ -30,7 +34,11 @@ from pathlib import Path
 
 import pytest
 
+from minertia.bounds import BoundReport, SurfaceRecord
 from minertia.cli import main
+from minertia.degree import DegreeRecord
+from minertia.hermitian_core import Inertia
+from minertia.search import GrowReport, SearchReport
 
 CORPUS = Path(__file__).parent / "data" / "golden_cli.json"
 
@@ -129,6 +137,18 @@ _RUN_ARGVS = [
     ["grow", "--q", "5", "--target", "6", "--seed", "1", "--samples", "100",
      "--descent-steps", "20", "--workers", str(w)]
     for w in (1, 2)
+] + [
+    ["degree", "--q", q] for q in ("3", "5", "9", "17", "201")
+] + [
+    ["degree", "--table", "3..40"],
+    ["degree", "--table", "3..40", "--format", "csv"],
+    ["degree", "--table", "195..205", "--parity-only"],
+    ["bound", "--q", "5", "--no-irregular-pencils"],
+    ["bound", "--q", "4", "--pg", "5", "--pencil", "b=2,fibers=3,2"],
+    ["bound", "--table", "1..20", "--no-irregular-pencils"],
+    ["bound", "--table", "1..20", "--no-irregular-pencils", "--format", "csv"],
+    ["catalog"],
+    ["catalog", "--format", "csv"],
 ]
 
 
@@ -192,6 +212,30 @@ def test_output_is_byte_identical(case):
     stdin = "" if case["matrix"] is None else json.dumps(_MATRICES[case["matrix"]])
     got = run_cli(case["argv"], stdin)
     assert got == {k: case[k] for k in ("code", "stdout", "stderr")}
+
+
+# the report class of each subcommand whose JSON output is a report, or a list of them
+_READERS = {
+    "inertia": Inertia,
+    "degree": DegreeRecord,
+    "bound": BoundReport,
+    "catalog": SurfaceRecord,
+    "search": SearchReport,
+    "grow": GrowReport,
+}
+_JSON_REPORTS = [
+    c for c in _CASES if c["argv"][0] in _READERS and c["code"] == 0 and "csv" not in c["argv"]
+]
+
+
+@pytest.mark.parametrize(
+    "case", _JSON_REPORTS, ids=[" ".join(c["argv"]) for c in _JSON_REPORTS]
+)
+def test_report_reads_back_to_the_same_document(case):
+    doc = json.loads(case["stdout"])
+    cls = _READERS[case["argv"][0]]
+    for record in doc if isinstance(doc, list) else [doc]:
+        assert cls.from_json(record).to_json() == record
 
 
 if __name__ == "__main__":

@@ -1,0 +1,179 @@
+"""The strict report JSON codec: every report class reads back exactly
+what it writes, and anything else raises ValueError naming the key."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minertia.bounds import (
+    Assumptions,
+    BoundEntry,
+    BoundReport,
+    PencilData,
+    SurfaceRecord,
+    best_bound,
+    catalog,
+)
+from minertia.degree import DegreeRecord, parity_record
+from minertia.exactnum import GaussianRational
+from minertia.hermitian_core import HermitianMatrix, Inertia
+from minertia.search import (
+    GrowReport,
+    GrowStep,
+    SearchConfig,
+    SearchReport,
+    SubspaceBasis,
+    Witness,
+    random_subspace,
+    run_search,
+)
+from minertia.strata import ConeClassification, classify_cone
+
+_SEARCH = run_search(random_subspace(3, 3, 1), SearchConfig(seed=1, samples=20))
+_BASIS = random_subspace(2, 2, 1)
+_STEPS = (GrowStep(0, 3, True, 2), GrowStep(1, 8, False, 8))
+_REPORT = best_bound(Assumptions(q=5, pencil=PencilData(b=2, fiber_component_counts=(3, 2))))
+
+# one valid document per class that reads JSON
+VALID = {
+    GaussianRational: GaussianRational(Fraction(-5, 3), 2).to_json(),
+    HermitianMatrix: HermitianMatrix([[1, (1, 2)], [(1, -2), Fraction(-1, 3)]]).to_json(),
+    Inertia: Inertia(1, 2, 0).to_json(),
+    ConeClassification: classify_cone(HermitianMatrix.diagonal([2, 1, 1, 1, 0])).to_json(),
+    DegreeRecord: parity_record(5).to_json(),
+    PencilData: {"b": 2, "fiber_component_counts": [3, 2]},
+    Assumptions: Assumptions(q=5, p_g=3, pencil=PencilData(b=1, fiber_component_counts=(2,))).to_json(),
+    BoundEntry: _REPORT.bounds[0].to_json(),
+    BoundReport: _REPORT.to_json(),
+    SurfaceRecord: catalog()[0].to_json(),
+    SubspaceBasis: _BASIS.to_json(),
+    Witness: _SEARCH.witness.to_json(),
+    SearchReport: _SEARCH.to_json(),
+    GrowStep: _STEPS[0].to_json(),
+    GrowReport: GrowReport(2, 3, 2, 1, _BASIS, _STEPS, False, "a warning").to_json(),
+}
+
+RECORDS = [
+    Inertia, ConeClassification, DegreeRecord, PencilData, Assumptions, BoundEntry,
+    BoundReport, SurfaceRecord, Witness, SearchReport, GrowStep, GrowReport,
+]
+
+
+def _with(cls, **changes):
+    return {**VALID[cls], **changes}
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("cls", list(VALID), ids=lambda c: c.__name__)
+    def test_reads_back_to_the_same_document(self, cls):
+        doc = json.loads(json.dumps(VALID[cls]))
+        assert cls.from_json(doc).to_json() == doc
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_methods_sit_on_the_class_itself(self, cls):
+        # perfbench's tracer patches cls.__dict__[attr]
+        assert callable(cls.__dict__["to_json"])
+        assert isinstance(cls.__dict__["from_json"], classmethod)
+
+    def test_absent_optional_keys_take_field_defaults(self):
+        assert Assumptions.from_json({"q": 5}) == Assumptions(q=5)
+        assert PencilData.from_json({"b": 2}) == PencilData(b=2)
+
+    def test_unknown_keys_are_ignored(self):
+        assert Inertia.from_json({**VALID[Inertia], "extra": [1]}) == Inertia(1, 2, 0)
+
+
+class TestRejectsCoercion:
+    @pytest.mark.parametrize("bad", [1.5, "1", True])
+    def test_inertia_counts(self, bad):
+        with pytest.raises(ValueError, match="'n_plus'"):
+            Inertia.from_json({"n_plus": bad, "n_minus": 1, "n_zero": 1})
+
+    def test_grow_report_certified_string(self):
+        with pytest.raises(ValueError, match="'certified'"):
+            GrowReport.from_json(_with(GrowReport, certified="no"))
+
+    def test_grow_step_accepted_integer(self):
+        with pytest.raises(ValueError, match="'accepted'"):
+            GrowStep.from_json(_with(GrowStep, accepted=1))
+
+    def test_search_report_list_histogram(self):
+        with pytest.raises(ValueError, match="'histogram'"):
+            SearchReport.from_json(_with(SearchReport, histogram=[[1, 20]]))
+
+    @pytest.mark.parametrize("key,bad", [("q", 5.7), ("is_odd", "false")])
+    def test_degree_record(self, key, bad):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            DegreeRecord.from_json(_with(DegreeRecord, **{key: bad}))
+
+    @pytest.mark.parametrize(
+        "key,bad", [("q", "5"), ("no_irregular_pencils_genus_ge2", "false"), ("minimal_surface", "no")]
+    )
+    def test_assumptions(self, key, bad):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            Assumptions.from_json(_with(Assumptions, **{key: bad}))
+
+    def test_surface_record_name(self):
+        with pytest.raises(ValueError, match="'name'"):
+            SurfaceRecord.from_json(_with(SurfaceRecord, name=3))
+
+    def test_assumptions_from_null(self):
+        with pytest.raises(ValueError, match="Assumptions"):
+            Assumptions.from_json(None)
+
+    def test_missing_key_is_named(self):
+        with pytest.raises(ValueError, match="'n_zero'"):
+            Inertia.from_json({"n_plus": 1, "n_minus": 1})
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+    | st.sampled_from(["1", "-2/3", "0", "1/0", "C1", "numpy"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(["q", "re", "im", "1"]), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _leaf_paths(doc, path=()):
+    if isinstance(doc, dict) and doc:
+        return [p for k, v in doc.items() for p in _leaf_paths(v, path + (k,))]
+    if isinstance(doc, list) and doc:
+        return [p for k, v in enumerate(doc) for p in _leaf_paths(v, path + (k,))]
+    return [path]
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(doc, dict):
+        return {**doc, head: _replaced(doc[head], rest, value)}
+    return [_replaced(v, rest, value) if k == head else v for k, v in enumerate(doc)]
+
+
+def _reads_or_raises_value_error(cls, doc):
+    try:
+        cls.from_json(doc)
+    except ValueError:
+        pass
+
+
+class TestAnyJsonReadsOrRaisesValueError:
+    @settings(max_examples=400, deadline=None)
+    @given(cls=st.sampled_from(list(VALID)), value=_JSON)
+    def test_arbitrary_document(self, cls, value):
+        _reads_or_raises_value_error(cls, value)
+
+    @settings(max_examples=600, deadline=None)
+    @given(cls=st.sampled_from(list(VALID)), data=st.data(), value=_JSON)
+    def test_one_leaf_mutation(self, cls, data, value):
+        path = data.draw(st.sampled_from(_leaf_paths(VALID[cls])))
+        _reads_or_raises_value_error(cls, _replaced(VALID[cls], path, value))

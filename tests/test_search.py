@@ -15,12 +15,10 @@ from minertia.exactnum import GaussianRational, scaled_gaussian_grid
 from minertia.hermitian_core import HermitianMatrix, inertia
 from minertia.search import (
     GrowReport,
-    ProfileReport,
     SearchConfig,
     SearchReport,
     SubspaceBasis,
     Witness,
-    empirical_min_inertia_profile,
     falsify_min_inertia,
     grow_subspace,
     random_subspace,
@@ -250,54 +248,14 @@ class TestLazyDescent:
 
         # the eager schedule (all starts, then the first that certifies in
         # rank order) picks the same witness
-        basisf, coeffs, *_, f = search._sample(L, cfg, search._PURPOSE_FALSIFY)
+        basisf = L.float_image()
+        coeffs = search._stream(1, search._PURPOSE_FALSIFY).standard_normal((cfg.samples, L.dim))
+        coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
+        f = kernels.batch_stats(basisf, coeffs, cfg.float_tolerance)[3]
         order = np.argsort(-f, kind="stable")[: cfg.descent_starts]
         eager = [real(basisf, coeffs[i], cfg.descent_steps, cfg.certify_margin) for i in order]
         first = next(w for w in map(certify, eager) if w is not None)
         assert first.to_json() == doc["witness"]
-
-
-def standard_basis(q):
-    basis = [unit_matrix(q, i, i) for i in range(q)]
-    basis += [unit_matrix(q, i, j) for i in range(q) for j in range(i + 1, q)]
-    basis += [unit_matrix(q, i, j, 0, 1) for i in range(q) for j in range(i + 1, q)]
-    return SubspaceBasis(q, basis)
-
-
-class TestProfile:
-    def test_full_space_q3_mass_at_low_m(self):
-        # every 3x3 Hermitian matrix has m <= 1; under the standard basis
-        # definite samples (m = 0) must also show up in a large draw
-        L = standard_basis(3)
-        rep = empirical_min_inertia_profile(L, SearchConfig(seed=23, samples=4000))
-        assert set(rep.histogram) <= {0, 1}
-        assert rep.histogram.get(1, 0) > 0
-        assert rep.histogram.get(0, 0) > 0
-        assert sum(rep.histogram.values()) == 4000
-
-    def test_single_projective_point(self):
-        L = SubspaceBasis(5, [HermitianMatrix.diagonal([1, 1, -1, -1, 0])])
-        rep = empirical_min_inertia_profile(L, SearchConfig(seed=29, samples=500))
-        assert rep.histogram == {2: 500}
-
-    def test_worker_invariance(self):
-        L = random_subspace(4, 7, seed=31)
-        r1 = empirical_min_inertia_profile(L, SearchConfig(seed=31, samples=1000, workers=1))
-        r2 = empirical_min_inertia_profile(L, SearchConfig(seed=31, samples=1000, workers=4))
-        assert r1.histogram == r2.histogram
-
-    def test_spot_checks_recorded(self):
-        L = random_subspace(4, 5, seed=37)
-        rep = empirical_min_inertia_profile(
-            L, SearchConfig(seed=37, samples=100, verify_fraction=0.1)
-        )
-        assert rep.spot_checked == 10
-        assert rep.spot_mismatches == 0
-
-    def test_json_round_trip(self):
-        L = random_subspace(3, 3, seed=41)
-        rep = empirical_min_inertia_profile(L, SearchConfig(seed=41, samples=50))
-        assert ProfileReport.from_json(rep.to_json()).to_json() == rep.to_json()
 
 
 class TestGrow:
@@ -403,8 +361,6 @@ class TestConfigValidation:
             SearchConfig(seed=1, workers=0)
         with pytest.raises(ValueError):
             SearchConfig(seed=1, float_tolerance=0)
-        with pytest.raises(ValueError):
-            SearchConfig(seed=1, verify_fraction=1.5)
 
     def test_float_tolerance_must_be_finite_and_positive(self):
         for tol in (float("nan"), float("inf"), -1e-9):
