@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -44,8 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc, out) -> None:
-    json.dump(doc, out)
-    out.write("\n")
+    out.write(json.dumps(doc) + "\n")  # json.dump would skip the C encoder
 
 
 def _emit_csv(rows: List[list], header: List[str], out) -> None:
@@ -214,6 +214,9 @@ def _cmd_check(args, out) -> int:
     return EXIT_OK
 
 
+# Built on the first call and kept (parsing leaves it as it is); this saves
+# time only where one process calls main() more than once.
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     parser = _Parser(prog="minertia", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -5,9 +5,10 @@ denominator).  On top of that this module provides complex numbers with
 rational real and imaginary parts, and univariate polynomials with rational
 coefficients including a multiplicity-detecting gcd tower.
 
-Hot loops do not use these types: they work on scaled Gaussian integers,
-a matrix as ``(den, re, im)`` with one positive common denominator and two
-integer grids (:func:`scaled_gaussian_grid`).
+From the JSON edge inward a matrix is a scaled Gaussian-integer grid
+``(den, re, im)``, one positive common denominator and two integer grids
+(:func:`parse_ratio`, :func:`scaled_gaussian_grid`, :func:`grid_combination`);
+these types are built from it only for an API caller, a JSON writer or an error.
 """
 
 from __future__ import annotations
@@ -22,23 +23,31 @@ Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_RATIONAL = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")  # \s is what str.strip() strips
+_PARTS = frozenset(("re", "im"))
+
+
+def parse_ratio(text: str) -> Tuple[int, int]:
+    """Parse ``p/q`` or ``p`` (ASCII digits, an optional leading minus,
+    surrounding whitespace ignored; no exponent, decimal point, underscore
+    or plus sign) to the integers ``(p, q)``, q > 0 and not reduced."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational: {text!r} (expected a string 'p/q')")
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational: {text!r}")
+    try:
+        num, den = int(match[1]), int(match[2] or 1)
+    except ValueError as exc:  # more digits than int() converts
+        raise ValueError(f"not a rational: {text!r}") from exc
+    if not den:
+        raise ValueError(f"not a rational: {text!r}")
+    return num, den
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the text form ``p/q`` or ``p`` (ASCII digits, an optional
-    leading minus, surrounding whitespace ignored); nothing else, so no
-    exponent, decimal point, underscore or plus sign."""
-    if not isinstance(text, str):
-        raise ValueError(f"not a rational: {text!r} (expected a string 'p/q')")
-    match = _RATIONAL.fullmatch(text.strip())
-    if match is None:
-        raise ValueError(f"not a rational: {text!r}")
-    num, den = match.groups()
-    try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    """The rational that :func:`parse_ratio` reads."""
+    return Fraction(*parse_ratio(text))
 
 
 def format_rational(x: Fraction) -> str:
@@ -149,11 +158,16 @@ class GaussianRational:
     def to_json(self) -> dict:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}
 
+    @staticmethod
+    def json_parts(obj) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """``{"re": "p/q", "im": "p/q"}`` as two :func:`parse_ratio` pairs."""
+        if not isinstance(obj, dict) or obj.keys() != _PARTS:
+            raise ValueError(f"expected {{'re': ..., 'im': ...}}, got {obj!r}")
+        return parse_ratio(obj["re"]), parse_ratio(obj["im"])
+
     @classmethod
     def from_json(cls, obj) -> "GaussianRational":
-        if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
-            raise ValueError(f"expected {{'re': ..., 'im': ...}}, got {obj!r}")
-        return cls(parse_rational(obj["re"]), parse_rational(obj["im"]))
+        return cls(*(Fraction(*part) for part in cls.json_parts(obj)))
 
 
 class RationalPolynomial:
@@ -358,4 +372,18 @@ def scaled_gaussian_grid(rows) -> Tuple[int, List[List[int]], List[List[int]]]:
     den = math.lcm(*(c.denominator for row in rows for z in row for c in (z.re, z.im)))
     re = [[z.re.numerator * (den // z.re.denominator) for z in row] for row in rows]
     im = [[z.im.numerator * (den // z.im.denominator) for z in row] for row in rows]
+    return den, re, im
+
+
+def grid_combination(q: int, terms) -> Tuple[int, List[List[int]], List[List[int]]]:
+    """sum f * (re + i*im) / den over pairs ``(f, (den, re, im))`` of a rational
+    (or int) f and a q x q scaled grid, read and never written, as one scaled
+    grid over the lcm of the denominators (not always the least)."""
+    terms = [(f, g) for f, g in terms if f]
+    den = math.lcm(*(f.denominator * g[0] for f, g in terms))
+    re = im = [[0] * q] * q  # rows are replaced below, never mutated
+    for f, (d, br, bi) in terms:
+        s = f.numerator * (den // (f.denominator * d))
+        re = [[a + s * b for a, b in zip(ra, rb)] for ra, rb in zip(re, br)]
+        im = [[a + s * b for a, b in zip(ia, ib)] for ia, ib in zip(im, bi)]
     return den, re, im

@@ -11,13 +11,15 @@ as independent checks of each other (see :mod:`minertia.oracles`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import chain
+from operator import mul, neg
 from typing import Sequence
 
 from .errors import InconsistencyError, NotHermitianError, SingularTransformError
-from .exactnum import GaussianRational, RationalPolynomial, scaled_gaussian_grid
+from .exactnum import GaussianRational, RationalPolynomial, grid_combination, scaled_gaussian_grid
 from .jsonrecord import json_int, json_record
 
 
@@ -29,6 +31,10 @@ class Inertia:
     n_plus: int
     n_minus: int
     n_zero: int
+
+    def __post_init__(self):
+        if min(self.n_plus, self.n_minus, self.n_zero) < 0:
+            raise ValueError(f"inertia has a negative count: {self}")
 
     @property
     def q(self) -> int:
@@ -57,32 +63,72 @@ def _as_gaussian(value) -> GaussianRational:
     raise TypeError(f"cannot interpret {value!r} as a matrix entry")
 
 
+def _asymmetry(den: int, re, im) -> NotHermitianError:
+    """The error naming the first (i, j), i <= j, where the grid is not
+    conjugate symmetric; only here are its entries made rationals."""
+    q = len(re)
+    i, j = next((i, j) for i in range(q) for j in range(i, q)
+                if re[i][j] != re[j][i] or im[i][j] != -im[j][i])
+    u, v = (GaussianRational(Fraction(re[a][b], den), Fraction(im[a][b], den))
+            for a, b in ((i, j), (j, i)))
+    return NotHermitianError(f"conjugate symmetry fails at ({i},{j}): {u} vs conj({v})")
+
+
 class HermitianMatrix:
-    """Immutable q x q matrix with exact Gaussian-rational entries.
+    """Immutable q x q Hermitian matrix with exact Gaussian-rational entries,
+    stored as a scaled Gaussian-integer grid: the least common denominator
+    ``den`` and tuples of integer rows ``re``, ``im``, entry (i, j) being
+    ``(re[i][j] + i*im[i][j]) / den``.  Every operation reads the grid; the
+    ``GaussianRational`` rows :attr:`entries` are built on first use.
+    Conjugate symmetry is checked once, on the integers."""
 
-    Conjugate symmetry (entries[i][j] == conj(entries[j][i])) is validated
-    once, on construction; every operation below preserves it.
-    """
-
-    __slots__ = ("q", "entries")
+    __slots__ = ("q", "den", "re", "im", "_entries")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = [tuple(_as_gaussian(e) for e in row) for row in entries]
-        q = len(rows)
-        if q == 0 or any(len(row) != q for row in rows):
+        rows = tuple(tuple(_as_gaussian(e) for e in row) for row in entries)
+        self._set(*scaled_gaussian_grid(rows), rows)
+
+    @classmethod
+    def from_scaled(cls, den: int, re, im) -> "HermitianMatrix":
+        """The matrix (re + i*im) / den of integer grids, for any den > 0."""
+        new = object.__new__(cls)
+        new._set(den, re, im, None)
+        return new
+
+    def _set(self, den, re, im, entries):
+        q = len(re)
+        if q == 0 or any(len(row) != q for row in re):
             raise NotHermitianError("entries must form a nonempty square grid")
-        for i in range(q):
-            for j in range(i, q):
-                if rows[i][j] != rows[j][i].conj():
-                    raise NotHermitianError(
-                        f"conjugate symmetry fails at ({i},{j}): "
-                        f"{rows[i][j]} vs conj({rows[j][i]})"
-                    )
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "entries", tuple(rows))
+        if den <= 0:
+            raise ValueError(f"the common denominator must be positive, got {den}")
+        g = math.gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+        if g > 1:
+            den //= g
+            re = [[v // g for v in row] for row in re]
+            im = [[v // g for v in row] for row in im]
+        re = tuple(map(tuple, re))
+        im = tuple(map(tuple, im))
+        if re != tuple(zip(*re)) or im != tuple(tuple(map(neg, col)) for col in zip(*im)):
+            raise _asymmetry(den, re, im)
+        for name, value in zip(self.__slots__, (q, den, re, im, entries)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
+
+    @property
+    def grid(self) -> tuple:
+        return self.den, self.re, self.im
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            def z(a, b):
+                return GaussianRational(Fraction(a, self.den), Fraction(b, self.den))
+
+            rows = tuple(tuple(map(z, ra, ia)) for ra, ia in zip(self.re, self.im))
+            object.__setattr__(self, "_entries", rows)
+        return self._entries
 
     @classmethod
     def zero(cls, q: int) -> "HermitianMatrix":
@@ -103,41 +149,40 @@ class HermitianMatrix:
         return cls.diagonal([Fraction(s)] * q)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(map(any, self.re + self.im))
 
     def is_scalar(self) -> bool:
-        d = self.entries[0][0]
-        rows = enumerate(self.entries)
-        return all(e == (d if i == j else 0) for i, row in rows for j, e in enumerate(row))
+        d = self.re[0][0]
+        rows = enumerate(self.re)
+        diagonal = all(v == (d if i == j else 0) for i, row in rows for j, v in enumerate(row))
+        return diagonal and not any(map(any, self.im))
 
     def trace(self) -> Fraction:
-        return sum((self.entries[i][i].re for i in range(self.q)), Fraction(0))
+        return Fraction(sum(self.re[i][i] for i in range(self.q)), self.den)
+
+    def _combine(self, terms) -> "HermitianMatrix":
+        return HermitianMatrix.from_scaled(*grid_combination(self.q, terms))
 
     def add(self, other: "HermitianMatrix") -> "HermitianMatrix":
         self._check_size(other)
-        pairs = zip(self.entries, other.entries)
-        return HermitianMatrix([[a + b for a, b in zip(r, s)] for r, s in pairs])
+        return self._combine([(1, self.grid), (1, other.grid)])
 
     def sub(self, other: "HermitianMatrix") -> "HermitianMatrix":
         self._check_size(other)
-        pairs = zip(self.entries, other.entries)
-        return HermitianMatrix([[a - b for a, b in zip(r, s)] for r, s in pairs])
+        return self._combine([(1, self.grid), (-1, other.grid)])
 
     def scale(self, factor) -> "HermitianMatrix":
         """Scale by a real rational; complex factors would break Hermitian symmetry."""
-        f = Fraction(factor)
-        return HermitianMatrix(
-            [[e * f for e in row] for row in self.entries]
-        )
+        return self._combine([(Fraction(factor), self.grid)])
 
     def neg(self) -> "HermitianMatrix":
         return self.scale(-1)
 
     def shift(self, s) -> "HermitianMatrix":
         """X - s*I for a real rational s."""
-        s = Fraction(s)
-        rows = enumerate(self.entries)
-        return HermitianMatrix([[e - s if i == j else e for j, e in enumerate(r)] for i, r in rows])
+        q = self.q
+        eye = (1, [[int(i == j) for j in range(q)] for i in range(q)], [[0] * q] * q)
+        return self._combine([(1, self.grid), (-Fraction(s), eye)])
 
     def __add__(self, other):
         return self.add(other)
@@ -151,10 +196,10 @@ class HermitianMatrix:
     def __eq__(self, other):
         if not isinstance(other, HermitianMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.grid == other.grid
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self.grid)
 
     def __repr__(self):
         return f"HermitianMatrix(q={self.q})"
@@ -171,6 +216,7 @@ class HermitianMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HermitianMatrix":
+        """Read the ``"p/q"`` strings straight into one scaled grid."""
         if not isinstance(obj, dict) or "q" not in obj or "entries" not in obj:
             raise ValueError("matrix JSON needs keys 'q' and 'entries'")
         q, entries = json_int(obj["q"], "matrix 'q'"), obj["entries"]
@@ -178,15 +224,12 @@ class HermitianMatrix:
             raise ValueError("matrix 'entries' must be a list of rows (lists)")
         if len(entries) != q or any(len(row) != q for row in entries):
             raise ValueError(f"entries must be a full {q}x{q} grid")
-        return cls([[GaussianRational.from_json(e) for e in row] for row in entries])
-
-    @classmethod
-    def from_scaled(cls, den: int, re: list, im: list) -> "HermitianMatrix":
-        """Inverse of :func:`~minertia.exactnum.scaled_gaussian_grid`."""
-        def z(a, b):
-            return GaussianRational(Fraction(a, den), Fraction(b, den))
-
-        return cls([[z(a, b) for a, b in zip(ra, ia)] for ra, ia in zip(re, im)])
+        parts = [p for row in entries for e in row for p in GaussianRational.json_parts(e)]
+        # the lcm of the reduced denominators: unreduced ones could multiply up
+        den = math.lcm(*{d // math.gcd(n, d) for n, d in parts})
+        vals = [n * den // d for n, d in parts]  # per row: re, im of each entry
+        rows = [vals[2 * q * i : 2 * q * (i + 1)] for i in range(q)]
+        return cls.from_scaled(den, [r[0::2] for r in rows], [r[1::2] for r in rows])
 
 
 def _exact_quotient(a: int, b: int) -> int:
@@ -250,9 +293,9 @@ def grid_inertia(re: list, im: list) -> Inertia:
 
 
 def inertia(X: HermitianMatrix) -> Inertia:
-    """Exact signature of X (see :func:`grid_inertia`); no eigenvalues."""
-    _, re, im = scaled_gaussian_grid(X.entries)
-    return grid_inertia(re, im)
+    """Exact signature of X (see :func:`grid_inertia`, run on a copy of
+    X's grid); no eigenvalues."""
+    return grid_inertia([list(r) for r in X.re], [list(r) for r in X.im])
 
 
 def minimal_inertia(X: HermitianMatrix) -> int:
@@ -290,7 +333,7 @@ def congruence_transform(X: HermitianMatrix, P: Sequence[Sequence]) -> Hermitian
     # P is invertible iff P*P is positive definite
     if grid_inertia(*_gaussian_mat_mul(sr, si, pr, pi)).n_plus < q:
         raise SingularTransformError("transform matrix is singular")
-    dx, xr, xi = scaled_gaussian_grid(X.entries)
+    dx, xr, xi = X.grid
     re, im = _gaussian_mat_mul(sr, si, *_gaussian_mat_mul(xr, xi, pr, pi))
     return HermitianMatrix.from_scaled(dx * dp * dp, re, im)
 
@@ -332,6 +375,5 @@ def char_poly(X: HermitianMatrix) -> RationalPolynomial:
     the coefficient of x^(q-k) is then divided by den^k.  Every coefficient
     of a Hermitian matrix must come out real, which is asserted.
     """
-    den, re, im = scaled_gaussian_grid(X.entries)
-    poly = _berkowitz(re, im)
-    return RationalPolynomial([Fraction(c, den**k) for k, c in enumerate(poly)][::-1])
+    poly = _berkowitz(X.re, X.im)
+    return RationalPolynomial([Fraction(c, X.den**k) for k, c in enumerate(poly)][::-1])

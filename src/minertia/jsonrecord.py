@@ -118,7 +118,7 @@ def _codec(tp):
     raise TypeError(f"no JSON codec for field type {tp!r}")
 
 
-def json_record(cls=None, *, keys=(), derived=(), custom=()):
+def json_record(cls=None, *, keys=(), derived=(), custom=(), check=None):
     """Class decorator: install ``to_json``/``from_json`` on a frozen
     dataclass, with the field plan computed once, here.
 
@@ -126,7 +126,10 @@ def json_record(cls=None, *, keys=(), derived=(), custom=()):
     ``derived`` names properties written after the fields and ignored on
     reading.  ``custom`` maps a field name to ``(write(value),
     read(value, doc))`` for a field whose JSON shape depends on the rest
-    of the document."""
+    of the document.  ``check(record)`` vets each record ``from_json``
+    reads and returns what is wrong with it, or None: a load-only step for
+    a check too costly for the constructor (cheap ones go in
+    ``__post_init__``)."""
 
     def install(cls):
         keys_, custom_ = dict(keys), dict(custom)
@@ -160,7 +163,10 @@ def json_record(cls=None, *, keys=(), derived=(), custom=()):
                     kwargs[name] = default
                 else:
                     kwargs[name] = read(value, obj if what is None else what)
-            return klass(**kwargs)
+            record = klass(**kwargs)
+            if check and (fault := check(record)):
+                raise ValueError(f"{cls.__name__} JSON is inconsistent: {fault}")
+            return record
 
         to_json.__qualname__ = f"{cls.__qualname__}.to_json"
         from_json.__qualname__ = f"{cls.__qualname__}.from_json"

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .errors import HypothesisNotMetError
-from .exactnum import scaled_gaussian_grid
+from .exactnum import grid_combination
 from .hermitian_core import HermitianMatrix, Inertia, grid_inertia, inertia
 from .jsonrecord import json_int, json_list, json_object, json_record
 from .strata import dim_limit_min_inertia_ge2
@@ -173,7 +173,7 @@ class SubspaceBasis:
             raise ValueError("all basis matrices must share the subspace size")
         if len(basis) > q * q:
             raise ValueError(f"dimension {len(basis)} exceeds q^2 = {q * q}")
-        grids = tuple(scaled_gaussian_grid(b.entries) for b in basis)
+        grids = tuple((b.den, list(map(list, b.re)), list(map(list, b.im))) for b in basis)
         ech = ModularEchelon()
         for k, grid in enumerate(grids):
             if not ech.try_add(_coordinates(grid)):
@@ -210,17 +210,11 @@ class SubspaceBasis:
 
     def element(self, coeffs: Sequence[Fraction]) -> HermitianMatrix:
         """Exact linear combination sum_i coeffs[i] * basis[i], summed on
-        the basis' integer grids over one common denominator."""
+        the basis' integer grids; that sum is the matrix's stored grid."""
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count must match dimension")
-        terms = [(f, g) for f, g in zip(map(Fraction, coeffs), self._grids) if f]
-        den = math.lcm(*(f.denominator * g[0] for f, g in terms))
-        re = im = [[0] * self.q] * self.q  # rows are replaced below, never mutated
-        for f, (d, br, bi) in terms:
-            s = f.numerator * (den // (f.denominator * d))
-            re = [[a + s * b for a, b in zip(ra, rb)] for ra, rb in zip(re, br)]
-            im = [[a + s * b for a, b in zip(ia, ib)] for ia, ib in zip(im, bi)]
-        return HermitianMatrix.from_scaled(den, re, im)
+        terms = zip(map(Fraction, coeffs), self._grids)
+        return HermitianMatrix.from_scaled(*grid_combination(self.q, terms))
 
     def float_image(self) -> np.ndarray:
         """(dim, q, q) complex128 image of the basis, matrix i scaled by
@@ -293,7 +287,13 @@ def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
     return SubspaceBasis._from_grids(q, grids)
 
 
-@json_record
+def _uncertified(w: "Witness"):
+    inr = inertia(w.element)
+    if inr != w.inertia or inr.m > 1:
+        return f"its element has inertia {inr}, which must equal its 'inertia' and have m <= 1"
+
+
+@json_record(check=_uncertified)
 @dataclass(frozen=True)
 class Witness:
     """An exactly certified element with minimal inertia <= 1."""
@@ -450,6 +450,14 @@ class GrowReport:
     steps: Tuple[GrowStep, ...]
     certified: bool  # always False: candidates only, never a proof
     warning: Optional[str]
+
+    def __post_init__(self):
+        if self.achieved_dim != self.basis.dim:
+            raise ValueError(
+                f"'achieved_dim' {self.achieved_dim} is not the basis dimension {self.basis.dim}"
+            )
+        if self.certified is not False:
+            raise ValueError("'certified' is true, but growth yields candidates only")
 
 
 def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:

@@ -126,7 +126,7 @@ def classify_cone(X: HermitianMatrix) -> ConeClassification:
             f"cone classification requires q >= 5, got {X.q}"
         )
     if X.is_scalar():
-        return ConeClassification(ConeLabel.VERTEX, X.entries[0][0].re)
+        return ConeClassification(ConeLabel.VERTEX, Fraction(X.re[0][0], X.den))
     s = eigenvalue_of_high_multiplicity(X)
     if s is None:
         return ConeClassification(ConeLabel.NOT_IN_C2, None)

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import minertia
 from minertia import criteria
 from minertia.cli import main
 from minertia.hermitian_core import HermitianMatrix
-from minertia.search import SearchReport
+from minertia.search import SearchConfig, SearchReport
 
 
 def write_matrix(tmp_path, matrix, name="m.json"):
@@ -318,3 +323,59 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "degree", "--q", "5", "--bogus")
         assert code == 1
+
+
+class TestParserReuse:
+    """One parser serves every call of a process, so no call may see the
+    options of the one before."""
+
+    def test_cone_flag_does_not_carry_over(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, HermitianMatrix.diagonal([3, 3, 3, 1, 1]))
+        _, cone, _ = run(capsys, "classify", "--cone", "--matrix", path)
+        _, plain, _ = run(capsys, "classify", "--matrix", path)
+        assert json.loads(cone)["cone"] == "C0"
+        assert json.loads(plain)["cone"] is None and json.loads(plain)["apex_shift"] is None
+
+    def test_samples_do_not_carry_over(self, capsys):
+        argv = ["search", "--q", "3", "--dim", "2", "--seed", "4"]
+        _, before, _ = run(capsys, *argv)
+        _, few, _ = run(capsys, *argv, "--samples", "10")
+        _, after, _ = run(capsys, *argv)
+        assert after == before
+        assert sum(json.loads(few)["histogram"].values()) == 10
+        assert sum(json.loads(after)["histogram"].values()) == SearchConfig(seed=0).samples
+
+    @pytest.mark.parametrize(
+        "first", [["frobnicate"], ["inertia"], ["--help"], ["search", "--help"]]
+    )
+    def test_usage_error_or_help_then_a_valid_call(self, capsys, first):
+        argv = ["bound", "--q", "5", "--no-irregular-pencils"]
+        expected = run(capsys, *argv)
+        code, _, _ = run(capsys, *first)
+        assert code == (0 if "--help" in first else 1)
+        assert run(capsys, *argv) == expected
+
+    def test_import_builds_no_parser_and_main_builds_one(self):
+        path = [str(Path(minertia.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        probe = [sys.executable, "-c", _PARSER_PROBE]
+        done = subprocess.run(probe, capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.splitlines()[-1] == "0 True True"
+
+
+# counts argparse parsers made at import and by two main() calls
+_PARSER_PROBE = """
+import argparse
+made = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    made.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import minertia.cli as cli
+at_import = len(made)
+cli.main(["degree", "--q", "5"])
+once = len(made)
+cli.main(["catalog"])
+print(at_import, once > 0, len(made) == once)
+"""

@@ -9,8 +9,13 @@ three seeds, ``grow --q 5 --target 4`` at one seed and a smaller-budget
 ``grow`` that rejects candidates, each at one and two workers, and the
 table commands: ``degree`` at single q and as json/csv tables (with and
 without ``--parity-only``), ``bound`` with pencil hypotheses and as
-json/csv tables, and ``catalog`` as json and csv.  Any change to the exact
-core must reproduce it byte for byte, and every JSON report in it must
+json/csv tables, and ``catalog`` as json and csv.  It also fixes the edges
+of the command line: usage errors, ``--help`` of the program and of every
+subcommand (with ``COLUMNS`` pinned, as for every case), malformed matrix
+input (invalid JSON, a ragged grid, a zero denominator, broken conjugate
+symmetry off and on the diagonal, an empty grid) and matrices written with
+unreduced rationals and stray whitespace.  Any change to the exact core or
+the CLI must reproduce it byte for byte, and every JSON report in it must
 read back through its class's ``from_json`` to the same document.
 
 List the cases whose output would change (argv and the changed JSON
@@ -27,10 +32,12 @@ Regenerate (only when an output change is intended and documented):
 import contextlib
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -41,6 +48,7 @@ from minertia.hermitian_core import Inertia
 from minertia.search import GrowReport, SearchReport
 
 CORPUS = Path(__file__).parent / "data" / "golden_cli.json"
+COLUMNS = "80"  # argparse wraps usage and help text to the terminal width
 
 
 def run_cli(argv, stdin_text=""):
@@ -48,11 +56,19 @@ def run_cli(argv, stdin_text=""):
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin_text)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch.dict(os.environ, {"COLUMNS": COLUMNS}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
     finally:
         sys.stdin = saved
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _stdin(case, matrices):
+    """The stdin text of a case: its corpus matrix, its own text, or none."""
+    if case["matrix"] is not None:
+        return json.dumps(matrices[case["matrix"]])
+    return case.get("stdin", "")
 
 
 def _entry(z):
@@ -150,6 +166,50 @@ _RUN_ARGVS = [
     ["catalog"],
     ["catalog", "--format", "csv"],
 ]
+_SUBCOMMANDS = ("inertia", "classify", "degree", "bound", "search", "grow", "catalog", "check")
+_USAGE_ARGVS = [
+    ["frobnicate"],
+    [],
+    ["inertia"],
+    ["catalog", "--format", "xml"],
+    ["degree", "--q", "5", "--bogus"],
+    ["search", "--q", "five", "--dim", "9", "--seed", "1"],
+    ["--help"],
+] + [[name, "--help"] for name in _SUBCOMMANDS]
+
+
+def _edge_inputs():
+    """(argvs, stdin text) of the malformed and the oddly written matrices."""
+    def doc(rows, q=None):
+        entries = [[{"re": re, "im": im} for re, im in row] for row in rows]
+        return json.dumps({"q": len(rows) if q is None else q, "entries": entries})
+
+    one, zero = ("1", "0"), ("0", "0")
+    inertia = [["inertia", "--matrix", "-"]]
+    malformed = [
+        "{not json",
+        "[1, 2",
+        doc([[one, zero], [zero]], q=2),
+        doc([[("1/0", "0"), zero], [zero, one]]),
+        doc([[one, ("1/2", "3/4"), zero], [("1/2", "-3/4"), one, ("1/2", "3/4")],
+             [zero, ("1/3", "2/5"), one]]),
+        doc([[one, zero], [zero, ("2", "-7/3")]]),
+        doc([]),
+        doc([[one, zero], [zero, one]]).replace('{"re": "1", "im": "0"}', '{"re": "1"}', 1),
+    ]
+    half = ("2/4", "0/7")
+    scalar = [[half if i == j else (" 0/3", "-0") for j in range(5)] for i in range(5)]
+    # diag(3, 3, 3, 1, 1) in unreduced rationals: a cone member, C0 with apex 3
+    diag = ["6/2", "6/2", "6/2", "4/4", "4/4"]
+    cone = [[(diag[i] if i == j else "0/9", "00") for j in range(5)] for i in range(5)]
+    unreduced = [
+        doc([[("10/4", "0"), ("-6/8", "9/12")], [("-3/4", "-3/4"), ("-00/5", "0/1")]]),
+        doc(scalar),
+        doc(cone),
+    ]
+    return [(inertia, text) for text in malformed] + [
+        (list(_MATRIX_ARGVS), text) for text in unreduced
+    ]
 
 
 def write_corpus(path=CORPUS):
@@ -158,8 +218,11 @@ def write_corpus(path=CORPUS):
     for k, mat in enumerate(matrices):
         for argv in _MATRIX_ARGVS:
             cases.append({"argv": argv, "matrix": k, **run_cli(argv, json.dumps(mat))})
-    for argv in _RUN_ARGVS:
+    for argv in _RUN_ARGVS + _USAGE_ARGVS:
         cases.append({"argv": argv, "matrix": None, **run_cli(argv)})
+    for argvs, text in _edge_inputs():
+        for argv in argvs:
+            cases.append({"argv": argv, "matrix": None, "stdin": text, **run_cli(argv, text)})
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"matrices": matrices, "cases": cases}, indent=1) + "\n")
 
@@ -182,8 +245,7 @@ def diff_corpus():
     matrices, cases = _load()
     diffs = []
     for case in cases:
-        stdin = "" if case["matrix"] is None else json.dumps(matrices[case["matrix"]])
-        got = run_cli(case["argv"], stdin)
+        got = run_cli(case["argv"], _stdin(case, matrices))
         keys = [k for k in ("code", "stderr") if got[k] != case[k]]
         if got["stdout"] != case["stdout"]:
             try:
@@ -203,14 +265,15 @@ def test_corpus_is_present_and_covers_the_commands():
     assert {m["q"] for m in _MATRICES} == set(range(2, 9))
     commands = {tuple(c["argv"][:2]) for c in _CASES}
     assert ("classify", "--cone") in commands and ("grow", "--q") in commands
+    assert {(name, "--help") for name in _SUBCOMMANDS} <= commands
+    assert {c["code"] for c in _CASES} == {0, 1, 2}
 
 
 @pytest.mark.parametrize(
     "case", _CASES, ids=[f"{k}-{'_'.join(c['argv'][:2])}" for k, c in enumerate(_CASES)]
 )
 def test_output_is_byte_identical(case):
-    stdin = "" if case["matrix"] is None else json.dumps(_MATRICES[case["matrix"]])
-    got = run_cli(case["argv"], stdin)
+    got = run_cli(case["argv"], _stdin(case, _MATRICES))
     assert got == {k: case[k] for k in ("code", "stdout", "stderr")}
 
 
@@ -224,7 +287,10 @@ _READERS = {
     "grow": GrowReport,
 }
 _JSON_REPORTS = [
-    c for c in _CASES if c["argv"][0] in _READERS and c["code"] == 0 and "csv" not in c["argv"]
+    c
+    for c in _CASES
+    if c["argv"] and c["argv"][0] in _READERS and c["code"] == 0
+    and not {"csv", "--help"} & set(c["argv"])
 ]
 
 

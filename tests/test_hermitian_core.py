@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -193,3 +194,94 @@ class TestCharPoly:
     def test_monic(self, rng):
         x = rand_hermitian(rng, 3)
         assert char_poly(x).coeffs[-1] == 1
+
+
+class TestStoredGrid:
+    """The scaled integer grid is the stored form: the JSON reader and
+    ``SubspaceBasis.element`` make it directly, and no operation writes it."""
+
+    @staticmethod
+    def _matrices():
+        from minertia.search import random_subspace
+
+        rows = [[gauss(3 if i == j else 0) for j in range(5)] for i in range(5)]
+        rows[0][1] = gauss(Fraction(1, 2), Fraction(-2, 3))
+        rows[1][0] = gauss(Fraction(1, 2), Fraction(2, 3))
+        rows[4][4] = gauss(Fraction(-7, 4))
+        ref = HermitianMatrix(rows)
+        yield HermitianMatrix.from_json(ref.to_json()), ref
+        L = random_subspace(5, 4, 3)
+        coeffs = [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7)]
+        summed = [
+            [sum((c * b.entries[i][j] for c, b in zip(coeffs, L.basis)), gauss(0)) for j in range(5)]
+            for i in range(5)
+        ]
+        yield L.element(coeffs), HermitianMatrix(summed)
+
+    def test_repeated_calls_agree_and_leave_the_grid_alone(self):
+        from minertia.strata import classify_cone
+
+        for X, ref in self._matrices():
+            grid = X.grid
+            first = (inertia(X), char_poly(X), classify_cone(X))
+            assert (inertia(X), char_poly(X), classify_cone(X)) == first
+            assert first == (inertia(ref), char_poly(ref), classify_cone(ref))
+            assert X.grid == grid == ref.grid
+            assert X.entries == ref.entries and X.to_json() == ref.to_json()
+            assert X == ref and hash(X) == hash(ref)
+            with pytest.raises(TypeError):
+                X.re[0][0] = 1
+
+    def test_unreduced_and_spaced_rationals_read_to_the_reduced_grid(self):
+        doc = {"q": 2, "entries": [
+            [{"re": " 10/4", "im": "0/9"}, {"re": "-6/8", "im": "9/12"}],
+            [{"re": "-3/4", "im": "-3/4"}, {"re": "-00/5", "im": "-0"}],
+        ]}
+        X = HermitianMatrix.from_json(doc)
+        ref = HermitianMatrix([[gauss(Fraction(5, 2)), gauss(Fraction(-3, 4), Fraction(3, 4))],
+                               [gauss(Fraction(-3, 4), Fraction(-3, 4)), gauss(0)]])
+        assert X == ref and X.grid == (4, ((10, -3), (-3, 0)), ((0, 3), (-3, 0)))
+
+    def test_large_unreduced_entries_read_fast(self):
+        # "N/N" with distinct 4000-digit N: an lcm of the unreduced
+        # denominators would be about 512,000 digits and take seconds
+        rng = random.Random(5)
+        q = 8
+
+        def big():
+            return rng.randrange(10**3999, 10**4000)
+
+        entries = [[{"re": f"{n}/{n}", "im": f"0/{big()}"} for n in (big() for _ in range(q))]
+                   for _ in range(q)]
+        start = time.perf_counter()
+        X = HermitianMatrix.from_json({"q": q, "entries": entries})
+        assert time.perf_counter() - start < 2.0
+        assert X.grid == (1, ((1,) * q,) * q, ((0,) * q,) * q)
+        assert inertia(X) == Inertia(1, 0, q - 1)
+
+    @pytest.mark.parametrize("den", [0, -2])
+    def test_scaled_grid_needs_a_positive_denominator(self, den):
+        with pytest.raises(ValueError, match="must be positive"):
+            HermitianMatrix.from_scaled(den, [[1, 0], [0, 1]], [[0, 0], [0, 0]])
+
+    def test_symmetry_error_names_the_entries(self):
+        e = {"re": "0", "im": "0"}
+        doc = {"q": 2, "entries": [[e, {"re": "2/4", "im": "1/3"}], [{"re": "1/2", "im": "1/3"}, e]]}
+        with pytest.raises(NotHermitianError) as err:
+            HermitianMatrix.from_json(doc)
+        assert str(err.value) == "conjugate symmetry fails at (0,1): 1/2+1/3i vs conj(1/2+1/3i)"
+
+    def test_arithmetic_matches_entrywise_arithmetic(self, rng):
+        x, y = rand_hermitian(rng, 4), rand_hermitian(rng, 4)
+        s = Fraction(-5, 6)
+        entrywise = [
+            (x.add(y), lambda a, b: a + b), (x.sub(y), lambda a, b: a - b),
+            (x.scale(s), lambda a, b: a * s), (-x, lambda a, b: -a),
+        ]
+        for got, op in entrywise:
+            rows = [[op(a, b) for a, b in zip(r, t)] for r, t in zip(x.entries, y.entries)]
+            assert got == HermitianMatrix(rows)
+        shifted = [[a - s if i == j else a for j, a in enumerate(r)] for i, r in enumerate(x.entries)]
+        assert x.shift(s) == HermitianMatrix(shifted)
+        assert x.trace() == sum((x.entries[i][i].re for i in range(4)), Fraction(0))
+        assert x.scale(0) == HermitianMatrix.zero(4) and x.scale(0).is_zero()

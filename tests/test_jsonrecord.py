@@ -177,3 +177,42 @@ class TestAnyJsonReadsOrRaisesValueError:
     def test_one_leaf_mutation(self, cls, data, value):
         path = data.draw(st.sampled_from(_leaf_paths(VALID[cls])))
         _reads_or_raises_value_error(cls, _replaced(VALID[cls], path, value))
+
+
+class TestRejectsInconsistentValues:
+    """The readers vet values as well as types; at the parent all of these read.
+    Inertia and GrowReport vet in their constructors, a Witness on load only."""
+
+    def test_negative_inertia_count(self):
+        with pytest.raises(ValueError, match="negative count"):
+            Inertia.from_json({"n_plus": -4, "n_minus": 1, "n_zero": 0})
+        with pytest.raises(ValueError, match="negative count"):
+            Inertia(-1, 0, 0)
+
+    def test_grow_report_constructor_vets_too(self):
+        with pytest.raises(ValueError, match="'achieved_dim' 1"):
+            GrowReport(2, 3, 1, 1, _BASIS, (), False, None)
+        with pytest.raises(ValueError, match="'certified' is true"):
+            GrowReport(2, 3, 2, 1, _BASIS, (), True, None)
+
+    def test_grow_report_dimension_must_be_the_basis_dimension(self):
+        with pytest.raises(ValueError, match="'achieved_dim' 7"):
+            GrowReport.from_json(_with(GrowReport, achieved_dim=7, basis=[]))
+
+    def test_grow_report_is_never_certified(self):
+        with pytest.raises(ValueError, match="'certified' is true"):
+            GrowReport.from_json(_with(GrowReport, certified=True))
+
+    def test_witness_inertia_must_be_its_elements(self):
+        wrong = Inertia(0, 3, 0).to_json()
+        with pytest.raises(ValueError, match="Witness JSON is inconsistent"):
+            Witness.from_json(_with(Witness, inertia=wrong))
+        report = _with(SearchReport, witness=_with(Witness, inertia=wrong))
+        with pytest.raises(ValueError, match="Witness JSON is inconsistent"):
+            SearchReport.from_json(report)
+
+    def test_witness_element_must_have_minimal_inertia_at_most_1(self):
+        element = HermitianMatrix.diagonal([1, 1, -1, -1])
+        doc = _with(Witness, element=element.to_json(), inertia=Inertia(2, 2, 0).to_json())
+        with pytest.raises(ValueError, match="m <= 1"):
+            Witness.from_json(doc)
