@@ -37,11 +37,8 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage problems; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with_usage(message))
-
-    def exit_with_usage(self, message) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 def _emit(doc, out) -> None:
@@ -288,10 +285,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args, sys.stdout)
-    except InconsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except AssertionError as exc:
+    except (InconsistencyError, AssertionError) as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except (MinertiaError, ValueError, OSError) as exc:

@@ -209,9 +209,18 @@ class HermitianMatrix:
             raise ValueError(f"size mismatch: {self.q} vs {other.q}")
 
     def to_json(self) -> dict:
+        """Each component ``a/den`` of the grid reduced by one gcd, written
+        as :func:`~minertia.exactnum.format_rational` writes a Fraction."""
+        den = self.den
+
+        def text(a):
+            g = math.gcd(a, den)
+            return str(a // g) if g == den else f"{a // g}/{den // g}"
+
         return {
             "q": self.q,
-            "entries": [[e.to_json() for e in row] for row in self.entries],
+            "entries": [[{"re": text(a), "im": text(b)} for a, b in zip(ra, ia)]
+                        for ra, ia in zip(self.re, self.im)],
         }
 
     @classmethod

@@ -16,6 +16,7 @@ reports are reproducible byte for byte.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -59,7 +60,6 @@ class SearchConfig:
     descent_steps: int = 80
     float_tolerance: float = 1e-9
     workers: int = 1
-    denominator_cap: int = 1 << 16
     descent_starts: int = 12
     certify_margin: float = 1e-4
     grow_attempts_per_dim: int = 8
@@ -71,8 +71,6 @@ class SearchConfig:
             raise ValueError("workers must be >= 1")
         if not (math.isfinite(self.float_tolerance) and self.float_tolerance > 0):
             raise ValueError("float_tolerance must be finite and positive")
-        if self.denominator_cap < 1:
-            raise ValueError("denominator_cap must be >= 1")
         if self.descent_steps < 0:
             raise ValueError("descent_steps must be >= 0")
         if self.descent_starts < 0:
@@ -83,14 +81,28 @@ class SearchConfig:
             raise ValueError("certify_margin must be finite and >= 0")
 
 
-MODULUS = (1 << 61) - 1  # Mersenne prime
+MODULUS = (1 << 24) - 3  # the largest prime below 2^24
+_DOT_TERMS = (2**63 - MODULUS) // (MODULUS - 1) ** 2  # products an int64 sum can hold
+
+
+def _mod_dot(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``x @ rows`` mod MODULUS for int64 arrays with entries in
+    [0, MODULUS), summed in chunks of ``_DOT_TERMS`` rows: a chunk's sum
+    plus a reduced carry stays below 2^63, so no int64 sum overflows."""
+    out = x[:_DOT_TERMS] @ rows[:_DOT_TERMS]
+    for s in range(_DOT_TERMS, len(x), _DOT_TERMS):
+        out = out % MODULUS + x[s : s + _DOT_TERMS] @ rows[s : s + _DOT_TERMS]
+    return out % MODULUS
 
 
 class ModularEchelon:
     """Incremental linear independence of integer vectors over Q.
 
-    Vectors are reduced mod the prime ``MODULUS`` against echelon rows that
-    are only appended, so :meth:`copy` is a cheap snapshot.  While the
+    Vectors are reduced mod the prime ``MODULUS`` against rows kept in
+    reduced row echelon form as an int64 array: reducing a vector is one
+    product with its entries at the pivots, and a new pivot clears its
+    column from the old rows in one outer-product update.  Each update
+    builds new arrays, so :meth:`copy` is a cheap snapshot.  While the
     accepted vectors are independent mod p, a nonzero reduction proves
     independence over Q (a rational dependency, cleared of denominators and
     content, would reduce to one mod p).  A zero reduction is re-tested by
@@ -99,13 +111,14 @@ class ModularEchelon:
     """
 
     def __init__(self):
-        self.rows: List[Tuple[int, List[int]]] = []  # (pivot, row[pivot:])
+        self.pivots = np.empty(0, dtype=np.intp)
+        self.rows: Optional[np.ndarray] = None  # (rank, n) int64, entries mod p
         self.accepted: List[Sequence[int]] = []
         self.exact_only = False
 
     def copy(self) -> "ModularEchelon":
         new = ModularEchelon()
-        new.rows, new.accepted = list(self.rows), list(self.accepted)
+        new.pivots, new.rows, new.accepted = self.pivots, self.rows, list(self.accepted)
         new.exact_only = self.exact_only
         return new
 
@@ -113,16 +126,16 @@ class ModularEchelon:
         """Accept ``vec`` and return True iff it is independent of the
         vectors accepted so far."""
         if not self.exact_only:
-            row = [v % MODULUS for v in vec]
-            for p, tail in self.rows:
-                f = row[p] % MODULUS
-                if f:  # entries are reduced once, at the end
-                    row[p:] = [a - f * b for a, b in zip(row[p:], tail)]
-            row = [v % MODULUS for v in row]
-            lead = next((k for k, v in enumerate(row) if v), None)
-            if lead is not None:
-                inv = pow(row[lead], -1, MODULUS)
-                self.rows.append((lead, [v * inv % MODULUS for v in row[lead:]]))
+            v = np.array([x % MODULUS for x in vec], dtype=np.int64)
+            rows = self.rows if self.rows is not None else np.empty((0, len(v)), dtype=np.int64)
+            v = (v - _mod_dot(v[self.pivots], rows)) % MODULUS
+            nonzero = v.nonzero()[0]
+            if nonzero.size:
+                lead = nonzero[0]
+                v = v * pow(int(v[lead]), -1, MODULUS) % MODULUS
+                rows = (rows - rows[:, lead, None] * v) % MODULUS  # clear column lead
+                self.rows = np.concatenate((rows, v[None]))
+                self.pivots = np.concatenate((self.pivots, nonzero[:1]))
                 self.accepted.append(vec)
                 return True
         vecs = self.accepted + [vec]
@@ -252,24 +265,39 @@ class SubspaceBasis:
         return cls(q, [HermitianMatrix.from_json(b) for b in basis])
 
 
+@functools.lru_cache(maxsize=None)
+def _draw_layout(q: int):
+    """The bounds of one candidate draw, (n, d) pairs with -9 <= n < 10 and
+    1 <= d < 10, q^2 of them; and where its q^2 values n/d land: the draw
+    index of Re and of Im at each (i, j), and the sign of Im there."""
+    re_at = np.zeros((q, q), dtype=np.intp)
+    im_at = np.zeros((q, q), dtype=np.intp)
+    im_sign = np.zeros((q, q), dtype=np.int64)
+    at = 0
+    for i in range(q):
+        re_at[i, i] = at
+        for j in range(i + 1, q):
+            re_at[i, j] = re_at[j, i] = at + 1
+            im_at[i, j] = im_at[j, i] = at + 2
+            im_sign[i, j], im_sign[j, i] = 1, -1
+            at += 2
+        at += 1
+    return np.array([-9, 1] * (q * q)), np.array([10, 10] * (q * q)), re_at, im_at, im_sign
+
+
 def _random_grid(q: int, rng: np.random.Generator):
     """Scaled grid ``(den, re, im)`` of a random Hermitian matrix with
     entries n/d, |n| <= 9, 1 <= d <= 9.  Its 2q^2 integers come from one
     draw: per row, the diagonal's (n, d), then (n, d) of Re and of Im of
     each entry right of it (the order of one scalar draw per integer)."""
-    draws = rng.integers([-9, 1] * (q * q), [10, 10] * (q * q)).tolist()
+    low, high, re_at, im_at, im_sign = _draw_layout(q)
+    draws = rng.integers(low, high)
     nums, dens = draws[0::2], draws[1::2]
-    den = math.lcm(*(d // math.gcd(n, d) for n, d in zip(nums, dens)))
-    vals = iter([n * den // d for n, d in zip(nums, dens)])
-    re = [[0] * q for _ in range(q)]
-    im = [[0] * q for _ in range(q)]
-    for i in range(q):
-        re[i][i] = next(vals)
-        for j in range(i + 1, q):
-            re[i][j] = re[j][i] = next(vals)
-            im[i][j] = next(vals)
-            im[j][i] = -im[i][j]
-    return den, re, im
+    g = np.gcd(nums, dens)
+    dens = dens // g  # reduced, so den is their least common multiple
+    den = int(np.lcm.reduce(dens))  # at most lcm(1..9) = 2520
+    vals = nums // g * (den // dens)
+    return den, vals[re_at].tolist(), (vals[im_at] * im_sign).tolist()
 
 
 def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
@@ -317,15 +345,19 @@ class SearchReport:
     escalations: int
 
 
-def _certify(
-    L: SubspaceBasis, coeff_row: np.ndarray, cap: int
-) -> Optional[Witness]:
-    """Round float coefficients (on L's float image) to rationals, carry
-    them to L's basis and re-verify exactly; None when the rounded element
-    is zero or fails min inertia <= 1."""
-    fracs = L._unscale([Fraction(float(x)).limit_denominator(cap) for x in coeff_row])
-    if not any(fracs):
+_DYADIC_BITS = 24
+
+
+def _certify(L: SubspaceBasis, coeff_row: np.ndarray) -> Optional[Witness]:
+    """Scale float coefficients (on L's float image) to max |c_i| = 1,
+    round each to a multiple of 2^-24 (one common dyadic denominator),
+    carry them to L's basis and re-verify exactly; None when the row is
+    zero or not finite, or the element fails min inertia <= 1."""
+    top = np.abs(coeff_row).max(initial=0.0)
+    if not (np.isfinite(top) and top > 0):
         return None
+    ks = np.rint(coeff_row / top * (1 << _DYADIC_BITS)).astype(np.int64).tolist()
+    fracs = L._unscale([Fraction(k, 1 << _DYADIC_BITS) for k in ks])
     element = L.element(fracs)  # nonzero, as the basis is independent
     inr = inertia(element)
     return Witness(fracs, element, inr) if inr.m <= 1 else None
@@ -370,23 +402,19 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
     coeffs /= norms[:, None]  # seeded unit coefficient rows
     npl, nmi, nun, f = _batched_stats(basisf, coeffs, cfg.float_tolerance, cfg.workers)
 
-    histogram: Dict[int, int] = {}
-    escalations = 0
-    samples_used = int(cfg.samples)
-    for i in range(cfg.samples):
-        if nun[i] > 0:
-            escalations += 1
-            m = _exact_m_of_float_coeffs(L, coeffs[i])
-            if m is None:
-                continue
-        else:
-            m = int(min(npl[i], nmi[i]))
-        histogram[m] = histogram.get(m, 0) + 1
+    m = np.minimum(npl, nmi)
+    certain = nun == 0
+    histogram = {k: n for k, n in enumerate(np.bincount(m[certain]).tolist()) if n}
+    escalated = np.flatnonzero(~certain)
+    for i in escalated:  # tolerance-band samples: their m is decided exactly
+        mi = _exact_m_of_float_coeffs(L, coeffs[i])
+        if mi is not None:
+            histogram[mi] = histogram.get(mi, 0) + 1
 
+    samples_used = int(cfg.samples)
     witness: Optional[Witness] = None
-    candidate_idx = np.nonzero(np.minimum(npl, nmi) <= 1)[0]
-    for i in candidate_idx:
-        witness = _certify(L, coeffs[i], cfg.denominator_cap)
+    for i in np.flatnonzero(m <= 1):
+        witness = _certify(L, coeffs[i])
         if witness is not None:
             break
 
@@ -397,7 +425,7 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
             )
             samples_used += evals
             if hit or fval >= 0:
-                witness = _certify(L, c, cfg.denominator_cap)
+                witness = _certify(L, c)
                 if witness is not None:
                     break
 
@@ -410,7 +438,7 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
         histogram=histogram,
         workers=cfg.workers,
         backend=kernels.BACKEND,
-        escalations=escalations,
+        escalations=len(escalated),
     )
 
 

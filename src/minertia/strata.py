@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 from .errors import (
     HypothesisNotMetError,
@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .exactnum import RationalPolynomial, poly_gcd_tower
-from .hermitian_core import HermitianMatrix, char_poly, inertia
+from .hermitian_core import HermitianMatrix, Inertia, char_poly, inertia
 from .jsonrecord import json_record
 
 
@@ -84,13 +84,9 @@ def classify_d2(X: HermitianMatrix) -> StratumLabel:
     return StratumLabel.D1_ONLY
 
 
-def eigenvalue_of_high_multiplicity(X: HermitianMatrix) -> Optional[Fraction]:
-    """The unique rational eigenvalue of multiplicity >= q - 2, if any.
-
-    For q >= 5 two such eigenvalues would need 2(q - 2) <= q, impossible,
-    so uniqueness is automatic and the gcd tower of the characteristic
-    polynomial is a pure power (x - s)^e with s rational.
-    """
+def _high_multiplicity_shift(X: HermitianMatrix) -> Optional[Tuple[Fraction, Inertia]]:
+    """The eigenvalue s of :func:`eigenvalue_of_high_multiplicity` with the
+    inertia of X - s*I that cross-checks it, or None."""
     q = X.q
     if q < 5:
         raise UnsupportedSizeError(
@@ -104,12 +100,24 @@ def eigenvalue_of_high_multiplicity(X: HermitianMatrix) -> Optional[Fraction]:
     s = -g.coeffs[e - 1] / e
     if g != RationalPolynomial([-s, 1]) ** e:
         raise InconsistencyError("gcd tower is not a power of a linear factor")
-    shifted = X.shift(s)
-    if inertia(shifted).rank > 2:
+    inr = inertia(X.shift(s))
+    if inr.rank > 2:
         raise InconsistencyError(
             "high-multiplicity eigenvalue fails the rank <= 2 cross-check"
         )
-    return s
+    return s, inr
+
+
+def eigenvalue_of_high_multiplicity(X: HermitianMatrix) -> Optional[Fraction]:
+    """The unique rational eigenvalue of multiplicity >= q - 2, if any.
+
+    For q >= 5 two such eigenvalues would need 2(q - 2) <= q, impossible,
+    so uniqueness is automatic and the gcd tower of the characteristic
+    polynomial is a pure power (x - s)^e with s rational.  X - s*I must
+    have rank <= 2, which is checked exactly.
+    """
+    found = _high_multiplicity_shift(X)
+    return None if found is None else found[0]
 
 
 def classify_cone(X: HermitianMatrix) -> ConeClassification:
@@ -117,7 +125,8 @@ def classify_cone(X: HermitianMatrix) -> ConeClassification:
 
     Scalar matrices are the vertex.  Otherwise X belongs to the cone iff
     X - s*I has rank <= 2 for the high-multiplicity eigenvalue s; the label
-    then follows the signature of the shifted matrix.
+    then follows the signature of the shifted matrix, taken from the rank
+    cross-check.
     """
     if X.is_zero():
         raise NotProjectivePointError("zero matrix is not a projective point")
@@ -127,10 +136,10 @@ def classify_cone(X: HermitianMatrix) -> ConeClassification:
         )
     if X.is_scalar():
         return ConeClassification(ConeLabel.VERTEX, Fraction(X.re[0][0], X.den))
-    s = eigenvalue_of_high_multiplicity(X)
-    if s is None:
+    found = _high_multiplicity_shift(X)
+    if found is None:
         return ConeClassification(ConeLabel.NOT_IN_C2, None)
-    inr = inertia(X.shift(s))
+    s, inr = found
     if inr.rank <= 1:
         return ConeClassification(ConeLabel.BOTH_BOUNDARY, s)
     if inr.m == 0:

@@ -6,11 +6,16 @@
   sign-variation oracle on hypothesis-drawn zero-diagonal and low-rank
   matrices, the inputs that exercise the congruence and zero-block steps.
 * The modular independence test must fall back to exact rank when a basis
-  is dependent modulo the prime but independent over Q.
+  is dependent modulo the prime but independent over Q, agree with a plain
+  Fraction rank, and give the bases of a pure-Python echelon modulo
+  2^61 - 1 written here.
 """
 
 import random
 from fractions import Fraction
+from operator import mul
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +33,8 @@ from minertia.hermitian_core import (
     inertia,
 )
 from minertia.oracles import descartes_inertia
-from minertia.search import MODULUS, ModularEchelon, SubspaceBasis
+from minertia import search
+from minertia.search import MODULUS, ModularEchelon, SubspaceBasis, random_subspace
 
 
 def fraction_det(rows):
@@ -218,3 +224,97 @@ class TestIndependence:
         # ... while the exact test still accepts what is independent
         e33 = HermitianMatrix.diagonal([0, 0, 1])
         assert SubspaceBasis(3, [e11, shifted, e33]).dim == 3
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_try_add_agrees_with_fraction_rank(self, seed):
+        # small entries, exact combinations of earlier vectors, and earlier
+        # vectors moved by multiples of MODULUS (dependent only modulo p)
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        ech, kept = ModularEchelon(), []
+        for _ in range(n + 3):
+            kind = rng.random()
+            if kept and kind < 0.3:
+                v = [sum(rng.randint(-3, 3) * u[k] for u in kept) for k in range(n)]
+            elif kept and kind < 0.6:
+                v = list(rng.choice(kept))
+                v[rng.randrange(n)] += rng.choice([-2, -1, 1, 3]) * MODULUS
+            else:
+                v = [rng.randint(-4, 4) for _ in range(n)]
+            added = ech.try_add(v)
+            assert added == (fraction_rank(kept + [v]) > len(kept))
+            if added:
+                kept.append(v)
+        assert len(ech.accepted) == fraction_rank(kept) == len(kept)
+
+    def test_mod_dot_does_not_overflow_int64(self):
+        # one chunk of _DOT_TERMS products of (p - 1)^2 is the most an int64
+        # sum holds; longer inputs are summed in chunks
+        top = MODULUS - 1
+        assert search._DOT_TERMS * top * top + MODULUS <= 2**63 - 1
+        assert (search._DOT_TERMS + 1) * top * top > 2**63 - 1
+        for n in (search._DOT_TERMS, 2 * search._DOT_TERMS + 5):
+            x = np.full(n, top, dtype=np.int64)
+            rows = np.full((n, 3), top, dtype=np.int64)
+            rows[-1] = [0, 1, top - 1]
+            want = [(sum(map(mul, x.tolist(), col)) % MODULUS) for col in rows.T.tolist()]
+            assert search._mod_dot(x, rows).tolist() == want
+
+    def test_entries_of_modulus_minus_one_reduce_exactly(self):
+        # (p - 1) J + diag(p - 1 + i): invertible over Q and modulo p
+        n = 12
+        vecs = [[MODULUS - 1 if k != i else 2 * MODULUS - 2 + i for k in range(n)]
+                for i in range(n)]
+        ech = ModularEchelon()
+        assert [ech.try_add(v) for v in vecs] == [True] * n
+        assert not ech.exact_only
+        assert ech.try_add([sum(v[k] for v in vecs) for k in range(n)]) is False
+
+    @pytest.mark.parametrize(
+        "q,dim,seed",
+        [(q, q * q, s) for q in range(2, 10) for s in (1, 2, 3)] + [(17, 225, 1)],
+    )
+    def test_random_subspace_matches_the_pure_python_echelon(self, q, dim, seed):
+        assert random_subspace(q, dim, seed)._grids == _reference_grids(q, dim, seed)
+
+
+class _ReferenceEchelon:
+    """Independence over Q by a pure-Python echelon modulo 2^61 - 1, with
+    the same exact Gram-rank fallback."""
+
+    P = (1 << 61) - 1
+
+    def __init__(self):
+        self.rows, self.accepted, self.exact_only = [], [], False
+
+    def try_add(self, vec):
+        if not self.exact_only:
+            row = [v % self.P for v in vec]
+            for p, tail in self.rows:
+                f = row[p] % self.P
+                if f:
+                    row[p:] = [a - f * b for a, b in zip(row[p:], tail)]
+            row = [v % self.P for v in row]
+            lead = next((k for k, v in enumerate(row) if v), None)
+            if lead is not None:
+                inv = pow(row[lead], -1, self.P)
+                self.rows.append((lead, [v * inv % self.P for v in row[lead:]]))
+                self.accepted.append(vec)
+                return True
+        vecs = self.accepted + [vec]
+        gram = [[sum(map(mul, u, v)) for v in vecs] for u in vecs]
+        if grid_inertia(gram, [[0] * len(vecs) for _ in vecs]).rank < len(vecs):
+            return False
+        self.accepted.append(vec)
+        self.exact_only = True
+        return True
+
+
+def _reference_grids(q, dim, seed):
+    rng = search._stream(seed, search._PURPOSE_BASIS)
+    ech, grids = _ReferenceEchelon(), []
+    while len(grids) < dim:
+        grid = search._random_grid(q, rng)
+        if ech.try_add(search._coordinates(grid)):
+            grids.append(grid)
+    return tuple(grids)

@@ -238,7 +238,7 @@ class TestLazyDescent:
 
         def certify(result):
             c, fval, _, hit = result
-            return search._certify(L, c, cfg.denominator_cap) if hit or fval >= 0 else None
+            return search._certify(L, c) if hit or fval >= 0 else None
 
         # every start before the last fails to certify; the last gives the witness
         assert 0 < len(runs) < cfg.descent_starts
@@ -340,6 +340,62 @@ class TestFloatRange:
             w = rep.witness
             assert L.element(w.coefficients) == w.element
             assert inertia(w.element) == w.inertia and w.inertia.m <= 1
+
+
+def _dyadic_coefficients(L, w):
+    """A witness's coefficients before ``_unscale``: on L's float image."""
+    return [c * Fraction(2) ** e for c, e in zip(w.coefficients, L._exps)]
+
+
+class TestCertification:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_witness_coefficients_share_one_dyadic_denominator(self, seed):
+        w = run_search(random_subspace(5, 9, seed), SearchConfig(seed=seed)).witness
+        coeffs = _dyadic_coefficients(random_subspace(5, 9, seed), w)
+        assert all((1 << search._DYADIC_BITS) % c.denominator == 0 for c in coeffs)
+        assert max(map(abs, coeffs)) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_q9_witness_denominator_stays_small(self, seed):
+        L = random_subspace(9, 49, seed)
+        w = run_search(L, SearchConfig(seed=seed)).witness
+        assert w is not None and w.inertia.m <= 1
+        assert w.element.den.bit_length() <= 64
+        assert max(map(abs, _dyadic_coefficients(L, w))) == 1
+
+    @pytest.mark.parametrize(
+        "row", [[0.0, 0.0], [float("nan"), 1.0], [float("inf"), 1.0], [1.0, -float("inf")]]
+    )
+    def test_zero_or_non_finite_row_gives_none(self, row):
+        L = SubspaceBasis(5, [unit_matrix(5, 0, 0), unit_matrix(5, 1, 1)])
+        assert search._certify(L, np.array(row)) is None
+
+    def test_scaled_basis_coefficients_are_unscaled(self):
+        # the image of 2^1100 * diag(1, 0) is scaled by 2^-1100, so the
+        # coefficient found on it is carried back with the same factor
+        L = SubspaceBasis(2, [HermitianMatrix.diagonal([Fraction(2) ** 1100, 0])])
+        w = search._certify(L, np.array([-0.5]))
+        assert w.coefficients == (-Fraction(2) ** -1100,)
+        assert w.element == HermitianMatrix.diagonal([-1, 0])
+
+
+class TestHistogram:
+    @pytest.mark.parametrize("tol", [1e-9, 0.3])
+    def test_histogram_matches_a_per_sample_loop(self, tol):
+        # at tol 0.3 many samples fall in the tolerance band and are escalated
+        L, cfg = random_subspace(4, 5, 3), SearchConfig(seed=3, samples=120, float_tolerance=tol)
+        rep = run_search(L, cfg)
+        coeffs = search._stream(3, search._PURPOSE_FALSIFY).standard_normal((cfg.samples, L.dim))
+        coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
+        npl, nmi, nun, _ = kernels.batch_stats(L.float_image(), coeffs, tol)
+        want, escalated = {}, 0
+        for i in range(cfg.samples):
+            escalated += bool(nun[i])
+            m = search._exact_m_of_float_coeffs(L, coeffs[i]) if nun[i] else min(npl[i], nmi[i])
+            if m is not None:  # None: a zero lift, which is not counted
+                want[int(m)] = want.get(int(m), 0) + 1
+        assert rep.histogram == want and rep.escalations == escalated
+        assert (escalated > 0) == (tol > 0.1)
 
 
 class TestWitnessSerialization:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_low_rank, rand_psd, rand_square
+from minertia import strata
 from minertia.errors import (
     HypothesisNotMetError,
     NotProjectivePointError,
@@ -163,6 +164,24 @@ class TestClassifyCone:
                 assert minimal_inertia(x) <= 1
                 assert res.apex_shift == s
             found += 1
+
+    def test_cone_member_is_shifted_and_eliminated_once(self, monkeypatch):
+        # the label reads the inertia of X - s*I that the rank cross-check took
+        calls = []
+
+        def logged(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(strata, "poly_gcd_tower", logged("tower", strata.poly_gcd_tower))
+        monkeypatch.setattr(strata, "inertia", logged("inertia", strata.inertia))
+        monkeypatch.setattr(HermitianMatrix, "shift", logged("shift", HermitianMatrix.shift))
+        res = classify_cone(HermitianMatrix.diagonal([3, 3, 3, 1, -1]))
+        assert (res.label, res.apex_shift) == (ConeLabel.C0, Fraction(3))
+        assert calls == ["tower", "shift", "inertia"]
 
     def test_zero_rejected(self):
         with pytest.raises(NotProjectivePointError):
