@@ -122,19 +122,19 @@ def _cmd_degree(args, out) -> int:
 
 def _cmd_bound(args, out) -> int:
     pencil = _parse_pencil(args.pencil) if args.pencil else None
+
+    def report(q: int) -> bounds_mod.BoundReport:
+        assumptions = bounds_mod.Assumptions(
+            q=q,
+            p_g=args.pg,
+            no_irregular_pencils_genus_ge2=args.no_irregular_pencils,
+            pencil=pencil,
+        )
+        return bounds_mod.best_bound(assumptions)
+
     if args.table:
         lo, hi = _parse_range(args.table)
-        reports = [
-            bounds_mod.best_bound(
-                bounds_mod.Assumptions(
-                    q=q,
-                    p_g=args.pg,
-                    no_irregular_pencils_genus_ge2=args.no_irregular_pencils,
-                    pencil=pencil,
-                )
-            )
-            for q in range(max(lo, 1), hi + 1)
-        ]
+        reports = [report(q) for q in range(max(lo, 1), hi + 1)]
         if args.format == "csv":
             rows = [[r.q, r.best, ";".join(r.best_names)] for r in reports]
             _emit_csv(rows, ["q", "best", "best_names"], out)
@@ -143,26 +143,23 @@ def _cmd_bound(args, out) -> int:
         return EXIT_OK
     if args.q is None:
         raise ValueError("bound needs --q N or --table A..B")
-    report = bounds_mod.best_bound(
-        bounds_mod.Assumptions(
-            q=args.q,
-            p_g=args.pg,
-            no_irregular_pencils_genus_ge2=args.no_irregular_pencils,
-            pencil=pencil,
-        )
-    )
-    _emit(report.to_json(), out)
+    _emit(report(args.q).to_json(), out)
     return EXIT_OK
 
 
-def _cmd_search(args, out) -> int:
-    cfg = search_mod.SearchConfig(
+def _search_config(args) -> search_mod.SearchConfig:
+    # grow has no --float-tolerance flag; its parser sets the default
+    return search_mod.SearchConfig(
         seed=args.seed,
         samples=args.samples,
         descent_steps=args.descent_steps,
         float_tolerance=args.float_tolerance,
         workers=args.workers,
     )
+
+
+def _cmd_search(args, out) -> int:
+    cfg = _search_config(args)
     basis = search_mod.random_subspace(args.q, args.dim, args.seed)
     report = search_mod.run_search(basis, cfg)
     _emit(report.to_json(), out)
@@ -170,13 +167,7 @@ def _cmd_search(args, out) -> int:
 
 
 def _cmd_grow(args, out) -> int:
-    cfg = search_mod.SearchConfig(
-        seed=args.seed,
-        samples=args.samples,
-        descent_steps=args.descent_steps,
-        workers=args.workers,
-    )
-    report = search_mod.grow_subspace(args.q, args.target, cfg)
+    report = search_mod.grow_subspace(args.q, args.target, _search_config(args))
     _emit(report.to_json(), out)
     return EXIT_OK
 
@@ -265,7 +256,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=_DEFAULTS.samples)
     p.add_argument("--descent-steps", type=int, default=_DEFAULTS.descent_steps, dest="descent_steps")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_grow)
+    p.set_defaults(func=_cmd_grow, float_tolerance=_DEFAULTS.float_tolerance)
 
     p = sub.add_parser("catalog", help="known-surface table")
     p.add_argument("--format", choices=["json", "csv"], default="json")

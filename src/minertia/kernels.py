@@ -4,11 +4,38 @@ descent on the minimal-inertia objective, in numpy.
 All decisions taken from these estimates are re-verified in exact
 arithmetic by the search module, so float error here can cost time but
 never soundness.
+
+numpy is bound lazily: importing this module (and so ``minertia.cli``)
+does not run numpy, which only the float layer uses.  It loads on the first
+attribute access, in the first float routine a process calls.  That load
+is not thread-safe, so the first float call must not race another thread's
+(the falsifier's own worker threads start after it).
 """
 
 from __future__ import annotations
 
-import numpy as np
+import importlib.util
+import sys
+
+
+def _lazy_import(name: str):
+    """Module ``name``, executed on its first attribute access (the
+    ``importlib.util.LazyLoader`` recipe); the module itself once it is
+    already imported."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 #: The "backend" field of search reports; the only backend.
 BACKEND = "numpy"

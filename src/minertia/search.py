@@ -19,19 +19,18 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import kernels
 from .errors import HypothesisNotMetError
 from .exactnum import grid_combination
 from .hermitian_core import HermitianMatrix, Inertia, grid_inertia, inertia
 from .jsonrecord import json_int, json_list, json_object, json_record
+from .kernels import np
 from .strata import dim_limit_min_inertia_ge2
 
 _MASK64 = (1 << 64) - 1
@@ -162,7 +161,7 @@ def _float_exponent(grid) -> int:
     matrix's float image into range: 0 while its largest |Re| or |Im|
     lies in [2^-1000, 2^1000], else about that entry's binary logarithm."""
     den, re, im = grid
-    top = max(abs(v) for rows in (re, im) for row in rows for v in row)
+    top = max(map(abs, chain.from_iterable(re + im)))
     if den <= top << 1000 and top <= den << 1000:
         return 0
     return top.bit_length() - den.bit_length()
@@ -376,6 +375,8 @@ def _batched_stats(basisf, coeffs, tol, workers):
     n = coeffs.shape[0]
     chunks = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
     if workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(lambda se: kernels.batch_stats(basisf, coeffs[se[0] : se[1]], tol), chunks)

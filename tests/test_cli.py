@@ -356,12 +356,65 @@ class TestParserReuse:
         assert run(capsys, *argv) == expected
 
     def test_import_builds_no_parser_and_main_builds_one(self):
-        path = [str(Path(minertia.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        probe = [sys.executable, "-c", _PARSER_PROBE]
-        done = subprocess.run(probe, capture_output=True, text=True, env=env, check=True)
-        assert done.stdout.splitlines()[-1] == "0 True True"
+        assert _probe(_PARSER_PROBE) == "0 True True"
 
+
+def _probe(script):
+    """Run ``script`` in a fresh interpreter with this package importable;
+    return the last line it prints."""
+    path = [str(Path(minertia.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    return done.stdout.splitlines()[-1]
+
+
+class TestNumpyLoadsOnFirstFloatUse:
+    """The exact commands never run numpy; the float layer loads it on its
+    first call, and an already imported numpy is used as it is."""
+
+    def test_exact_commands_then_a_two_worker_search(self):
+        doc = json.loads(_probe(_NUMPY_PROBE))
+        assert doc["exact_codes"] == [0] * 5
+        assert doc["numpy_after_exact"] is False
+        corpus = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
+        golden = next(c for c in corpus["cases"] if c["argv"] == _NUMPY_PROBE_SEARCH)
+        assert doc["search"] == {"code": golden["code"], "stdout": golden["stdout"]}
+        assert doc["numpy_after_search"] is True
+
+    def test_numpy_imported_first_is_bound_as_is(self):
+        script = "import numpy, minertia; print(minertia.kernels.np is numpy)"
+        assert _probe(script) == "True"
+
+
+_NUMPY_PROBE_SEARCH = ["search", "--q", "5", "--dim", "9", "--seed", "1", "--workers", "2"]
+
+# exact commands, then numpy's first use in a two-worker search
+_NUMPY_PROBE = f"""
+import contextlib, io, json, sys
+from minertia.cli import main
+from minertia.hermitian_core import HermitianMatrix
+def call(argv, stdin=""):
+    sys.stdin, out = io.StringIO(stdin), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+cone = json.dumps(HermitianMatrix.diagonal([3, 3, 3, 1, -1]).to_json())
+exact = [
+    call(["inertia", "--matrix", "-"], cone),
+    call(["classify", "--cone", "--matrix", "-"], cone),
+    call(["degree", "--q", "5"]),
+    call(["bound", "--q", "5", "--no-irregular-pencils"]),
+    call(["catalog"]),
+]
+after_exact = "numpy._core" in sys.modules
+code, out = call({_NUMPY_PROBE_SEARCH!r})
+print(json.dumps({{
+    "exact_codes": [c for c, _ in exact],
+    "numpy_after_exact": after_exact,
+    "search": {{"code": code, "stdout": out}},
+    "numpy_after_search": "numpy._core" in sys.modules,
+}}))
+"""
 
 # counts argparse parsers made at import and by two main() calls
 _PARSER_PROBE = """
