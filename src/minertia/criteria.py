@@ -43,23 +43,18 @@ def rand_gaussian(rng: random.Random, max_num=9, max_den=9) -> GaussianRational:
     )
 
 
-def rand_hermitian_generic(rng: random.Random, q: int, max_num=9, max_den=9) -> HermitianMatrix:
+def rand_hermitian_generic(
+    rng: random.Random, q: int, max_num=9, max_den=9, zero_diagonal=False
+) -> HermitianMatrix:
+    """Entries n/d with |n| <= max_num, 1 <= d <= max_den, drawn row by row:
+    the real diagonal entry (zero, and not drawn, with ``zero_diagonal``),
+    then each entry right of it."""
     entries = [[None] * q for _ in range(q)]
     for i in range(q):
-        entries[i][i] = GaussianRational(rand_fraction(rng, max_num, max_den))
+        d = 0 if zero_diagonal else rand_fraction(rng, max_num, max_den)
+        entries[i][i] = GaussianRational(d)
         for j in range(i + 1, q):
             z = rand_gaussian(rng, max_num, max_den)
-            entries[i][j] = z
-            entries[j][i] = z.conj()
-    return HermitianMatrix(entries)
-
-
-def rand_hermitian_zero_diag(rng: random.Random, q: int) -> HermitianMatrix:
-    entries = [[None] * q for _ in range(q)]
-    for i in range(q):
-        entries[i][i] = GaussianRational(0)
-        for j in range(i + 1, q):
-            z = rand_gaussian(rng, 5, 5)
             entries[i][j] = z
             entries[j][i] = z.conj()
     return HermitianMatrix(entries)
@@ -89,7 +84,7 @@ def rand_hermitian(rng: random.Random, q: int) -> HermitianMatrix:
     if roll < 0.65:
         return rand_hermitian_generic(rng, q)
     if roll < 0.80:
-        return rand_hermitian_zero_diag(rng, q)
+        return rand_hermitian_generic(rng, q, 5, 5, zero_diagonal=True)
     pos = rng.randint(0, max(1, q // 2))
     neg = rng.randint(0, max(1, q // 2))
     return rand_low_rank(rng, q, pos, neg)

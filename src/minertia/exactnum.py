@@ -282,87 +282,82 @@ def _primitive_int_coeffs(p: RationalPolynomial) -> list:
     """Clear denominators and divide out the content; sign-normalize the
     leading coefficient to be positive."""
     den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _content_strip([int(c * den) for c in p.coeffs])
-
-
-def _trim_int(cs: list) -> list:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
+    return _content_strip([c.numerator * (den // c.denominator) for c in p.coeffs])
 
 
 def _pseudo_rem(a: list, b: list) -> list:
     """Pseudo-remainder of integer coefficient lists: a scaled copy of a
     reduced mod b, staying in integer arithmetic throughout."""
     r = list(a)
-    lb = b[-1]
-    db = len(b) - 1
-    while len(r) - 1 >= db:
-        lead = r[-1]
-        shift = len(r) - len(b)
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b):
-            r[i + shift] -= lead * bc
-        _trim_int(r)
-        if not r:
-            break
+    lb, n = b[-1], len(b) - 1
+    while len(r) > n:
+        lead = r.pop()  # lb * r - lead * x^shift * b cancels the top term
+        shift = len(r) - n
+        r[:shift] = [lb * c for c in r[:shift]]
+        r[shift:] = [lb * c - lead * bc for c, bc in zip(r[shift:], b)]
+        while r and not r[-1]:
+            r.pop()
     return r
 
 
 def _content_strip(cs: list) -> list:
-    g = 0
-    for v in cs:
-        g = math.gcd(g, v)
-    cs = [v // g for v in cs]
+    """A nonzero integer coefficient list divided by its content, the
+    leading coefficient made positive."""
+    g = math.gcd(*cs)
     if cs[-1] < 0:
-        cs = [-v for v in cs]
-    return cs
+        g = -g
+    return [v // g for v in cs]
 
 
-def poly_gcd(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
-    """Monic gcd via the primitive pseudo-remainder sequence.
+def _int_gcd(a: list, b: list) -> list:
+    """Gcd of two nonzero integer coefficient lists, each primitive with a
+    positive leading coefficient (as :func:`_content_strip` leaves them),
+    in the same form, by the primitive pseudo-remainder sequence.
 
     Content is stripped after every step, which keeps coefficient growth in
     check for the characteristic polynomials this package produces.
     """
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _pseudo_rem(a, b)
+        if not r:
+            return b
+        a, b = b, _content_strip(r)
+
+
+def poly_gcd(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
+    """Monic gcd of p and q (see :func:`_int_gcd`)."""
     if p.is_zero() and q.is_zero():
         return RationalPolynomial()
     if p.is_zero():
         return q.monic()
     if q.is_zero():
         return p.monic()
-    a = _primitive_int_coeffs(p)
-    b = _primitive_int_coeffs(q)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        if not r:
-            break
-        a, b = b, _content_strip(r)
-        if len(a) < len(b):
-            a, b = b, a
-    return RationalPolynomial(b if b else a).monic()
+    return RationalPolynomial(_int_gcd(_primitive_int_coeffs(p), _primitive_int_coeffs(q))).monic()
 
 
 def poly_gcd_tower(p: RationalPolynomial, depth: int) -> RationalPolynomial:
     """Monic gcd of p and its first ``depth`` derivatives.
 
     The roots of the result are exactly the roots of p of multiplicity at
-    least depth + 1.
+    least depth + 1: a root of multiplicity m in p has multiplicity
+    max(m - k, 0) in the gcd g_k of p and its first k derivatives, so
+    g_(k+1) = gcd(g_k, g_k'), which is what is computed.  Denominators are
+    cleared once; every derivative and gcd is taken on content-stripped
+    integer lists (:func:`_int_gcd`), and only the result is made a
+    rational polynomial.
     """
     if p.is_zero():
         raise ValueError("gcd tower of the zero polynomial")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    g = p.monic()
-    d = p
+    g = _primitive_int_coeffs(p)
     for _ in range(depth):
-        if g.degree == 0:
+        if len(g) == 1:
             break
-        d = d.derivative()
-        g = poly_gcd(g, d)
-    return g
+        g = _int_gcd(g, _content_strip([k * c for k, c in enumerate(g)][1:]))
+    return RationalPolynomial(g).monic()
 
 
 def scaled_gaussian_grid(rows) -> Tuple[int, List[List[int]], List[List[int]]]:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import mul, neg
+from operator import mul, ne, neg
 from typing import Sequence
 
 from .errors import InconsistencyError, NotHermitianError, SingularTransformError
@@ -351,38 +351,58 @@ def _berkowitz(re: list, im: list) -> list:
     """Coefficients [1, c_1, ..., c_q] of det(yI - B) = sum c_k y^(q-k) for a
     Hermitian Gaussian-integer matrix B = re + i*im, division free.
 
-    Berkowitz's recursion borders the trailing principal block A with corner
-    a, row R and column C = R*: the new polynomial is the Toeplitz matrix of
-    (1, -a, -RC, -RAC, ..., -RA^(n-2)C) times the old one.  Each R A^s C is
-    a Hermitian form, so a nonzero imaginary part is an arithmetic fault.
+    Berkowitz's recursion borders the leading principal block A (m x m)
+    with corner a, row R and column C: the new polynomial is the Toeplitz
+    matrix of (1, -a, -RC, -RAC, ..., -RA^(m-1)C) times the old one.  R must
+    be C*, which is checked at every border (together the borders cover
+    every off-diagonal pair, so A is Hermitian too); then R A^s C is the
+    inner product <A^a C, A^b C> with a = s // 2 and b = s - a, so only the
+    powers A^j C, j <= m // 2, are formed.  Its imaginary part vanishes by
+    symmetry when a == b; when a != b a nonzero one is an arithmetic fault.
+
+    The products run on the real 2q x 2q form E of B, whose (j, k) block
+    [[re, -im], [im, re]] sits at rows 2j, 2j + 1 and columns 2k, 2k + 1,
+    and on vectors of interleaved real and imaginary parts: A is E's
+    leading block, C the column right of it, and R == C* says that E's row
+    below A starts with C.  Every product stops at the end of the shorter
+    operand, so no row of E is ever cut to the block.
     """
     q = len(re)
+    E = []
+    for ra, ia in zip(re, im):
+        E.append([v for a, b in zip(ra, ia) for v in (a, -b)])
+        E.append([v for a, b in zip(ra, ia) for v in (b, a)])
     poly = [1]
-    for r in range(q - 1, -1, -1):
-        if im[r][r]:
-            raise InconsistencyError(f"non-real diagonal at {r} in characteristic polynomial")
-        col = [1, -re[r][r]]
-        rr, ri = re[r][r + 1 :], im[r][r + 1 :]  # border row R; block A; column C = R*
-        ar, ai = [row[r + 1 :] for row in re[r + 1 :]], [row[r + 1 :] for row in im[r + 1 :]]
-        vr, vi = [row[r] for row in re[r + 1 :]], [row[r] for row in im[r + 1 :]]
-        for s in range(q - 1 - r):
-            if s:  # v = A v
-                vr, vi = zip(*[_gaussian_dot(xr, xi, vr, vi) for xr, xi in zip(ar, ai)])
-            t_re, t_im = _gaussian_dot(rr, ri, vr, vi)
-            if t_im:
+    for m in range(q):
+        if im[m][m]:
+            raise InconsistencyError(f"non-real diagonal at {m} in characteristic polynomial")
+        rows = E[: 2 * m]
+        v = [row[2 * m] for row in rows]  # the column C
+        if any(map(ne, E[2 * m], v)):
+            raise InconsistencyError(
+                f"non-real Berkowitz border: row {m} is not the conjugate of column {m}"
+            )
+        powers = [v]  # A^j C for j = 0 .. m // 2
+        for _ in range(m // 2):
+            v = [sum(map(mul, row, v)) for row in rows]
+            powers.append(v)
+        col = [1, -re[m][m]]
+        for s in range(m):
+            x, y = powers[s // 2], powers[s - s // 2]
+            if s & 1 and sum(map(mul, x[0::2], y[1::2])) != sum(map(mul, x[1::2], y[0::2])):
                 raise InconsistencyError("non-real Berkowitz coefficient")
-            col.append(-t_re)
-        padded = poly + [0]  # Toeplitz product: new[i] = sum_j col[i - j] * poly[j]
-        poly = [sum(col[i - j] * padded[j] for j in range(i + 1)) for i in range(len(padded))]
+            col.append(-sum(map(mul, x, y)))
+        # Toeplitz product: new[i] = sum_j col[i - j] * poly[j], 0 <= j <= min(i, deg)
+        poly = [sum(map(mul, col[i::-1], poly)) for i in range(len(poly) + 1)]
     return poly
 
 
 def char_poly(X: HermitianMatrix) -> RationalPolynomial:
     """Characteristic polynomial det(xI - X), exact rational coefficients.
 
-    Berkowitz's division-free algorithm runs on the integer matrix den*X;
-    the coefficient of x^(q-k) is then divided by den^k.  Every coefficient
-    of a Hermitian matrix must come out real, which is asserted.
+    Berkowitz's division-free algorithm (see :func:`_berkowitz`, which
+    rechecks conjugate symmetry) runs on the integer matrix den*X; the
+    coefficient of x^(q-k) is then divided by den^k.
     """
     poly = _berkowitz(X.re, X.im)
     return RationalPolynomial([Fraction(c, X.den**k) for k, c in enumerate(poly)][::-1])

@@ -190,20 +190,21 @@ class SubspaceBasis:
         for k, grid in enumerate(grids):
             if not ech.try_add(_coordinates(grid)):
                 raise ValueError(f"basis matrix {k} is linearly dependent")
-        self._set(q, grids, basis)
+        self._set(q, grids, tuple(map(_float_exponent, grids)), basis)
 
     @classmethod
     def _from_grids(cls, q: int, grids: Sequence) -> "SubspaceBasis":
-        """A basis of grids whose independence a ``ModularEchelon`` has
-        already established; it is not checked again."""
+        """A basis of :func:`_random_grid` grids whose independence a
+        ``ModularEchelon`` has already established; it is not checked
+        again, and every :func:`_float_exponent` is 0 without computing it."""
         new = object.__new__(cls)
-        new._set(q, tuple(grids), None)
+        new._set(q, tuple(grids), (0,) * len(grids), None)
         return new
 
-    def _set(self, q, grids, basis):
+    def _set(self, q, grids, exps, basis):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_grids", grids)
-        object.__setattr__(self, "_exps", tuple(map(_float_exponent, grids)))
+        object.__setattr__(self, "_exps", exps)
         object.__setattr__(self, "_basis", basis)
 
     def __setattr__(self, name, value):
@@ -288,7 +289,9 @@ def _random_grid(q: int, rng: np.random.Generator):
     """Scaled grid ``(den, re, im)`` of a random Hermitian matrix with
     entries n/d, |n| <= 9, 1 <= d <= 9.  Its 2q^2 integers come from one
     draw: per row, the diagonal's (n, d), then (n, d) of Re and of Im of
-    each entry right of it (the order of one scalar draw per integer)."""
+    each entry right of it (the order of one scalar draw per integer).
+    Those entries lie in [2^-1000, 2^1000], so the grid's
+    :func:`_float_exponent` is 0."""
     low, high, re_at, im_at, im_sign = _draw_layout(q)
     draws = rng.integers(low, high)
     nums, dens = draws[0::2], draws[1::2]

@@ -91,6 +91,16 @@ class TestCharPolyAgainstDeterminant:
                 assert det[1] == 0
                 assert p.evaluate(s) == det[0]
 
+    @pytest.mark.parametrize("q", [9, 10])
+    def test_both_parities_of_the_half_power_count(self, q):
+        # the last border's block, of size q - 1, is even at q = 9 and odd at q = 10
+        rng = random.Random(q)
+        X = rand_hermitian(rng, q)
+        p = char_poly(X)
+        for s in (Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 9))):
+            det = fraction_det(shifted_pairs(X, s))
+            assert det[1] == 0 and p.evaluate(s) == det[0]
+
     def test_mixed_huge_and_tiny_entries(self):
         rng = random.Random(7)
         q = 5
@@ -157,6 +167,17 @@ class TestSelfChecks:
     def test_non_real_berkowitz_coefficient_raises(self):
         with pytest.raises(InconsistencyError, match="non-real Berkowitz"):
             _berkowitz([[0, 1], [1, 0]], [[0, 1], [0, 0]])
+
+    @pytest.mark.parametrize("i,j", [(i, j) for j in range(4) for i in range(4) if i != j])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_every_off_diagonal_pair_is_checked(self, i, j, part):
+        # the border check at row max(i, j) is the one that sees the pair
+        X = rand_hermitian_generic(random.Random(i + 4 * j), 4)
+        grids = [[list(row) for row in X.re], [list(row) for row in X.im]]
+        assert _berkowitz(*grids) == _berkowitz(X.re, X.im)
+        grids[part][i][j] += 1
+        with pytest.raises(InconsistencyError, match=f"row {max(i, j)} is not the conjugate"):
+            _berkowitz(*grids)
 
     def test_inexact_division_raises(self):
         assert _exact_quotient(-12, 4) == -3

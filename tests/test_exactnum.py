@@ -191,6 +191,19 @@ class TestPolyGcdTower:
                         )
                 assert poly_gcd_tower(p, depth) == expected
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tower_of_rational_roots_keeps_the_excess_multiplicities(self, seed):
+        # from_roots of each root taken multiplicity - depth times, for every
+        # depth up to the degree, under a non-unit (possibly negative) scale
+        rng = random.Random(seed)
+        roots = {Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(1, 4))}
+        mults = {r: rng.randint(1, 4) for r in roots}
+        scale = Fraction(rng.choice([-1, 1]) * rng.randint(2, 30), rng.randint(1, 11))
+        p = RationalPolynomial.from_roots([r for r in roots for _ in range(mults[r])]) * scale
+        for depth in range(p.degree + 1):
+            excess = [r for r in roots for _ in range(mults[r] - depth)]
+            assert poly_gcd_tower(p, depth) == RationalPolynomial.from_roots(excess)
+
     def test_tower_roots_are_roots_of_p(self):
         p = RationalPolynomial.from_roots([3, 3, 3, -2, -2, 5])
         g = poly_gcd_tower(p, 1)  # roots of multiplicity >= 2

@@ -325,6 +325,12 @@ class TestFloatRange:
         if scaled:
             assert 0.5 <= np.abs(L.float_image()).max() < 2
 
+    def test_drawn_grids_carry_their_exponents(self):
+        drawn = [random_subspace(q, q * q, seed=3) for q in (2, 5, 9)]
+        drawn.append(grow_subspace(5, 2, FAST).basis)
+        for L in drawn:
+            assert L.dim and L._exps == tuple(map(search._float_exponent, L._grids))
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(st.sampled_from([-1100, -600, 0, 600, 1100]), min_size=2, max_size=2),
