@@ -18,6 +18,7 @@ imports them too.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -27,14 +28,28 @@ from .bounds import Assumptions, best_bound, catalog, catalog_best_bound, k2_les
 from .degree import degree_binomial_form, degree_product_form, verify_parity_law
 from .errors import SingularTransformError
 from .exactnum import GaussianRational
-from .hermitian_core import HermitianMatrix, congruence_transform, inertia, minimal_inertia
+from .hermitian_core import (
+    HermitianMatrix,
+    _gaussian_mat_mul,
+    congruence_transform,
+    inertia,
+    minimal_inertia,
+)
 from .oracles import descartes_inertia
 from .search import SearchConfig, falsify_min_inertia, random_subspace
 from .strata import ConeLabel, StratumLabel, classify_cone, classify_d2
 
 
+def _rand_ratio(rng: random.Random, max_num: int, max_den: int) -> Tuple[int, int]:
+    """n/d with |n| <= max_num and 1 <= d <= max_den, drawn in that order,
+    as the integers (n, d) in lowest terms."""
+    n, d = rng.randint(-max_num, max_num), rng.randint(1, max_den)
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 def rand_fraction(rng: random.Random, max_num=9, max_den=9) -> Fraction:
-    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+    return Fraction(*_rand_ratio(rng, max_num, max_den))
 
 
 def rand_gaussian(rng: random.Random, max_num=9, max_den=9) -> GaussianRational:
@@ -49,28 +64,30 @@ def rand_hermitian_generic(
     """Entries n/d with |n| <= max_num, 1 <= d <= max_den, drawn row by row:
     the real diagonal entry (zero, and not drawn, with ``zero_diagonal``),
     then each entry right of it."""
-    entries = [[None] * q for _ in range(q)]
+    cells = {}  # (i, j), i <= j: the (re, im) ratios
     for i in range(q):
-        d = 0 if zero_diagonal else rand_fraction(rng, max_num, max_den)
-        entries[i][i] = GaussianRational(d)
+        cells[i, i] = ((0, 1) if zero_diagonal else _rand_ratio(rng, max_num, max_den), (0, 1))
         for j in range(i + 1, q):
-            z = rand_gaussian(rng, max_num, max_den)
-            entries[i][j] = z
-            entries[j][i] = z.conj()
-    return HermitianMatrix(entries)
+            cells[i, j] = (_rand_ratio(rng, max_num, max_den), _rand_ratio(rng, max_num, max_den))
+    den = math.lcm(*(d for z in cells.values() for _, d in z))
+    re = [[0] * q for _ in range(q)]
+    im = [[0] * q for _ in range(q)]
+    for (i, j), ((a, b), (c, e)) in cells.items():
+        re[i][j] = re[j][i] = a * (den // b)
+        im[i][j] = c * (den // e)
+        im[j][i] = -im[i][j]
+    return HermitianMatrix.from_scaled(den, re, im)
 
 
 def rand_psd(rng: random.Random, q: int, r: int) -> HermitianMatrix:
     """A*A for a random r x q complex rational A; PSD of rank <= r."""
-    a = [[rand_gaussian(rng, 5, 5) for _ in range(q)] for _ in range(r)]
-    entries = [
-        [
-            sum((a[k][i].conj() * a[k][j] for k in range(r)), GaussianRational(0))
-            for j in range(q)
-        ]
-        for i in range(q)
-    ]
-    return HermitianMatrix(entries)
+    parts = [_rand_ratio(rng, 5, 5) for _ in range(2 * r * q)]  # Re, Im of A row by row
+    den = math.lcm(*(d for _, d in parts))
+    vals = [n * (den // d) for n, d in parts]
+    ar = [vals[2 * k * q : 2 * (k + 1) * q : 2] for k in range(r)]
+    ai = [vals[2 * k * q + 1 : 2 * (k + 1) * q : 2] for k in range(r)]
+    sr, si = [list(c) for c in zip(*ar)], [[-v for v in c] for c in zip(*ai)]  # A*
+    return HermitianMatrix.from_scaled(den * den, *_gaussian_mat_mul(sr, si, ar, ai))
 
 
 def rand_low_rank(rng: random.Random, q: int, pos: int, neg: int) -> HermitianMatrix:

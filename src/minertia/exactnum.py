@@ -337,27 +337,35 @@ def poly_gcd(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial
     return RationalPolynomial(_int_gcd(_primitive_int_coeffs(p), _primitive_int_coeffs(q))).monic()
 
 
+def _int_gcd_tower(g: list, depth: int) -> list:
+    """Gcd of the integer coefficient list g, primitive with a positive
+    leading coefficient (as :func:`_content_strip` leaves it), and its
+    first ``depth`` derivatives, in the same form.
+
+    A root of multiplicity m in g has multiplicity max(m - k, 0) in the gcd
+    g_k of g and its first k derivatives, so g_(k+1) = gcd(g_k, g_k'),
+    which is what is iterated (:func:`_int_gcd`).
+    """
+    for _ in range(depth):
+        if len(g) == 1:
+            break
+        g = _int_gcd(g, _content_strip([k * c for k, c in enumerate(g)][1:]))
+    return g
+
+
 def poly_gcd_tower(p: RationalPolynomial, depth: int) -> RationalPolynomial:
     """Monic gcd of p and its first ``depth`` derivatives.
 
     The roots of the result are exactly the roots of p of multiplicity at
-    least depth + 1: a root of multiplicity m in p has multiplicity
-    max(m - k, 0) in the gcd g_k of p and its first k derivatives, so
-    g_(k+1) = gcd(g_k, g_k'), which is what is computed.  Denominators are
-    cleared once; every derivative and gcd is taken on content-stripped
-    integer lists (:func:`_int_gcd`), and only the result is made a
+    least depth + 1.  Denominators are cleared once, the tower runs on
+    integer lists (:func:`_int_gcd_tower`), and only the result is made a
     rational polynomial.
     """
     if p.is_zero():
         raise ValueError("gcd tower of the zero polynomial")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    g = _primitive_int_coeffs(p)
-    for _ in range(depth):
-        if len(g) == 1:
-            break
-        g = _int_gcd(g, _content_strip([k * c for k, c in enumerate(g)][1:]))
-    return RationalPolynomial(g).monic()
+    return RationalPolynomial(_int_gcd_tower(_primitive_int_coeffs(p), depth)).monic()
 
 
 def scaled_gaussian_grid(rows) -> Tuple[int, List[List[int]], List[List[int]]]:

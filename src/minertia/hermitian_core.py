@@ -132,17 +132,21 @@ class HermitianMatrix:
 
     @classmethod
     def zero(cls, q: int) -> "HermitianMatrix":
-        return cls([[0] * q for _ in range(q)])
+        return cls.diagonal([0] * q)
 
     @classmethod
     def identity(cls, q: int) -> "HermitianMatrix":
-        return cls([[1 if i == j else 0 for j in range(q)] for i in range(q)])
+        return cls.diagonal([1] * q)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "HermitianMatrix":
         vals = [Fraction(v) for v in values]
         q = len(vals)
-        return cls([[vals[i] if i == j else 0 for j in range(q)] for i in range(q)])
+        den = math.lcm(*(v.denominator for v in vals))
+        re = [[0] * q for _ in range(q)]
+        for i, v in enumerate(vals):
+            re[i][i] = v.numerator * (den // v.denominator)
+        return cls.from_scaled(den, re, [[0] * q] * q)
 
     @classmethod
     def scalar(cls, q: int, s) -> "HermitianMatrix":
@@ -241,24 +245,21 @@ class HermitianMatrix:
         return cls.from_scaled(den, [r[0::2] for r in rows], [r[1::2] for r in rows])
 
 
-def _exact_quotient(a: int, b: int) -> int:
-    quo, rem = divmod(a, b)
-    if rem:
-        raise InconsistencyError(f"fraction-free division by {b} left remainder {rem}")
-    return quo
-
-
 def grid_inertia(re: list, im: list) -> Inertia:
     """Exact signature of the Hermitian matrix re + i*im of integer grids
     (any positive scale; overwritten) by fraction-free symmetric elimination.
 
     Bareiss' scheme with symmetric pivots: after pivots d_1..d_k each active
     entry is a (k+1)-minor of a congruent copy of the input, so the update
-    (d*a_kl - a_kp*a_pl) / prev divides exactly (checked), and the step's
-    true pivot is d / prev.  Pivot on the nonzero diagonal entry of smallest
-    bit size; if the active diagonal is all zero but some h_ij is not, the
-    congruence e_i -> e_i + c*e_j with c in {1, i} makes (i,i) nonzero.
-    Sylvester's law makes the pivot signs the eigenvalue sign counts.
+    (d*a_kl - a_kp*a_pl) / prev divides exactly (checked: a remainder is an
+    arithmetic fault), and the step's true pivot is d / prev.  The updated
+    matrix is Hermitian again, so each step computes the entries (k, l) with
+    l at or after k in the active order and mirrors their conjugates into
+    (l, k); the diagonal keeps its computed imaginary part, which must be 0.
+    Pivot on the nonzero diagonal entry of smallest bit size; if the active
+    diagonal is all zero but some h_ij is not, the congruence
+    e_i -> e_i + c*e_j with c in {1, i} makes (i,i) nonzero.  Sylvester's
+    law makes the pivot signs the eigenvalue sign counts.
     """
     active = list(range(len(re)))
     n_plus = n_minus = n_zero = 0
@@ -291,12 +292,18 @@ def grid_inertia(re: list, im: list) -> Inertia:
         n_plus, n_minus = n_plus + positive, n_minus + (not positive)
         active.remove(pivot)
         pr, pi = re[pivot], im[pivot]
-        for k in active:
+        for n, k in enumerate(active):
             rk, ik = re[k], im[k]
             a, b = rk[pivot], ik[pivot]
-            for l in active:
-                rk[l] = _exact_quotient(d * rk[l] - a * pr[l] + b * pi[l], prev)
-                ik[l] = _exact_quotient(d * ik[l] - a * pi[l] - b * pr[l], prev)
+            for l in active[n:]:
+                x, rx = divmod(d * rk[l] - a * pr[l] + b * pi[l], prev)
+                y, ry = divmod(d * ik[l] - a * pi[l] - b * pr[l], prev)
+                if rx or ry:
+                    raise InconsistencyError(
+                        f"fraction-free division by {prev} left remainder {rx or ry}"
+                    )
+                re[l][k], im[l][k] = x, -y
+                rk[l], ik[l] = x, y  # after the mirror: (k, k) keeps +y
         prev = d
     return Inertia(n_plus, n_minus, n_zero)
 

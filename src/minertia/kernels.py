@@ -7,32 +7,38 @@ never soundness.
 
 numpy is bound lazily: importing this module (and so ``minertia.cli``)
 does not run numpy, which only the float layer uses.  It loads on the first
-attribute access, in the first float routine a process calls.  That load
-is not thread-safe, so the first float call must not race another thread's
-(the falsifier's own worker threads start after it).
+attribute access, in the first float routine a process calls, under a lock,
+so threads that make their first float calls together are safe.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import importlib
 import sys
+import threading
+import types
+
+_LOAD_LOCK = threading.Lock()
+
+
+class _LazyModule(types.ModuleType):
+    """Stands for a module that is not imported yet.  The first attribute
+    lookup imports it under a lock (a thread that comes second waits for
+    the first), copies its namespace here and makes this a plain module,
+    so later lookups cost what they cost on the module itself."""
+
+    def __getattr__(self, attr):
+        with _LOAD_LOCK:
+            if isinstance(self, _LazyModule):
+                vars(self).update(vars(importlib.import_module(self.__name__)))
+                self.__class__ = types.ModuleType
+        return getattr(self, attr)
 
 
 def _lazy_import(name: str):
-    """Module ``name``, executed on its first attribute access (the
-    ``importlib.util.LazyLoader`` recipe); the module itself once it is
-    already imported."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
+    """Module ``name``, imported on its first attribute access (see
+    :class:`_LazyModule`); the module itself once it is already imported."""
+    return sys.modules.get(name) or _LazyModule(name)
 
 
 np = _lazy_import("numpy")

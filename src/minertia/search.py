@@ -285,35 +285,44 @@ def _draw_layout(q: int):
     return np.array([-9, 1] * (q * q)), np.array([10, 10] * (q * q)), re_at, im_at, im_sign
 
 
-def _random_grid(q: int, rng: np.random.Generator):
-    """Scaled grid ``(den, re, im)`` of a random Hermitian matrix with
-    entries n/d, |n| <= 9, 1 <= d <= 9.  Its 2q^2 integers come from one
-    draw: per row, the diagonal's (n, d), then (n, d) of Re and of Im of
-    each entry right of it (the order of one scalar draw per integer).
-    Those entries lie in [2^-1000, 2^1000], so the grid's
+def _random_grids(q: int, rng: np.random.Generator, count: int) -> List[tuple]:
+    """Scaled grids ``(den, re, im)`` of ``count`` random Hermitian matrices
+    with entries n/d, |n| <= 9, 1 <= d <= 9.  Each takes 2q^2 integers: per
+    row, the diagonal's (n, d), then (n, d) of Re and of Im of each entry
+    right of it (the order of one scalar draw per integer).  One call draws
+    all of them with the bounds tiled; that gives the same integers, and
+    leaves the generator in the same state, as ``count`` draws of one
+    candidate each.  Those entries lie in [2^-1000, 2^1000], so every grid's
     :func:`_float_exponent` is 0."""
     low, high, re_at, im_at, im_sign = _draw_layout(q)
-    draws = rng.integers(low, high)
-    nums, dens = draws[0::2], draws[1::2]
+    draws = rng.integers(np.tile(low, count), np.tile(high, count)).reshape(count, -1)
+    nums, dens = draws[:, 0::2], draws[:, 1::2]
     g = np.gcd(nums, dens)
     dens = dens // g  # reduced, so den is their least common multiple
-    den = int(np.lcm.reduce(dens))  # at most lcm(1..9) = 2520
-    vals = nums // g * (den // dens)
-    return den, vals[re_at].tolist(), (vals[im_at] * im_sign).tolist()
+    den = np.lcm.reduce(dens, axis=1)  # at most lcm(1..9) = 2520
+    vals = nums // g * (den[:, None] // dens)
+    return list(zip(den.tolist(), vals[:, re_at].tolist(), (vals[:, im_at] * im_sign).tolist()))
+
+
+def _random_grid(q: int, rng: np.random.Generator):
+    """One grid of :func:`_random_grids`."""
+    return _random_grids(q, rng, 1)[0]
 
 
 def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
     """A seeded random subspace of the given dimension; independence is
-    enforced exactly, dependent draws are rejected and redrawn."""
+    enforced exactly, dependent draws are rejected and redrawn.  The
+    candidates still needed are drawn in one call and tested in order, so
+    the basis is the one that drawing them one at a time gives."""
     if not 1 <= dim <= q * q:
         raise ValueError(f"dim must lie in [1, {q * q}], got {dim}")
     rng = _stream(seed, _PURPOSE_BASIS)
     ech = ModularEchelon()
     grids: List[tuple] = []
     while len(grids) < dim:
-        grid = _random_grid(q, rng)
-        if ech.try_add(_coordinates(grid)):
-            grids.append(grid)
+        for grid in _random_grids(q, rng, dim - len(grids)):
+            if ech.try_add(_coordinates(grid)):
+                grids.append(grid)
     return SubspaceBasis._from_grids(q, grids)
 
 

@@ -11,6 +11,7 @@ multiplicity >= q - 2.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -21,8 +22,8 @@ from .errors import (
     NotProjectivePointError,
     UnsupportedSizeError,
 )
-from .exactnum import RationalPolynomial, poly_gcd_tower
-from .hermitian_core import HermitianMatrix, Inertia, char_poly, inertia
+from .exactnum import _int_gcd_tower
+from .hermitian_core import HermitianMatrix, Inertia, _berkowitz, grid_inertia, inertia
 from .jsonrecord import json_record
 
 
@@ -86,26 +87,39 @@ def classify_d2(X: HermitianMatrix) -> StratumLabel:
 
 def _high_multiplicity_shift(X: HermitianMatrix) -> Optional[Tuple[Fraction, Inertia]]:
     """The eigenvalue s of :func:`eigenvalue_of_high_multiplicity` with the
-    inertia of X - s*I that cross-checks it, or None."""
+    inertia of X - s*I that cross-checks it, or None.
+
+    All of it runs on X's stored grid B = den*X, whose eigenvalues are den
+    times X's.  Berkowitz's integer coefficients of det(yI - B) go straight
+    into the integer gcd tower.  A primitive factor of that monic integer
+    polynomial is monic (Gauss's lemma), so the tower's result g must be
+    exactly (y - t)^e with t = -g[e-1] / e an integer, which is checked
+    coefficient by coefficient against the binomial expansion.  Then
+    s = t / den, X - s*I is the integer grid B - t*I over den, and
+    elimination reads its inertia at that scale, so only the apex s is
+    made a rational.
+    """
     q = X.q
     if q < 5:
         raise UnsupportedSizeError(
             f"high-multiplicity detection requires q >= 5, got {q}"
         )
-    p = char_poly(X)
-    g = poly_gcd_tower(p, q - 3)
-    if g.degree == 0:
+    g = _int_gcd_tower(_berkowitz(X.re, X.im)[::-1], q - 3)
+    e = len(g) - 1
+    if e == 0:
         return None
-    e = g.degree
-    s = -g.coeffs[e - 1] / e
-    if g != RationalPolynomial([-s, 1]) ** e:
+    t = -g[e - 1] // e
+    if g != [math.comb(e, k) * (-t) ** (e - k) for k in range(e + 1)]:
         raise InconsistencyError("gcd tower is not a power of a linear factor")
-    inr = inertia(X.shift(s))
+    re = [list(row) for row in X.re]
+    for i in range(q):
+        re[i][i] -= t
+    inr = grid_inertia(re, [list(row) for row in X.im])
     if inr.rank > 2:
         raise InconsistencyError(
             "high-multiplicity eigenvalue fails the rank <= 2 cross-check"
         )
-    return s, inr
+    return Fraction(t, X.den), inr
 
 
 def eigenvalue_of_high_multiplicity(X: HermitianMatrix) -> Optional[Fraction]:

@@ -385,6 +385,10 @@ class TestNumpyLoadsOnFirstFloatUse:
         script = "import numpy, minertia; print(minertia.kernels.np is numpy)"
         assert _probe(script) == "True"
 
+    def test_first_use_from_two_threads(self):
+        # stdlib modules stand in for numpy, each first used by two threads at once
+        assert json.loads(_probe(_TWO_THREAD_PROBE)) == []
+
 
 _NUMPY_PROBE_SEARCH = ["search", "--q", "5", "--dim", "9", "--seed", "1", "--workers", "2"]
 
@@ -414,6 +418,32 @@ print(json.dumps({{
     "search": {{"code": code, "stdout": out}},
     "numpy_after_search": "numpy._core" in sys.modules,
 }}))
+"""
+
+_TWO_THREAD_PROBE = """
+import json, sys, threading
+from minertia.kernels import _lazy_import
+failures = []
+for name, attr in [("asyncio", "run"), ("unittest", "main"), ("http.client", "HTTPConnection"),
+                   ("xml.dom.minidom", "parseString"), ("logging.handlers", "QueueListener")]:
+    if name in sys.modules:
+        failures.append(name + " was imported before its first use")
+        continue
+    module, barrier = _lazy_import(name), threading.Barrier(2, timeout=60)
+    def first_use():
+        barrier.wait()
+        try:
+            getattr(module, attr)
+        except Exception as exc:
+            failures.append(f"{name}.{attr}: {exc!r}")
+    threads = [threading.Thread(target=first_use) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        if t.is_alive():
+            failures.append(f"{name}: a thread did not finish")
+print(json.dumps(failures))
 """
 
 # counts argparse parsers made at import and by two main() calls

@@ -11,8 +11,11 @@
   2^61 - 1 written here.
 """
 
+import importlib.util
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from operator import mul
 
 import numpy as np
@@ -23,11 +26,17 @@ from hypothesis import strategies as st
 
 from conftest import rand_hermitian, rand_hermitian_generic, rand_low_rank
 from minertia.errors import InconsistencyError
-from minertia.exactnum import GaussianRational, scaled_gaussian_grid
+from minertia import strata
+from minertia.exactnum import (
+    GaussianRational,
+    RationalPolynomial,
+    poly_gcd_tower,
+    scaled_gaussian_grid,
+)
 from minertia.hermitian_core import (
     HermitianMatrix,
+    Inertia,
     _berkowitz,
-    _exact_quotient,
     char_poly,
     grid_inertia,
     inertia,
@@ -157,6 +166,150 @@ class TestInertiaAgainstOracle:
             assert inertia(X) == descartes_inertia(X)
 
 
+@st.composite
+def huge_entry_matrices(draw):
+    q = draw(st.integers(2, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return rand_hermitian_generic(rng, q, max_num=1 << 120, max_den=1 << 120)
+
+
+def full_update_inertia(re, im):
+    """The elimination of ``grid_inertia`` with every active entry updated
+    on its own (both triangles), as it was before the half update."""
+    active = list(range(len(re)))
+    n_plus = n_minus = n_zero = 0
+    prev = 1
+    while active:
+        pivot = best = None
+        for p in active:
+            assert not im[p][p]
+            key = abs(re[p][p]).bit_length()
+            if key and (best is None or key < best):
+                best, pivot = key, p
+        if pivot is None:
+            pairs = ((i, j) for n, i in enumerate(active) for j in active[n + 1 :])
+            target = next(((i, j) for i, j in pairs if re[i][j] or im[i][j]), None)
+            if target is None:
+                n_zero += len(active)
+                break
+            i, j = target
+            cr, ci = (1, 0) if re[i][j] else (0, 1)
+            for l in active:
+                re[i][l] += cr * re[j][l] + ci * im[j][l]
+                im[i][l] += cr * im[j][l] - ci * re[j][l]
+            for k in active:
+                re[k][i] += cr * re[k][j] - ci * im[k][j]
+                im[k][i] += cr * im[k][j] + ci * re[k][j]
+            continue
+        d = re[pivot][pivot]
+        positive = (d > 0) == (prev > 0)
+        n_plus, n_minus = n_plus + positive, n_minus + (not positive)
+        active.remove(pivot)
+        pr, pi = re[pivot], im[pivot]
+        for k in active:
+            rk, ik = re[k], im[k]
+            a, b = rk[pivot], ik[pivot]
+            for l in active:
+                x, rx = divmod(d * rk[l] - a * pr[l] + b * pi[l], prev)
+                y, ry = divmod(d * ik[l] - a * pi[l] - b * pr[l], prev)
+                assert not rx and not ry
+                rk[l], ik[l] = x, y
+        prev = d
+    return Inertia(n_plus, n_minus, n_zero)
+
+
+class TestHalfUpdate:
+    """``grid_inertia`` updates one triangle and mirrors it; the full update
+    must give the same inertia, including through the congruence branch."""
+
+    @staticmethod
+    def check(X):
+        def grids():
+            return [list(row) for row in X.re], [list(row) for row in X.im]
+
+        assert grid_inertia(*grids()) == full_update_inertia(*grids())
+
+    @settings(max_examples=60, deadline=None)
+    @given(zero_diagonal_matrices())
+    def test_zero_diagonal(self, X):
+        self.check(X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(low_rank_matrices())
+    def test_low_rank(self, X):
+        self.check(X)
+
+    @settings(max_examples=30, deadline=None)
+    @given(huge_entry_matrices())
+    def test_huge_entries(self, X):
+        self.check(X)
+
+
+def _reference_shift(X):
+    """The high-multiplicity eigenvalue and the inertia of X - s*I through
+    the public rational layer: char_poly, poly_gcd_tower and X.shift."""
+    g = poly_gcd_tower(char_poly(X), X.q - 3)
+    if g.degree == 0:
+        return None
+    e = g.degree
+    s = -g.coeffs[e - 1] / e
+    assert g == RationalPolynomial([-s, 1]) ** e
+    return s, inertia(X.shift(s))
+
+
+def _perfbench_matgen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "matgen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_matgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestIntegerConePath:
+    """``strata._high_multiplicity_shift`` stays on integers from the grid
+    to the apex; the rational layer must give the same (s, inertia)."""
+
+    @pytest.mark.parametrize("q", range(5, 11))
+    def test_every_perfbench_category(self, q):
+        matgen = _perfbench_matgen()
+        gen = matgen._Gen(random.Random(q))
+        cats = sorted(set(matgen.INERTIA_CATS + matgen.CLASSIFY_CATS + matgen.CONE_CATS))
+        for cat in cats * 3:
+            doc = json.loads(matgen.make_request(gen, q, matgen.CONE, cat)["text"])
+            X = HermitianMatrix.from_json(doc)
+            assert strata._high_multiplicity_shift(X) == _reference_shift(X), cat
+
+    @pytest.mark.parametrize("q", range(5, 11))
+    def test_generic(self, q):
+        rng = random.Random(100 + q)
+        for _ in range(8):
+            X = rand_hermitian_generic(rng, q)
+            assert strata._high_multiplicity_shift(X) == _reference_shift(X)
+
+    @pytest.mark.parametrize("exponent", [200, -200])
+    @pytest.mark.parametrize("q", range(5, 11))
+    def test_cone_members_with_huge_and_tiny_scales(self, q, exponent):
+        rng = random.Random(q * exponent)
+        scale = Fraction(2) ** exponent
+        for pos, neg in [(1, 1), (2, 0), (0, 2), (1, 0), (0, 1), (1, 1)]:
+            Y = rand_low_rank(rng, q, pos, neg)
+            t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            X = Y.scale(t).add(HermitianMatrix.scalar(q, s)).scale(scale)
+            found = strata._high_multiplicity_shift(X)
+            assert found == _reference_shift(X)
+            assert found is not None and found[0] == s * scale
+
+    @pytest.mark.parametrize("tower", [[2, -3, 1], [1, 2, 2], [-1, 0, 0, 1], [9, -12, 4]])
+    def test_a_tower_that_is_not_a_pure_power_raises(self, monkeypatch, tower):
+        # (y - 1)(y - 2), a root-free quadratic, y^3 - 1 and (2y - 3)^2 (not
+        # monic, so no factor of an integer characteristic polynomial) in
+        # place of the cone member's y - 3
+        monkeypatch.setattr(strata, "_int_gcd_tower", lambda g, depth: tower)
+        with pytest.raises(InconsistencyError, match="not a power of a linear factor"):
+            strata._high_multiplicity_shift(HermitianMatrix.diagonal([3, 3, 3, 1, -1]))
+
+
 class TestSelfChecks:
     def test_non_real_diagonal_after_a_pivot_raises(self):
         # Not Hermitian (m01 = 1+i, m10 = 1): the input diagonal is real, but
@@ -180,9 +333,10 @@ class TestSelfChecks:
             _berkowitz(*grids)
 
     def test_inexact_division_raises(self):
-        assert _exact_quotient(-12, 4) == -3
+        # Not Hermitian (m12 = 2, m21 = 3): pivot (2,2) = 2 leaves (0,0) = -9,
+        # (0,1) = -7 and (1,1) = -6, and the next pivot's (0,0) update is 5/2.
         with pytest.raises(InconsistencyError, match="remainder"):
-            _exact_quotient(7, 2)
+            grid_inertia([[0, 1, 3], [1, 0, 2], [3, 3, 2]], [[0] * 3 for _ in range(3)])
 
 
 class TestScaledGrid:

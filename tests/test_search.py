@@ -137,6 +137,41 @@ class TestDrawStream:
         assert random_subspace(q, dim, seed).basis == tuple(_scalar_random_subspace(q, dim, seed))
 
 
+class TestBlockDraw:
+    """``random_subspace`` draws the candidates it still needs in one call;
+    that must give what one-candidate draws give, rejections included."""
+
+    @pytest.mark.parametrize("q", range(2, 10))
+    def test_block_matches_one_candidate_draws(self, q):
+        for seed in (1, 2, 7):
+            a = search._stream(seed, search._PURPOSE_BASIS)
+            b = search._stream(seed, search._PURPOSE_BASIS)
+            assert search._random_grids(q, a, 6) == [search._random_grid(q, b) for _ in range(6)]
+            assert a.integers(1 << 62) == b.integers(1 << 62)
+
+    @pytest.mark.parametrize("q,dim", [(q, q * q - q // 2) for q in range(2, 10)] + [(17, 225)])
+    def test_subspace_matches_one_candidate_draws(self, monkeypatch, q, dim):
+        # every third candidate is rejected, so the blocks are redrawn
+        calls = []
+        try_add = search.ModularEchelon.try_add
+
+        def every_third_rejected(self, vec):
+            calls.append(vec)
+            return len(calls) % 3 != 1 and try_add(self, vec)
+
+        monkeypatch.setattr(search.ModularEchelon, "try_add", every_third_rejected)
+        rng = search._stream(5, search._PURPOSE_BASIS)
+        ech, grids = search.ModularEchelon(), []
+        while len(grids) < dim:
+            grid = search._random_grid(q, rng)
+            if ech.try_add(search._coordinates(grid)):
+                grids.append(grid)
+        drawn = len(calls)
+        calls.clear()
+        assert random_subspace(q, dim, 5)._grids == tuple(grids)
+        assert len(calls) == drawn
+
+
 class TestRandomSubspace:
     def test_requested_dimension(self):
         L = random_subspace(5, 8, seed=1)

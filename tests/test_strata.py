@@ -176,12 +176,15 @@ class TestClassifyCone:
 
             return call
 
-        monkeypatch.setattr(strata, "poly_gcd_tower", logged("tower", strata.poly_gcd_tower))
+        # one integer tower, one elimination of the grid of X - s*I, and no
+        # second shift or elimination
+        monkeypatch.setattr(strata, "_int_gcd_tower", logged("tower", strata._int_gcd_tower))
+        monkeypatch.setattr(strata, "grid_inertia", logged("elimination", strata.grid_inertia))
         monkeypatch.setattr(strata, "inertia", logged("inertia", strata.inertia))
         monkeypatch.setattr(HermitianMatrix, "shift", logged("shift", HermitianMatrix.shift))
         res = classify_cone(HermitianMatrix.diagonal([3, 3, 3, 1, -1]))
         assert (res.label, res.apex_shift) == (ConeLabel.C0, Fraction(3))
-        assert calls == ["tower", "shift", "inertia"]
+        assert calls == ["tower", "elimination"]
 
     def test_zero_rejected(self):
         with pytest.raises(NotProjectivePointError):
