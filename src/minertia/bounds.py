@@ -44,9 +44,9 @@ class Assumptions:
     minimal_surface: bool = False
 
     def __post_init__(self):
-        if self.q < 1:
+        if json_int(self.q, "irregularity") < 1:
             raise ValueError(f"irregularity must be >= 1, got {self.q}")
-        if self.p_g is not None and self.p_g < 0:
+        if self.p_g is not None and json_int(self.p_g, "geometric genus") < 0:
             raise ValueError("geometric genus must be nonnegative")
         if (
             self.pencil is not None
@@ -141,54 +141,33 @@ def epsilon_bound(q: int, no_pencils: bool) -> Optional[int]:
 
 _PREVIOUSLY_KNOWN_POW2 = {3, 5}
 
+# (name, value for the assumptions or None when they do not give it, note)
+_BOUNDS = (
+    ("bmy", lambda a: None if a.p_g is None else bmy_bound(a.p_g, a.q),
+     "p_g + q + 1; needs p_g"),
+    ("general_type", lambda a: general_bound(a.q), "3q - 2, unconditional for general type"),
+    ("odd_q", lambda a: odd_q_bound(a.q, a.no_irregular_pencils_genus_ge2),
+     "3q - 1 for odd q without irregular pencils of genus >= 2"),
+    ("power_of_two_q",
+     lambda a: power_of_two_q_bound(a.q, a.no_irregular_pencils_genus_ge2) if a.q >= 3 else None,
+     "4q - 3 when q - 1 is a power of two, without irregular pencils"),
+    ("epsilon_offset", lambda a: epsilon_bound(a.q, a.no_irregular_pencils_genus_ge2),
+     "4q - 3 - 4*eps for q = 2^k + 1 + eps, 0 < eps < 2^k, without pencils"),
+    ("pencil", lambda a: pencil_bound(a.q, a.pencil), "2b(q - b) + 2 + sum(l(F) - 1)"),
+)
+
 
 def best_bound(a: Assumptions) -> BoundReport:
-    """Evaluate every bound whose hypotheses are met and take the maximum."""
+    """Evaluate every bound whose hypotheses are met and take the maximum;
+    the pencil bound is listed only when a pencil is given."""
     entries: List[BoundEntry] = []
-    no_pencils = a.no_irregular_pencils_genus_ge2
-
-    v = bmy_bound(a.p_g, a.q) if a.p_g is not None else None
-    entries.append(
-        BoundEntry("bmy", v, v is not None, "p_g + q + 1; needs p_g")
-    )
-
-    v = general_bound(a.q)
-    entries.append(
-        BoundEntry("general_type", v, True, "3q - 2, unconditional for general type")
-    )
-
-    v = odd_q_bound(a.q, no_pencils)
-    entries.append(
-        BoundEntry(
-            "odd_q",
-            v,
-            v is not None,
-            "3q - 1 for odd q without irregular pencils of genus >= 2",
-        )
-    )
-
-    v = power_of_two_q_bound(a.q, no_pencils) if a.q >= 3 else None
-    note = "4q - 3 when q - 1 is a power of two, without irregular pencils"
-    if v is not None and a.q in _PREVIOUSLY_KNOWN_POW2:
-        note += " (case known previously)"
-    entries.append(BoundEntry("power_of_two_q", v, v is not None, note))
-
-    v = epsilon_bound(a.q, no_pencils)
-    entries.append(
-        BoundEntry(
-            "epsilon_offset",
-            v,
-            v is not None,
-            "4q - 3 - 4*eps for q = 2^k + 1 + eps, 0 < eps < 2^k, without pencils",
-        )
-    )
-
-    if a.pencil is not None:
-        v = pencil_bound(a.q, a.pencil)
-        entries.append(
-            BoundEntry("pencil", v, True, "2b(q - b) + 2 + sum(l(F) - 1)")
-        )
-
+    for name, bound, note in _BOUNDS:
+        if name == "pencil" and a.pencil is None:
+            continue
+        v = bound(a)
+        if name == "power_of_two_q" and v is not None and a.q in _PREVIOUSLY_KNOWN_POW2:
+            note += " (case known previously)"
+        entries.append(BoundEntry(name, v, v is not None, note))
     applicable = [e for e in entries if e.applicable]
     best = max(e.value for e in applicable)
     best_names = tuple(e.name for e in applicable if e.value == best)

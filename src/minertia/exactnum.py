@@ -1,9 +1,11 @@
-"""Exact scalar and polynomial arithmetic.
+"""Exact scalars and polynomials.
 
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator).  On top of that this module provides complex numbers with
-rational real and imaginary parts, and univariate polynomials with rational
-coefficients including a multiplicity-detecting gcd tower.
+denominator); :func:`exact_rational` says what the API takes as one.  On
+top of that this module provides the entry value type ``GaussianRational``
+(rational real and imaginary parts, no arithmetic), and univariate
+polynomials with rational coefficients including a multiplicity-detecting
+gcd tower.
 
 From the JSON edge inward a matrix is a scaled Gaussian-integer grid
 ``(den, re, im)``, one positive common denominator and two integer grids
@@ -50,6 +52,19 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
+def exact_rational(value) -> Fraction:
+    """An int or a ``Fraction`` as a ``Fraction`` (a ``Fraction`` unchanged):
+    the one rule for an exact scalar or matrix entry part given through the
+    API.  A float, str, Decimal, complex or anything else raises TypeError,
+    so no rounded value and no text is read as exact here; text goes
+    through :func:`parse_ratio`."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"not an exact rational (an int or a Fraction): {value!r}")
+
+
 def format_rational(x: Fraction) -> str:
     """Inverse of parse_rational; denominator 1 renders as a bare integer."""
     x = Fraction(x)
@@ -59,80 +74,28 @@ def format_rational(x: Fraction) -> str:
 
 
 class GaussianRational:
-    """A complex number with rational real and imaginary parts.
-
-    Instances are immutable by convention; all operators return fresh
-    values.  Division is exact field division, so the only failure mode is
-    dividing by zero.
-    """
+    """A complex number with rational real and imaginary parts: the API and
+    JSON value type of a matrix entry.  It has no arithmetic; the exact
+    kernels work on scaled integer grids (:func:`scaled_gaussian_grid`).
+    Instances are immutable."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", exact_rational(re))
+        object.__setattr__(self, "im", exact_rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    @classmethod
-    def coerce(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
-
     def conj(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    def norm_sq(self) -> Fraction:
-        """|z|^2, a nonnegative rational."""
-        return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
     def __bool__(self) -> bool:
         return not self.is_zero()
-
-    def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
-
-    def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        n = other.norm_sq()
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -180,7 +143,7 @@ class RationalPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [exact_rational(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -192,7 +155,7 @@ class RationalPolynomial:
     def from_roots(cls, roots: Sequence[RationalLike]) -> "RationalPolynomial":
         p = cls([1])
         for r in roots:
-            p = p * cls([-Fraction(r), 1])
+            p = p * cls([-exact_rational(r), 1])
         return p
 
     @property
@@ -207,7 +170,7 @@ class RationalPolynomial:
         return bool(self.coeffs)
 
     def evaluate(self, x: RationalLike) -> Fraction:
-        x = Fraction(x)
+        x = exact_rational(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -223,21 +186,6 @@ class RationalPolynomial:
             return self
         lead = self.coeffs[-1]
         return RationalPolynomial([c / lead for c in self.coeffs])
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RationalPolynomial([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -368,13 +316,27 @@ def poly_gcd_tower(p: RationalPolynomial, depth: int) -> RationalPolynomial:
     return RationalPolynomial(_int_gcd_tower(_primitive_int_coeffs(p), depth)).monic()
 
 
+def _entry_parts(z) -> Tuple[Fraction, Fraction]:
+    """The real and imaginary parts of a ``GaussianRational``, of a real
+    :func:`exact_rational` or of an ``(re, im)`` pair of them."""
+    if isinstance(z, GaussianRational):
+        return z.re, z.im
+    try:
+        if isinstance(z, tuple) and len(z) == 2:
+            return exact_rational(z[0]), exact_rational(z[1])
+        return exact_rational(z), Fraction(0)
+    except TypeError:
+        raise TypeError(f"cannot interpret {z!r} as a matrix entry") from None
+
+
 def scaled_gaussian_grid(rows) -> Tuple[int, List[List[int]], List[List[int]]]:
-    """A grid of Gaussian rationals (such as ``HermitianMatrix.entries``) as
-    ``(den, re, im)``: the least common denominator ``den > 0`` and fresh
-    integer grids with ``rows[i][j] == (re[i][j] + i*im[i][j]) / den``."""
-    den = math.lcm(*(c.denominator for row in rows for z in row for c in (z.re, z.im)))
-    re = [[z.re.numerator * (den // z.re.denominator) for z in row] for row in rows]
-    im = [[z.im.numerator * (den // z.im.denominator) for z in row] for row in rows]
+    """Rows of exact entries (see :func:`_entry_parts`) as ``(den, re, im)``:
+    the least common denominator ``den > 0`` and fresh integer grids with
+    ``rows[i][j] == (re[i][j] + i*im[i][j]) / den``."""
+    parts = [[_entry_parts(z) for z in row] for row in rows]
+    den = math.lcm(*(c.denominator for row in parts for z in row for c in z))
+    re = [[a.numerator * (den // a.denominator) for a, _ in row] for row in parts]
+    im = [[b.numerator * (den // b.denominator) for _, b in row] for row in parts]
     return den, re, im
 
 

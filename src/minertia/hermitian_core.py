@@ -19,7 +19,13 @@ from operator import mul, ne, neg
 from typing import Sequence
 
 from .errors import InconsistencyError, NotHermitianError, SingularTransformError
-from .exactnum import GaussianRational, RationalPolynomial, grid_combination, scaled_gaussian_grid
+from .exactnum import (
+    GaussianRational,
+    RationalPolynomial,
+    exact_rational,
+    grid_combination,
+    scaled_gaussian_grid,
+)
 from .jsonrecord import json_int, json_record
 
 
@@ -53,16 +59,6 @@ class Inertia:
         return Inertia(self.n_minus, self.n_plus, self.n_zero)
 
 
-def _as_gaussian(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    if isinstance(value, tuple) and len(value) == 2:
-        return GaussianRational(Fraction(value[0]), Fraction(value[1]))
-    raise TypeError(f"cannot interpret {value!r} as a matrix entry")
-
-
 def _asymmetry(den: int, re, im) -> NotHermitianError:
     """The error naming the first (i, j), i <= j, where the grid is not
     conjugate symmetric; only here are its entries made rationals."""
@@ -85,17 +81,18 @@ class HermitianMatrix:
     __slots__ = ("q", "den", "re", "im", "_entries")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(_as_gaussian(e) for e in row) for row in entries)
-        self._set(*scaled_gaussian_grid(rows), rows)
+        """Rows of entries as :func:`~minertia.exactnum.scaled_gaussian_grid`
+        reads them: ``GaussianRational``, int, ``Fraction`` or ``(re, im)``."""
+        self._set(*scaled_gaussian_grid(entries))
 
     @classmethod
     def from_scaled(cls, den: int, re, im) -> "HermitianMatrix":
         """The matrix (re + i*im) / den of integer grids, for any den > 0."""
         new = object.__new__(cls)
-        new._set(den, re, im, None)
+        new._set(den, re, im)
         return new
 
-    def _set(self, den, re, im, entries):
+    def _set(self, den, re, im):
         q = len(re)
         if q == 0 or any(len(row) != q for row in re):
             raise NotHermitianError("entries must form a nonempty square grid")
@@ -110,7 +107,7 @@ class HermitianMatrix:
         im = tuple(map(tuple, im))
         if re != tuple(zip(*re)) or im != tuple(tuple(map(neg, col)) for col in zip(*im)):
             raise _asymmetry(den, re, im)
-        for name, value in zip(self.__slots__, (q, den, re, im, entries)):
+        for name, value in zip(self.__slots__, (q, den, re, im, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -140,7 +137,7 @@ class HermitianMatrix:
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "HermitianMatrix":
-        vals = [Fraction(v) for v in values]
+        vals = [exact_rational(v) for v in values]
         q = len(vals)
         den = math.lcm(*(v.denominator for v in vals))
         re = [[0] * q for _ in range(q)]
@@ -150,7 +147,7 @@ class HermitianMatrix:
 
     @classmethod
     def scalar(cls, q: int, s) -> "HermitianMatrix":
-        return cls.diagonal([Fraction(s)] * q)
+        return cls.diagonal([s] * q)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.re + self.im))
@@ -177,7 +174,7 @@ class HermitianMatrix:
 
     def scale(self, factor) -> "HermitianMatrix":
         """Scale by a real rational; complex factors would break Hermitian symmetry."""
-        return self._combine([(Fraction(factor), self.grid)])
+        return self._combine([(exact_rational(factor), self.grid)])
 
     def neg(self) -> "HermitianMatrix":
         return self.scale(-1)
@@ -186,16 +183,7 @@ class HermitianMatrix:
         """X - s*I for a real rational s."""
         q = self.q
         eye = (1, [[int(i == j) for j in range(q)] for i in range(q)], [[0] * q] * q)
-        return self._combine([(1, self.grid), (-Fraction(s), eye)])
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __neg__(self):
-        return self.neg()
+        return self._combine([(1, self.grid), (-exact_rational(s), eye)])
 
     def __eq__(self, other):
         if not isinstance(other, HermitianMatrix):
@@ -341,10 +329,9 @@ def _gaussian_mat_mul(ar, ai, br, bi):
 def congruence_transform(X: HermitianMatrix, P: Sequence[Sequence]) -> HermitianMatrix:
     """P* X P for an invertible Gaussian-rational matrix P, on integer grids."""
     q = X.q
-    rows = [[_as_gaussian(e) for e in row] for row in P]
-    if len(rows) != q or any(len(r) != q for r in rows):
+    dp, pr, pi = scaled_gaussian_grid(P)
+    if len(pr) != q or any(len(r) != q for r in pr):
         raise ValueError(f"transform must be {q}x{q}")
-    dp, pr, pi = scaled_gaussian_grid(rows)
     sr, si = [list(c) for c in zip(*pr)], [[-v for v in c] for c in zip(*pi)]  # P*
     # P is invertible iff P*P is positive definite
     if grid_inertia(*_gaussian_mat_mul(sr, si, pr, pi)).n_plus < q:

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import kernels
 from .errors import HypothesisNotMetError
-from .exactnum import grid_combination
+from .exactnum import exact_rational, grid_combination
 from .hermitian_core import HermitianMatrix, Inertia, grid_inertia, inertia
 from .jsonrecord import json_int, json_list, json_object, json_record
 from .kernels import np
@@ -226,7 +226,7 @@ class SubspaceBasis:
         the basis' integer grids; that sum is the matrix's stored grid."""
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count must match dimension")
-        terms = zip(map(Fraction, coeffs), self._grids)
+        terms = zip(map(exact_rational, coeffs), self._grids)
         return HermitianMatrix.from_scaled(*grid_combination(self.q, terms))
 
     def float_image(self) -> np.ndarray:

@@ -141,6 +141,24 @@ class TestBestBound:
         by_name = {e.name: e for e in rep.bounds}
         assert by_name["pencil"].value == 2 * (5 - 1) + 2
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"q": 5.0}, {"q": True}, {"q": "5"}, {"q": 5, "p_g": 1.5}, {"q": 5, "p_g": True}]
+    )
+    def test_assumptions_reject_non_integers(self, kwargs):
+        # q=5.0 used to raise AttributeError in power_of_two_q_bound, q=True
+        # gave best 1, p_g=1.5 was accepted and q="5" raised TypeError
+        with pytest.raises(ValueError, match="must be an integer"):
+            best_bound(Assumptions(no_irregular_pencils_genus_ge2=True, **kwargs))
+
+    def test_entries_in_table_order_with_the_pencil_only_when_given(self):
+        names = ["bmy", "general_type", "odd_q", "power_of_two_q", "epsilon_offset"]
+        rep = best_bound(Assumptions(q=5, no_irregular_pencils_genus_ge2=True))
+        assert [e.name for e in rep.bounds] == names
+        assert rep.bounds[3].note.endswith(" (case known previously)")
+        rep = best_bound(Assumptions(q=9, p_g=3, pencil=PencilData(b=2)))
+        assert [e.name for e in rep.bounds] == names + ["pencil"]
+        assert not any("known previously" in e.note for e in rep.bounds)
+
     def test_json_shape(self):
         doc = best_bound(Assumptions(q=5, no_irregular_pencils_genus_ge2=True)).to_json()
         assert doc["q"] == 5

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from minertia.exactnum import (
@@ -50,50 +50,9 @@ class TestRationalText:
 
 
 class TestGaussianRational:
-    def test_norm_example(self):
-        # (1/2 + (1/3)i) * conj(...) = 1/4 + 1/9 = 13/36
-        z = GaussianRational(Fraction(1, 2), Fraction(1, 3))
-        prod = z * z.conj()
-        assert prod == GaussianRational(Fraction(13, 36), 0)
-        assert prod.im == 0
-
-    def test_multiplicative_identity(self):
-        z = GaussianRational(Fraction(-3, 7), Fraction(2, 5))
-        assert z * GaussianRational(1) == z
-
     @given(gaussians_st)
     def test_conj_involution(self, z):
         assert z.conj().conj() == z
-
-    @given(gaussians_st, gaussians_st, gaussians_st)
-    @settings(max_examples=60)
-    def test_mul_associative(self, a, b, c):
-        assert (a * b) * c == a * (b * c)
-
-    @given(gaussians_st)
-    def test_self_conjugate_product_real_nonnegative(self, a):
-        p = a * a.conj()
-        assert p.im == 0
-        assert p.re >= 0
-        assert p.re == a.norm_sq()
-
-    def test_division_exact(self):
-        a = GaussianRational(1, 1)
-        b = GaussianRational(0, 1)
-        assert a / b == GaussianRational(1, -1)
-        assert (a / b) * b == a
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            GaussianRational(1) / GaussianRational(0)
-
-    def test_add_sub_with_integers(self):
-        a = GaussianRational(2, 1)
-        b = GaussianRational(1, -1)
-        assert a + b == GaussianRational(3, 0)
-        assert a - b == GaussianRational(1, 2)
-        assert 1 + a == a + 1 == GaussianRational(3, 1)
-        assert 1 - a == GaussianRational(-1, -1)
 
     def test_json_round_trip(self):
         z = GaussianRational(Fraction(-5, 3), Fraction(7, 2))

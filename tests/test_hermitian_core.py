@@ -1,5 +1,6 @@
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,12 @@ from conftest import (
     rand_square,
 )
 from minertia.errors import NotHermitianError, SingularTransformError
-from minertia.exactnum import GaussianRational, RationalPolynomial
+from minertia.exactnum import (
+    GaussianRational,
+    RationalPolynomial,
+    exact_rational,
+    scaled_gaussian_grid,
+)
 from minertia.hermitian_core import (
     HermitianMatrix,
     Inertia,
@@ -23,6 +29,7 @@ from minertia.hermitian_core import (
     rank,
 )
 from minertia.oracles import descartes_inertia
+from minertia.search import SubspaceBasis
 
 
 def gauss(re, im=0):
@@ -212,10 +219,11 @@ class TestStoredGrid:
         yield HermitianMatrix.from_json(ref.to_json()), ref
         L = random_subspace(5, 4, 3)
         coeffs = [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7)]
-        summed = [
-            [sum((c * b.entries[i][j] for c, b in zip(coeffs, L.basis)), gauss(0)) for j in range(5)]
-            for i in range(5)
-        ]
+
+        def combination(i, j, part):  # of the (i, j) entries' re or im parts
+            return sum(c * getattr(b.entries[i][j], part) for c, b in zip(coeffs, L.basis))
+
+        summed = [[(combination(i, j, "re"), combination(i, j, "im")) for j in range(5)] for i in range(5)]
         yield L.element(coeffs), HermitianMatrix(summed)
 
     def test_repeated_calls_agree_and_leave_the_grid_alone(self):
@@ -274,14 +282,87 @@ class TestStoredGrid:
     def test_arithmetic_matches_entrywise_arithmetic(self, rng):
         x, y = rand_hermitian(rng, 4), rand_hermitian(rng, 4)
         s = Fraction(-5, 6)
-        entrywise = [
-            (x.add(y), lambda a, b: a + b), (x.sub(y), lambda a, b: a - b),
-            (x.scale(s), lambda a, b: a * s), (-x, lambda a, b: -a),
+        entrywise = [  # on (re, im) parts
+            (x.add(y), lambda a, b: (a.re + b.re, a.im + b.im)),
+            (x.sub(y), lambda a, b: (a.re - b.re, a.im - b.im)),
+            (x.scale(s), lambda a, b: (a.re * s, a.im * s)), (x.neg(), lambda a, b: (-a.re, -a.im)),
         ]
         for got, op in entrywise:
             rows = [[op(a, b) for a, b in zip(r, t)] for r, t in zip(x.entries, y.entries)]
             assert got == HermitianMatrix(rows)
-        shifted = [[a - s if i == j else a for j, a in enumerate(r)] for i, r in enumerate(x.entries)]
+        shifted = [[(a.re - s, a.im) if i == j else a for j, a in enumerate(r)]
+                   for i, r in enumerate(x.entries)]
         assert x.shift(s) == HermitianMatrix(shifted)
         assert x.trace() == sum((x.entries[i][i].re for i in range(4)), Fraction(0))
         assert x.scale(0) == HermitianMatrix.zero(4) and x.scale(0).is_zero()
+
+
+class TestOneExactRule:
+    """Every API constructor of an exact scalar or entry reads its parts
+    with ``exact_rational``: an int or a Fraction, never a float, a string,
+    a Decimal or a complex.  The exact inputs give the grids that the
+    constructors gave before the rule was shared."""
+
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    rows = [[3, (half, -third)], [GaussianRational(half, third), Fraction(5, 4)]]
+    X = HermitianMatrix(rows)
+    L = SubspaceBasis(2, [X, HermitianMatrix([[0, (1, half)], [(1, -half), 0]])])
+    BUILDERS = {  # each takes one exact scalar
+        "exact_rational": exact_rational,
+        "scaled_gaussian_grid": lambda v: scaled_gaussian_grid([[v]]),
+        "HermitianMatrix": lambda v: HermitianMatrix([[v, 0], [0, 1]]),
+        "HermitianMatrix pair": lambda v: HermitianMatrix([[(v, 0), 0], [0, 1]]),
+        "congruence_transform": lambda v: congruence_transform(
+            TestOneExactRule.X, [[1, 0], [(0, v), 1]]
+        ),
+        "diagonal": lambda v: HermitianMatrix.diagonal([1, v]),
+        "scalar": lambda v: HermitianMatrix.scalar(2, v),
+        "scale": lambda v: TestOneExactRule.X.scale(v),
+        "shift": lambda v: TestOneExactRule.X.shift(v),
+        "GaussianRational re": lambda v: GaussianRational(v),
+        "GaussianRational im": lambda v: GaussianRational(0, v),
+        "RationalPolynomial": lambda v: RationalPolynomial([1, v]),
+        "from_roots": lambda v: RationalPolynomial.from_roots([v]),
+        "evaluate": lambda v: RationalPolynomial([1, 1]).evaluate(v),
+        "element": lambda v: TestOneExactRule.L.element([v, 1]),
+    }
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, "1/2", Decimal("0.5"), 0.5 + 0j, 1j])
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_inexact_values_raise_type_error(self, name, value):
+        with pytest.raises(TypeError):
+            self.BUILDERS[name](value)
+
+    @pytest.mark.parametrize("entry", [0.5, (1, 0.5), [1, 0], (1, 2, 3), None])
+    def test_bad_entries_keep_the_entry_message(self, entry):
+        for build in (HermitianMatrix, lambda rows: congruence_transform(self.X, rows)):
+            with pytest.raises(TypeError, match="as a matrix entry"):
+                build([[entry, 0], [0, 1]])
+
+    def test_exact_inputs_give_the_same_grids(self):
+        half, third = self.half, self.third
+        assert exact_rational(half) is half and exact_rational(-3) == Fraction(-3)
+        assert scaled_gaussian_grid(self.rows) == (12, [[36, 6], [6, 15]], [[0, -4], [4, 0]])
+        assert self.X.grid == (12, ((36, 6), (6, 15)), ((0, -4), (4, 0)))
+        assert self.X.entries == (
+            (GaussianRational(3), GaussianRational(half, -third)),
+            (GaussianRational(half, third), GaussianRational(Fraction(5, 4))),
+        )
+        P = [[1, (0, 1)], [GaussianRational(half), (Fraction(-2, 3), 2)]]
+        assert congruence_transform(self.X, P).grid == (
+            144, ((549, -36), (-36, 1584)), ((0, 824), (-824, 0))
+        )
+        diag = HermitianMatrix.diagonal([1, Fraction(-2, 3), 0]).grid
+        assert diag == (3, ((3, 0, 0), (0, -2, 0), (0, 0, 0)), ((0, 0, 0),) * 3)
+        assert HermitianMatrix.scalar(2, Fraction(3, 4)).grid == (4, ((3, 0), (0, 3)), ((0, 0),) * 2)
+        assert self.X.scale(Fraction(-2, 3)).grid == (18, ((-36, -6), (-6, -15)), ((0, 4), (-4, 0)))
+        assert self.X.shift(half).grid == (12, ((30, 6), (6, 9)), ((0, -4), (4, 0)))
+        assert self.L.element([2, Fraction(-1, 6)]).grid == (
+            12, ((72, 10), (10, 30)), ((0, -9), (9, 0))
+        )
+        z = GaussianRational(1, half)
+        assert (z.re, z.im) == (Fraction(1), half) and type(z.re) is Fraction
+        assert RationalPolynomial([1, half, 0]).coeffs == (Fraction(1), half)
+        assert RationalPolynomial.from_roots([1, half]).coeffs == (half, Fraction(-3, 2), Fraction(1))
+        p = RationalPolynomial([1, half])
+        assert (p.evaluate(2), p.evaluate(third)) == (2, Fraction(7, 6))

@@ -31,6 +31,33 @@ class TestBatchStats:
             assert nmi[i] == np.count_nonzero(ev < -thr)
             assert npl[i] + nmi[i] + nun[i] == q
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("zero_basis", [False, True])
+    def test_objective_matches_the_descent_objective_bit_for_bit(
+        self, monkeypatch, nprng, q, zero_basis
+    ):
+        # batch_stats spells out _objective_from_eigs vectorised; both must
+        # give the same float on the same eigenvalue row, so the rows are
+        # the ones batch_stats computes, not a second product
+        d, n = 3, 40
+        basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
+        if zero_basis:
+            basis[:] = 0
+        coeffs = nprng.standard_normal((n, d))
+        coeffs[0] = 0.0
+        real, rows = np.linalg.eigvalsh, []
+
+        def recorded(x):
+            rows.append(real(x))
+            return rows[-1]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        f = kernels.batch_stats(basis, coeffs, 1e-9)[3]
+        (ev,) = rows
+        want = np.array([kernels._objective_from_eigs(row) for row in ev])
+        assert want.tobytes() == f.tobytes()
+        assert np.isneginf(f[0]) and np.isneginf(f).all() == zero_basis
+
     def test_shape_validation(self, nprng):
         basis = np.stack([random_hermitian_f(nprng, 3) for _ in range(2)])
         with pytest.raises(ValueError):

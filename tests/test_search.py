@@ -243,6 +243,29 @@ class TestFalsifier:
         d1.pop("workers"), d3.pop("workers")
         assert d1 == d3
 
+    @pytest.mark.parametrize("q, dim", [(4, 6), (5, 9)])
+    def test_threaded_sampling_matches_one_thread(self, monkeypatch, q, dim):
+        # more samples than one chunk, so workers > 1 sample in a thread pool
+        import concurrent.futures
+
+        pools = []
+
+        class CountedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        L = random_subspace(q, dim, seed=23)
+        docs = []
+        for workers in (1, 2, 3):
+            cfg = SearchConfig(seed=23, samples=2 * search._CHUNK + 1, workers=workers)
+            doc = run_search(L, cfg).to_json()
+            assert doc.pop("workers") == workers
+            docs.append(doc)
+        assert docs[1] == docs[0] and docs[2] == docs[0]
+        assert pools == [2, 3]
+
     def test_report_json_round_trip(self):
         L = random_subspace(5, 9, seed=19)
         rep = run_search(L, SearchConfig(seed=19))
