@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import HypothesisNotMetError
-from .jsonrecord import json_int, json_record
+from .jsonrecord import json_bool, json_int, json_record
 
 
 @json_record
@@ -48,6 +48,10 @@ class Assumptions:
             raise ValueError(f"irregularity must be >= 1, got {self.q}")
         if self.p_g is not None and json_int(self.p_g, "geometric genus") < 0:
             raise ValueError("geometric genus must be nonnegative")
+        json_bool(self.no_irregular_pencils_genus_ge2, "no_irregular_pencils_genus_ge2")
+        json_bool(self.minimal_surface, "minimal_surface")
+        if self.pencil is not None and not isinstance(self.pencil, PencilData):
+            raise ValueError(f"pencil must be None or a PencilData, got {self.pencil!r}")
         if (
             self.pencil is not None
             and self.pencil.b >= 2

@@ -66,8 +66,9 @@ def exact_rational(value) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Inverse of parse_rational; denominator 1 renders as a bare integer."""
-    x = Fraction(x)
+    """Inverse of parse_rational for an :func:`exact_rational` (a float or
+    a str raises TypeError); denominator 1 renders as a bare integer."""
+    x = exact_rational(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

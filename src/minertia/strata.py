@@ -87,24 +87,34 @@ def classify_d2(X: HermitianMatrix) -> StratumLabel:
 
 def _high_multiplicity_shift(X: HermitianMatrix) -> Optional[Tuple[Fraction, Inertia]]:
     """The eigenvalue s of :func:`eigenvalue_of_high_multiplicity` with the
-    inertia of X - s*I that cross-checks it, or None.
+    inertia of X - s*I, or None.
 
-    All of it runs on X's stored grid B = den*X, whose eigenvalues are den
-    times X's.  Berkowitz's integer coefficients of det(yI - B) go straight
-    into the integer gcd tower.  A primitive factor of that monic integer
-    polynomial is monic (Gauss's lemma), so the tower's result g must be
-    exactly (y - t)^e with t = -g[e-1] / e an integer, which is checked
-    coefficient by coefficient against the binomial expansion.  Then
-    s = t / den, X - s*I is the integer grid B - t*I over den, and
-    elimination reads its inertia at that scale, so only the apex s is
-    made a rational.
+    Five rows are enough to find s.  If s has multiplicity mu >= q - 2 in
+    X, its eigenspace meets span(e_1..e_5) in dimension >= mu - (q - 5)
+    >= 3, and every v there satisfies X_5 v_5 = s v_5 for the leading 5 x 5
+    block X_5: s is an eigenvalue of X_5 of multiplicity >= 3, and a 5 x 5
+    Hermitian matrix has at most one such.  So the candidate t comes from
+    Berkowitz's integer coefficients of det(yI - B_5), B = den*X the stored
+    grid, and the integer gcd tower at depth 2.  A primitive factor of that
+    monic integer polynomial is monic (Gauss's lemma), so the tower's result
+    g is 1 (no candidate: None) or exactly (y - t)^e with t = -g[e-1] / e an
+    integer, which is checked coefficient by coefficient against the
+    binomial expansion.
+
+    Elimination of the full grid B - t*I (X - s*I over den, s = t / den)
+    then decides: rank <= 2 gives s with that inertia; rank > 2 means X is
+    not in the cone, since s was the only possible apex.  In that case the
+    block B_5 - t*I_5 must still have rank <= 2, which is checked; a larger
+    rank means the tower and the elimination disagree, an arithmetic fault.
+    At q = 5 the block is X itself.
     """
     q = X.q
     if q < 5:
         raise UnsupportedSizeError(
             f"high-multiplicity detection requires q >= 5, got {q}"
         )
-    g = _int_gcd_tower(_berkowitz(X.re, X.im)[::-1], q - 3)
+    block_re, block_im = ([list(row[:5]) for row in grid[:5]] for grid in (X.re, X.im))
+    g = _int_gcd_tower(_berkowitz(block_re, block_im)[::-1], 2)
     e = len(g) - 1
     if e == 0:
         return None
@@ -115,20 +125,26 @@ def _high_multiplicity_shift(X: HermitianMatrix) -> Optional[Tuple[Fraction, Ine
     for i in range(q):
         re[i][i] -= t
     inr = grid_inertia(re, [list(row) for row in X.im])
-    if inr.rank > 2:
+    if inr.rank <= 2:
+        return Fraction(t, X.den), inr
+    for i in range(5):
+        block_re[i][i] -= t
+    if grid_inertia(block_re, block_im).rank > 2:
         raise InconsistencyError(
-            "high-multiplicity eigenvalue fails the rank <= 2 cross-check"
+            "the leading block's triple eigenvalue fails its rank <= 2 check"
         )
-    return Fraction(t, X.den), inr
+    return None
 
 
 def eigenvalue_of_high_multiplicity(X: HermitianMatrix) -> Optional[Fraction]:
     """The unique rational eigenvalue of multiplicity >= q - 2, if any.
 
-    For q >= 5 two such eigenvalues would need 2(q - 2) <= q, impossible,
-    so uniqueness is automatic and the gcd tower of the characteristic
-    polynomial is a pure power (x - s)^e with s rational.  X - s*I must
-    have rank <= 2, which is checked exactly.
+    For q >= 5 two such eigenvalues would need 2(q - 2) <= q, impossible.
+    Such an s is a triple eigenvalue of the leading 5 x 5 block (its
+    eigenspace meets the first five coordinates in dimension >= 3), which
+    has at most one, so the block names the only candidate; it is s
+    exactly when X - s*I has rank <= 2, which elimination decides (see
+    :func:`_high_multiplicity_shift`).
     """
     found = _high_multiplicity_shift(X)
     return None if found is None else found[0]
@@ -138,9 +154,11 @@ def classify_cone(X: HermitianMatrix) -> ConeClassification:
     """Cone membership of a nonzero matrix for q >= 5.
 
     Scalar matrices are the vertex.  Otherwise X belongs to the cone iff
-    X - s*I has rank <= 2 for the high-multiplicity eigenvalue s; the label
-    then follows the signature of the shifted matrix, taken from the rank
-    cross-check.
+    X - s*I has rank <= 2 for an eigenvalue s of multiplicity >= q - 2.
+    Five rows are enough to name s: it is a triple eigenvalue of the
+    leading 5 x 5 block, which has at most one.  The elimination of
+    X - s*I for that candidate decides membership, and the label follows
+    the signature it reads.
     """
     if X.is_zero():
         raise NotProjectivePointError("zero matrix is not a projective point")

@@ -150,6 +150,27 @@ class TestBestBound:
         with pytest.raises(ValueError, match="must be an integer"):
             best_bound(Assumptions(no_irregular_pencils_genus_ge2=True, **kwargs))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"no_irregular_pencils_genus_ge2": "no"},
+            {"no_irregular_pencils_genus_ge2": 1},
+            {"no_irregular_pencils_genus_ge2": None},
+            {"minimal_surface": "yes"},
+            {"minimal_surface": 0},
+        ],
+    )
+    def test_assumptions_reject_non_boolean_flags(self, kwargs):
+        # the string "no" was truthy: best 17 at q = 5 instead of 13
+        with pytest.raises(ValueError, match="must be a boolean"):
+            best_bound(Assumptions(q=5, **kwargs))
+
+    @pytest.mark.parametrize("pencil", [{"b": 2}, 2, (2, (3,))])
+    def test_assumptions_reject_a_pencil_that_is_not_pencil_data(self, pencil):
+        # a dict used to raise AttributeError in pencil_bound
+        with pytest.raises(ValueError, match="pencil must be None or a PencilData"):
+            best_bound(Assumptions(q=5, pencil=pencil))
+
     def test_entries_in_table_order_with_the_pencil_only_when_given(self):
         names = ["bmy", "general_type", "odd_q", "power_of_two_q", "epsilon_offset"]
         rep = best_bound(Assumptions(q=5, no_irregular_pencils_genus_ge2=True))

@@ -38,6 +38,7 @@ from minertia.hermitian_core import (
     Inertia,
     _berkowitz,
     char_poly,
+    congruence_transform,
     grid_inertia,
     inertia,
 )
@@ -308,6 +309,33 @@ class TestIntegerConePath:
         monkeypatch.setattr(strata, "_int_gcd_tower", lambda g, depth: tower)
         with pytest.raises(InconsistencyError, match="not a power of a linear factor"):
             strata._high_multiplicity_shift(HermitianMatrix.diagonal([3, 3, 3, 1, -1]))
+
+    @pytest.mark.parametrize("q", range(5, 11))
+    def test_cone_members_under_a_permutation_congruence(self, q):
+        # the low-rank part lands anywhere relative to the leading 5 x 5
+        # block; the full-matrix tower of the reference does not use the block
+        rng = random.Random(200 + q)
+        for pos, neg in [(1, 1), (2, 0), (0, 2), (1, 0), (0, 1), (1, 1), (2, 0)]:
+            Y = rand_low_rank(rng, q, pos, neg)
+            s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            perm = list(range(q))
+            rng.shuffle(perm)
+            P = [[int(perm[i] == j) for j in range(q)] for i in range(q)]
+            X = congruence_transform(Y.add(HermitianMatrix.scalar(q, s)), P)
+            found = strata._high_multiplicity_shift(X)
+            assert found == _reference_shift(X)
+            assert found is not None and found[0] == s
+
+    @pytest.mark.parametrize("q", [5, 6, 8])
+    @pytest.mark.parametrize("wrong", [2, 4])
+    def test_a_tower_with_a_wrong_apex_raises(self, monkeypatch, q, wrong):
+        # (y - wrong) in place of the cone member's y - 3: the full
+        # elimination finds rank > 2, and the leading block, whose triple
+        # eigenvalue is 3, must then disagree with the tower
+        monkeypatch.setattr(strata, "_int_gcd_tower", lambda g, depth: [-wrong, 1])
+        X = HermitianMatrix.diagonal([3] * (q - 2) + [1, -1])
+        with pytest.raises(InconsistencyError, match="fails its rank <= 2 check"):
+            strata._high_multiplicity_shift(X)
 
 
 class TestSelfChecks:

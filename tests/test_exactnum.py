@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,16 @@ class TestRationalText:
     def test_format_denominator_one(self):
         assert format_rational(Fraction(6, 2)) == "3"
         assert format_rational(Fraction(-1, 3)) == "-1/3"
+
+    @pytest.mark.parametrize("x", [0.1, 0.5, "1e-3", "1/2", Decimal("0.1"), 1j])
+    def test_format_takes_only_exact_rationals(self, x):
+        # 0.1 used to be written as 3602879701896397/36028797018963968
+        # and "1e-3" as 1/1000
+        with pytest.raises(TypeError, match="not an exact rational"):
+            format_rational(x)
+
+    def test_format_takes_an_int(self):
+        assert format_rational(-4) == "-4"
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

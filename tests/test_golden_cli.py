@@ -13,8 +13,10 @@ json/csv tables, and ``catalog`` as json and csv.  It also fixes the edges
 of the command line: usage errors, ``--help`` of the program and of every
 subcommand (with ``COLUMNS`` pinned, as for every case), malformed matrix
 input (invalid JSON, a ragged grid, a zero denominator, broken conjugate
-symmetry off and on the diagonal, an empty grid) and matrices written with
-unreduced rationals and stray whitespace.  Any change to the exact core or
+symmetry off and on the diagonal, an empty grid), matrices written with
+unreduced rationals and stray whitespace, and ``classify --cone`` at
+q = 6..8 on matrices whose leading 5 x 5 block alone would mislead the cone
+decision.  Any change to the exact core or
 the CLI must reproduce it byte for byte, and every JSON report in it must
 read back through its class's ``from_json`` to the same document.
 
@@ -212,6 +214,45 @@ def _edge_inputs():
     ]
 
 
+def _cone_block_inputs():
+    """(argvs, stdin text) of ``classify --cone`` at q = 6, 7, 8 on matrices
+    whose leading 5 x 5 block misleads: diag(1, 1, 1, 2, 3, ...) with a
+    last row and column of ones, a triple eigenvalue 1 in the block but
+    not in the cone, and cone members whose low-rank part lies outside the
+    block, which is then scalar."""
+    def doc(re, im):
+        q = len(re)
+        entries = [[_entry((re[i][j], im[i][j])) for j in range(q)] for i in range(q)]
+        return json.dumps({"q": q, "entries": entries})
+
+    def bordered(diag):
+        q = len(diag)
+        re = [[Fraction(d if i == j else 0) for j in range(q)] for i, d in enumerate(diag)]
+        for i in range(q - 1):
+            re[i][q - 1] = re[q - 1][i] = Fraction(1)
+        return doc(re, [[Fraction(0)] * q for _ in range(q)])
+
+    def outside(q, s, corner):
+        # s*I plus the Hermitian 2 x 2 block corner (re, im pairs) on the
+        # last two indices
+        re = [[s if i == j else Fraction(0) for j in range(q)] for i in range(q)]
+        im = [[Fraction(0)] * q for _ in range(q)]
+        for a in range(2):
+            for b in range(2):
+                re[q - 2 + a][q - 2 + b] += corner[a][b][0]
+                im[q - 2 + a][q - 2 + b] += corner[a][b][1]
+        return doc(re, im)
+
+    half = Fraction(1, 2)
+    texts = [bordered([1, 1, 1] + list(range(2, q - 1))) for q in (6, 7, 8)] + [
+        outside(6, Fraction(3), [[(0, 0), (0, 0)], [(0, 0), (2, 0)]]),
+        # v v* with v = (0, ..., 0, 1 + i, 2)
+        outside(7, Fraction(3), [[(2, 0), (2, 2)], [(2, -2), (4, 0)]]),
+        outside(8, 3 * half, [[(1, 0), (2, 1)], [(2, -1), (-half, 0)]]),
+    ]
+    return [([list(_MATRIX_ARGVS[2])], text) for text in texts]
+
+
 def write_corpus(path=CORPUS):
     matrices = _build_matrices()
     cases = []
@@ -220,7 +261,7 @@ def write_corpus(path=CORPUS):
             cases.append({"argv": argv, "matrix": k, **run_cli(argv, json.dumps(mat))})
     for argv in _RUN_ARGVS + _USAGE_ARGVS:
         cases.append({"argv": argv, "matrix": None, **run_cli(argv)})
-    for argvs, text in _edge_inputs():
+    for argvs, text in _edge_inputs() + _cone_block_inputs():
         for argv in argvs:
             cases.append({"argv": argv, "matrix": None, "stdin": text, **run_cli(argv, text)})
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,7 @@ from minertia.hermitian_core import (
     minimal_inertia,
 )
 from minertia.strata import (
+    ConeClassification,
     ConeLabel,
     StratumLabel,
     classify_cone,
@@ -123,6 +124,34 @@ class TestHighMultiplicityEigenvalue:
             done += 1
 
 
+def _spy_cone_path(monkeypatch) -> list:
+    """Log the cone path's towers, eliminations, inertias and shifts."""
+    calls = []
+
+    def logged(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(strata, "_int_gcd_tower", logged("tower", strata._int_gcd_tower))
+    monkeypatch.setattr(strata, "grid_inertia", logged("elimination", strata.grid_inertia))
+    monkeypatch.setattr(strata, "inertia", logged("inertia", strata.inertia))
+    monkeypatch.setattr(HermitianMatrix, "shift", logged("shift", HermitianMatrix.shift))
+    return calls
+
+
+def _bordered(diag) -> list:
+    """The integer grid diag(diag) with every off-diagonal entry of the last
+    row and column set to 1."""
+    q = len(diag)
+    re = [[d * (i == j) for j in range(q)] for i, d in enumerate(diag)]
+    for i in range(q - 1):
+        re[i][q - 1] = re[q - 1][i] = 1
+    return re
+
+
 class TestClassifyCone:
     @pytest.mark.parametrize(
         "diag,label",
@@ -166,25 +195,53 @@ class TestClassifyCone:
             found += 1
 
     def test_cone_member_is_shifted_and_eliminated_once(self, monkeypatch):
-        # the label reads the inertia of X - s*I that the rank cross-check took
-        calls = []
-
-        def logged(name, fn):
-            def call(*args):
-                calls.append(name)
-                return fn(*args)
-
-            return call
-
-        # one integer tower, one elimination of the grid of X - s*I, and no
-        # second shift or elimination
-        monkeypatch.setattr(strata, "_int_gcd_tower", logged("tower", strata._int_gcd_tower))
-        monkeypatch.setattr(strata, "grid_inertia", logged("elimination", strata.grid_inertia))
-        monkeypatch.setattr(strata, "inertia", logged("inertia", strata.inertia))
-        monkeypatch.setattr(HermitianMatrix, "shift", logged("shift", HermitianMatrix.shift))
+        # one integer tower (on the leading 5 x 5 block), one elimination of
+        # the grid of X - s*I, whose inertia gives the label, and no second
+        # shift or elimination
+        calls = _spy_cone_path(monkeypatch)
         res = classify_cone(HermitianMatrix.diagonal([3, 3, 3, 1, -1]))
         assert (res.label, res.apex_shift) == (ConeLabel.C0, Fraction(3))
         assert calls == ["tower", "elimination"]
+
+    def test_triple_eigenvalue_in_the_block_only_is_not_in_the_cone(self, monkeypatch):
+        # the leading block diag(1, 1, 1, 2, 3) offers the apex 1, but X - I
+        # has rank 4: the full matrix is eliminated, then the block guard
+        X = HermitianMatrix.from_scaled(1, _bordered([1, 1, 1, 2, 3, 5]), [[0] * 6] * 6)
+        calls = _spy_cone_path(monkeypatch)
+        assert classify_cone(X) == ConeClassification(ConeLabel.NOT_IN_C2, None)
+        assert calls == ["tower", "elimination", "elimination"]
+        assert inertia(X.shift(1)).rank == 4
+
+    def test_two_double_eigenvalues_in_the_first_four_rows(self):
+        # the leading 4 x 4 block diag(1, 1, 2, 2) has two double roots (a
+        # depth-1 tower on four rows would not be a pure power); the 5 x 5
+        # block diag(1, 1, 2, 2, 3) has no triple one
+        X = HermitianMatrix.from_scaled(1, _bordered([1, 1, 2, 2, 3, 5]), [[0] * 6] * 6)
+        assert classify_cone(X) == ConeClassification(ConeLabel.NOT_IN_C2, None)
+
+    @pytest.mark.parametrize(
+        "corner,label",
+        [
+            ([[1, 2], [2, 4]], ConeLabel.BOTH_BOUNDARY),  # v v*, v = (1, 2)
+            ([[2, 2 + 2j], [2 - 2j, 4]], ConeLabel.BOTH_BOUNDARY),  # v = (1 + i, 2)
+            ([[1, 1], [1, 2]], ConeLabel.C0),
+            ([[1, 2], [2, -1]], ConeLabel.C1),
+            ([[-1, -1], [-1, -2]], ConeLabel.C0),
+        ],
+    )
+    @pytest.mark.parametrize("q", [7, 8])
+    def test_low_rank_part_outside_the_block(self, q, corner, label):
+        # 3*I plus a Hermitian 2 x 2 block on the last two indices: the
+        # leading 5 x 5 block is the scalar 3*I, the apex is still 3
+        re = [[3 * (i == j) for j in range(q)] for i in range(q)]
+        im = [[0] * q for _ in range(q)]
+        for a in range(2):
+            for b in range(2):
+                z = complex(corner[a][b])
+                re[q - 2 + a][q - 2 + b] += int(z.real)
+                im[q - 2 + a][q - 2 + b] = int(z.imag)
+        X = HermitianMatrix.from_scaled(1, re, im)
+        assert classify_cone(X) == ConeClassification(label, Fraction(3))
 
     def test_zero_rejected(self):
         with pytest.raises(NotProjectivePointError):
