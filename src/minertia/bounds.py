@@ -61,6 +61,8 @@ class Assumptions:
                 "inconsistent assumptions: a genus >= 2 pencil is given while "
                 "no_irregular_pencils_genus_ge2 is set"
             )
+        if self.pencil is not None and self.pencil.b > self.q:
+            raise ValueError(f"base genus must lie in [1, q]={self.q}, got {self.pencil.b}")
 
 
 @json_record

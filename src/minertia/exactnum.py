@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -346,10 +347,12 @@ def grid_combination(q: int, terms) -> Tuple[int, List[List[int]], List[List[int
     (or int) f and a q x q scaled grid, read and never written, as one scaled
     grid over the lcm of the denominators (not always the least)."""
     terms = [(f, g) for f, g in terms if f]
+    if not terms:
+        return 1, [[0] * q for _ in range(q)], [[0] * q for _ in range(q)]
     den = math.lcm(*(f.denominator * g[0] for f, g in terms))
-    re = im = [[0] * q] * q  # rows are replaced below, never mutated
-    for f, (d, br, bi) in terms:
-        s = f.numerator * (den // (f.denominator * d))
-        re = [[a + s * b for a, b in zip(ra, rb)] for ra, rb in zip(re, br)]
-        im = [[a + s * b for a, b in zip(ia, ib)] for ia, ib in zip(im, bi)]
-    return den, re, im
+    scales = [f.numerator * (den // (f.denominator * g[0])) for f, g in terms]
+
+    def combine(grids):  # each entry in one pass over the terms
+        return [[sum(map(mul, scales, col)) for col in zip(*rows)] for rows in zip(*grids)]
+
+    return den, combine([g[1] for _, g in terms]), combine([g[2] for _, g in terms])

@@ -39,8 +39,9 @@ class Inertia:
     n_zero: int
 
     def __post_init__(self):
-        if min(self.n_plus, self.n_minus, self.n_zero) < 0:
-            raise ValueError(f"inertia has a negative count: {self}")
+        for name in ("n_plus", "n_minus", "n_zero"):
+            if json_int(getattr(self, name), f"inertia {name!r}") < 0:
+                raise ValueError(f"inertia has a negative count: {self}")
 
     @property
     def q(self) -> int:

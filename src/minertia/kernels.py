@@ -14,6 +14,7 @@ so threads that make their first float calls together are safe.
 from __future__ import annotations
 
 import importlib
+import math
 import sys
 import threading
 import types
@@ -47,29 +48,32 @@ np = _lazy_import("numpy")
 BACKEND = "numpy"
 
 
-def _objective_from_eigs(ev: np.ndarray) -> float:
-    # f >= 0 exactly when at most one eigenvalue of some sign remains
-    q = ev.shape[0]
-    scale = float(np.max(np.abs(ev)))
+def _objective_from_eigs(ev) -> float:
+    """f of one ascending eigenvalue row: max(lambda_2, -lambda_{q-1}) / max|lambda|,
+    -inf for the zero matrix.  f >= 0 exactly when at most one eigenvalue of
+    some sign remains.  The row is sorted, so max|lambda| is the larger of
+    -lambda_1 and lambda_q."""
+    scale = max(-ev[0], ev[-1])
     if scale == 0.0:
-        return -np.inf
-    if q == 1:
+        return -math.inf
+    if len(ev) == 1:
         return 1.0
-    return float(max(ev[1], -ev[q - 2]) / scale)
+    return float(max(ev[1], -ev[-2]) / scale)
 
 
 def batch_stats(basis: np.ndarray, coeffs: np.ndarray, tol: float):
     """Per-sample sign counts and objective for elements sum_i c_i B_i.
 
     basis: (d, q, q) complex128; coeffs: (n, d) float64.
-    Returns int64 arrays (n_plus, n_minus, n_uncertain) and float64 f.
+    Returns int64 arrays (n_plus, n_minus, n_uncertain) and float64 f, the
+    objective of :func:`_objective_from_eigs` on each row, vectorised.
     """
     d, q, _ = basis.shape
     n = coeffs.shape[0]
     flat = basis.reshape(d, q * q)
     xs = (coeffs @ flat).reshape(n, q, q)
     ev = np.linalg.eigvalsh(xs)
-    scale = np.abs(ev).max(axis=1)
+    scale = np.maximum(-ev[:, 0], ev[:, -1])  # max |lambda| of a sorted row
     thr = tol * scale
     n_plus = (ev > thr[:, None]).sum(axis=1).astype(np.int64)
     n_minus = (ev < -thr[:, None]).sum(axis=1).astype(np.int64)
@@ -96,18 +100,23 @@ def coordinate_descent(
 
     Fixed step schedule: the step halves whenever a full sweep brings no
     improvement.  Stops early once f >= margin.  Returns (c, f, evals, hit).
+
+    One evaluation is a product with the flattened basis, one ``eigvalsh``
+    and the scalar :func:`_objective_from_eigs` on its row as a list; a
+    candidate is normalised by ``math.sqrt(c.dot(c))``, which is what
+    ``np.linalg.norm`` computes for a real vector.
     """
     d, q, _ = basis.shape
     flat = basis.reshape(d, q * q)
+    eigvalsh = np.linalg.eigvalsh
 
     def f_of(c):
-        x = (c @ flat).reshape(q, q)
-        return _objective_from_eigs(np.linalg.eigvalsh(x))
+        return _objective_from_eigs(eigvalsh((c @ flat).reshape(q, q)).tolist())
 
-    c = np.asarray(c0, dtype=np.float64).copy()
-    norm = np.linalg.norm(c)
+    c = np.array(c0, dtype=np.float64)
+    norm = math.sqrt(c.dot(c))
     if norm == 0.0:
-        return c, -np.inf, 0, False
+        return c, -math.inf, 0, False
     c /= norm
     f = f_of(c)
     evals = 1
@@ -117,10 +126,10 @@ def coordinate_descent(
             return c, f, evals, True
         improved = False
         for i in range(d):
-            for sgn in (1.0, -1.0):
+            for delta in (step, -step):
                 cand = c.copy()
-                cand[i] += sgn * step
-                cand /= np.linalg.norm(cand)
+                cand[i] += delta
+                cand /= math.sqrt(cand.dot(cand))
                 fc = f_of(cand)
                 evals += 1
                 if fc > f:

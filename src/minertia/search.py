@@ -86,11 +86,12 @@ _DOT_TERMS = (2**63 - MODULUS) // (MODULUS - 1) ** 2  # products an int64 sum ca
 
 def _mod_dot(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``x @ rows`` mod MODULUS for int64 arrays with entries in
-    [0, MODULUS), summed in chunks of ``_DOT_TERMS`` rows: a chunk's sum
-    plus a reduced carry stays below 2^63, so no int64 sum overflows."""
-    out = x[:_DOT_TERMS] @ rows[:_DOT_TERMS]
-    for s in range(_DOT_TERMS, len(x), _DOT_TERMS):
-        out = out % MODULUS + x[s : s + _DOT_TERMS] @ rows[s : s + _DOT_TERMS]
+    [0, MODULUS), x a vector or a stack of them, summed in chunks of
+    ``_DOT_TERMS`` rows: a chunk's sum plus a reduced carry stays below
+    2^63, so no int64 sum overflows."""
+    out = x[..., :_DOT_TERMS] @ rows[:_DOT_TERMS]
+    for s in range(_DOT_TERMS, len(rows), _DOT_TERMS):
+        out = out % MODULUS + x[..., s : s + _DOT_TERMS] @ rows[s : s + _DOT_TERMS]
     return out % MODULUS
 
 
@@ -107,6 +108,11 @@ class ModularEchelon:
     content, would reduce to one mod p).  A zero reduction is re-tested by
     the exact rank of the Gram matrix; a vector accepted that way breaks
     independence mod p, so every later test is exact too.
+
+    :meth:`add_block` tests the rows of an int64 array in order: the block
+    is reduced mod p and against the old rows at once, and each row it
+    accepts clears its pivot column from the rows after it, so it accepts
+    exactly the rows that one :meth:`try_add` per row would.
     """
 
     def __init__(self):
@@ -124,20 +130,47 @@ class ModularEchelon:
     def try_add(self, vec: Sequence[int]) -> bool:
         """Accept ``vec`` and return True iff it is independent of the
         vectors accepted so far."""
-        if not self.exact_only:
-            v = np.array([x % MODULUS for x in vec], dtype=np.int64)
-            rows = self.rows if self.rows is not None else np.empty((0, len(v)), dtype=np.int64)
-            v = (v - _mod_dot(v[self.pivots], rows)) % MODULUS
-            nonzero = v.nonzero()[0]
-            if nonzero.size:
-                lead = nonzero[0]
-                v = v * pow(int(v[lead]), -1, MODULUS) % MODULUS
-                rows = (rows - rows[:, lead, None] * v) % MODULUS  # clear column lead
-                self.rows = np.concatenate((rows, v[None]))
-                self.pivots = np.concatenate((self.pivots, nonzero[:1]))
-                self.accepted.append(vec)
-                return True
-        vecs = self.accepted + [vec]
+        residues = np.array([[x % MODULUS for x in vec]], dtype=np.int64)
+        return bool(self._add(residues, [vec]))
+
+    def add_block(self, block: np.ndarray) -> List[int]:
+        """Test the rows of the (m, n) int64 array ``block`` in order, as
+        m calls of :meth:`try_add` would; return the indices of the rows
+        accepted."""
+        return self._add(block % MODULUS, block)
+
+    def _add(self, res: np.ndarray, vecs) -> List[int]:
+        """Test ``vecs`` in order, ``res`` being their residues mod p."""
+        rows, pivots, kept = self.rows, self.pivots.tolist(), []
+        if rows is None:
+            rows = np.empty((0, res.shape[1]), dtype=np.int64)
+        elif pivots:
+            res = (res - _mod_dot(res[:, self.pivots], rows)) % MODULUS
+        old = len(rows)
+        a = np.concatenate((rows, res))  # the echelon rows, then the block
+        echelon = list(range(old))  # the rows of a that stay in the echelon
+        for k, vec in enumerate(vecs):
+            v = a[old + k]
+            nonzero = () if self.exact_only else v.nonzero()[0]
+            if not len(nonzero):
+                if self._exact_add(vec):
+                    kept.append(k)
+                continue
+            lead = nonzero[0]
+            v = v * pow(int(v[lead]), -1, MODULUS) % MODULUS
+            a = (a - a[:, lead, None] * v) % MODULUS  # clear column lead in every row
+            a[old + k] = v
+            pivots.append(lead)
+            echelon.append(old + k)
+            kept.append(k)
+            self.accepted.append(vec)
+        self.rows, self.pivots = a[echelon], np.array(pivots, dtype=np.intp)
+        return kept
+
+    def _exact_add(self, vec) -> bool:
+        """Accept ``vec`` iff the Gram matrix with the accepted vectors has
+        full rank; once one is accepted so, every later test comes here."""
+        vecs = [list(map(int, v)) for v in self.accepted] + [list(map(int, vec))]
         gram = [[sum(map(mul, u, v)) for v in vecs] for u in vecs]
         if grid_inertia(gram, [[0] * len(vecs) for _ in vecs]).rank < len(vecs):
             return False
@@ -167,6 +200,16 @@ def _float_exponent(grid) -> int:
     return top.bit_length() - den.bit_length()
 
 
+_F64_EXACT = 1 << 53  # every integer of smaller magnitude is a float64
+
+
+def _f64_exact(grid) -> bool:
+    """Whether den and every numerator of a grid lie below 2^53 in
+    magnitude, so that each converts to float64 exactly."""
+    den, re, im = grid
+    return den < _F64_EXACT and max(map(abs, chain.from_iterable(re + im))) < _F64_EXACT
+
+
 class SubspaceBasis:
     """An ordered, exactly independent list of Hermitian matrices spanning
     a real subspace.
@@ -177,7 +220,7 @@ class SubspaceBasis:
     ``HermitianMatrix`` in :attr:`basis` is built from them on first use.
     The constructor checks independence exactly."""
 
-    __slots__ = ("q", "_grids", "_exps", "_basis")
+    __slots__ = ("q", "_grids", "_exps", "_f64", "_basis")
 
     def __init__(self, q: int, basis: Sequence[HermitianMatrix]):
         basis = tuple(basis)
@@ -190,21 +233,24 @@ class SubspaceBasis:
         for k, grid in enumerate(grids):
             if not ech.try_add(_coordinates(grid)):
                 raise ValueError(f"basis matrix {k} is linearly dependent")
-        self._set(q, grids, tuple(map(_float_exponent, grids)), basis)
+        exps = tuple(map(_float_exponent, grids))
+        self._set(q, grids, exps, all(map(_f64_exact, grids)), basis)
 
     @classmethod
     def _from_grids(cls, q: int, grids: Sequence) -> "SubspaceBasis":
-        """A basis of :func:`_random_grid` grids whose independence a
+        """A basis of :func:`_grids_of` grids whose independence a
         ``ModularEchelon`` has already established; it is not checked
-        again, and every :func:`_float_exponent` is 0 without computing it."""
+        again.  Every :func:`_float_exponent` is 0 and every integer lies
+        below 2^53 (see :func:`_grids_of`), without computing either."""
         new = object.__new__(cls)
-        new._set(q, tuple(grids), (0,) * len(grids), None)
+        new._set(q, tuple(grids), (0,) * len(grids), True, None)
         return new
 
-    def _set(self, q, grids, exps, basis):
+    def _set(self, q, grids, exps, f64, basis):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_grids", grids)
         object.__setattr__(self, "_exps", exps)
+        object.__setattr__(self, "_f64", f64)
         object.__setattr__(self, "_basis", basis)
 
     def __setattr__(self, name, value):
@@ -231,8 +277,22 @@ class SubspaceBasis:
 
     def float_image(self) -> np.ndarray:
         """(dim, q, q) complex128 image of the basis, matrix i scaled by
-        2^-e_i (see :func:`_float_exponent`).  int / int division rounds
-        correctly, so an unscaled entry equals ``complex(entry)``."""
+        2^-e_i (see :func:`_float_exponent`); an unscaled entry equals
+        ``complex(entry)``.
+
+        When every den and numerator lies below 2^53 (see :func:`_f64_exact`),
+        all e_i are 0 and each integer converts to float64 exactly, so one
+        float64 division of the whole basis gives the correctly rounded
+        quotients.  Other bases are divided entry by entry as Python ints,
+        whose true division also rounds correctly."""
+        shape = (self.dim, self.q, self.q)
+        if self._f64:
+            grids = self._grids
+            den = np.array([g[0] for g in grids], dtype=np.float64).reshape(-1, 1, 1)
+            image = np.empty(shape, dtype=np.complex128)
+            image.real = np.array([g[1] for g in grids], dtype=np.float64).reshape(shape) / den
+            image.imag = np.array([g[2] for g in grids], dtype=np.float64).reshape(shape) / den
+            return image
         re_vals: List[float] = []
         im_vals: List[float] = []
         for (den, re, im), e in zip(self._grids, self._exps):
@@ -242,7 +302,7 @@ class SubspaceBasis:
                 im = [[b << up for b in row] for row in im]
             re_vals += [a / den for row in re for a in row]
             im_vals += [b / den for row in im for b in row]
-        image = np.empty((self.dim, self.q, self.q), dtype=np.complex128)
+        image = np.empty(shape, dtype=np.complex128)
         image.real.flat = re_vals
         image.imag.flat = im_vals
         return image
@@ -268,8 +328,9 @@ class SubspaceBasis:
 @functools.lru_cache(maxsize=None)
 def _draw_layout(q: int):
     """The bounds of one candidate draw, (n, d) pairs with -9 <= n < 10 and
-    1 <= d < 10, q^2 of them; and where its q^2 values n/d land: the draw
-    index of Re and of Im at each (i, j), and the sign of Im there."""
+    1 <= d < 10, q^2 of them; where its q^2 values n/d land: the draw
+    index of Re and of Im at each (i, j), and the sign of Im there; and the
+    draw index of each of its :func:`_coordinates`."""
     re_at = np.zeros((q, q), dtype=np.intp)
     im_at = np.zeros((q, q), dtype=np.intp)
     im_sign = np.zeros((q, q), dtype=np.int64)
@@ -282,26 +343,41 @@ def _draw_layout(q: int):
             im_sign[i, j], im_sign[j, i] = 1, -1
             at += 2
         at += 1
-    return np.array([-9, 1] * (q * q)), np.array([10, 10] * (q * q)), re_at, im_at, im_sign
+    upper = [a for i in range(q) for j in range(i + 1, q) for a in (re_at[i, j], im_at[i, j])]
+    coord_at = np.array([re_at[i, i] for i in range(q)] + upper, dtype=np.intp)
+    bounds = np.array([-9, 1] * (q * q)), np.array([10, 10] * (q * q))
+    return bounds, re_at, im_at, im_sign, coord_at
 
 
-def _random_grids(q: int, rng: np.random.Generator, count: int) -> List[tuple]:
-    """Scaled grids ``(den, re, im)`` of ``count`` random Hermitian matrices
-    with entries n/d, |n| <= 9, 1 <= d <= 9.  Each takes 2q^2 integers: per
-    row, the diagonal's (n, d), then (n, d) of Re and of Im of each entry
-    right of it (the order of one scalar draw per integer).  One call draws
-    all of them with the bounds tiled; that gives the same integers, and
-    leaves the generator in the same state, as ``count`` draws of one
-    candidate each.  Those entries lie in [2^-1000, 2^1000], so every grid's
-    :func:`_float_exponent` is 0."""
-    low, high, re_at, im_at, im_sign = _draw_layout(q)
+def _draw_block(q: int, rng: np.random.Generator, count: int):
+    """``count`` random Hermitian matrices with entries n/d, |n| <= 9,
+    1 <= d <= 9, as int64 arrays: each matrix's common denominator (at most
+    lcm(1..9) = 2520) and its q^2 numerators over it, in draw order.  Each
+    matrix takes 2q^2 integers: per row, the diagonal's (n, d), then (n, d)
+    of Re and of Im of each entry right of it (the order of one scalar draw
+    per integer).  One call draws all of them with the bounds tiled; that
+    gives the same integers, and leaves the generator in the same state, as
+    ``count`` draws of one matrix each."""
+    (low, high), *_ = _draw_layout(q)
     draws = rng.integers(np.tile(low, count), np.tile(high, count)).reshape(count, -1)
     nums, dens = draws[:, 0::2], draws[:, 1::2]
     g = np.gcd(nums, dens)
     dens = dens // g  # reduced, so den is their least common multiple
-    den = np.lcm.reduce(dens, axis=1)  # at most lcm(1..9) = 2520
-    vals = nums // g * (den[:, None] // dens)
+    den = np.lcm.reduce(dens, axis=1)
+    return den, nums // g * (den[:, None] // dens)
+
+
+def _grids_of(q: int, den: np.ndarray, vals: np.ndarray) -> List[tuple]:
+    """Scaled grids ``(den, re, im)`` of :func:`_draw_block` rows.  Their
+    entries lie in [2^-1000, 2^1000] and their integers below 2^53, so a
+    grid's :func:`_float_exponent` is 0 and its float image is exact."""
+    _, re_at, im_at, im_sign, _ = _draw_layout(q)
     return list(zip(den.tolist(), vals[:, re_at].tolist(), (vals[:, im_at] * im_sign).tolist()))
+
+
+def _random_grids(q: int, rng: np.random.Generator, count: int) -> List[tuple]:
+    """Scaled grids of ``count`` drawn matrices (see :func:`_draw_block`)."""
+    return _grids_of(q, *_draw_block(q, rng, count))
 
 
 def _random_grid(q: int, rng: np.random.Generator):
@@ -312,17 +388,21 @@ def _random_grid(q: int, rng: np.random.Generator):
 def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
     """A seeded random subspace of the given dimension; independence is
     enforced exactly, dependent draws are rejected and redrawn.  The
-    candidates still needed are drawn in one call and tested in order, so
-    the basis is the one that drawing them one at a time gives."""
+    candidates still needed are drawn in one call, their coordinates are
+    one column gather of the drawn integers, and one
+    :meth:`ModularEchelon.add_block` tests them in order; grids are built
+    only for the rows it accepts.  The basis is the one that drawing and
+    testing candidates one at a time gives."""
     if not 1 <= dim <= q * q:
         raise ValueError(f"dim must lie in [1, {q * q}], got {dim}")
+    coord_at = _draw_layout(q)[-1]
     rng = _stream(seed, _PURPOSE_BASIS)
     ech = ModularEchelon()
     grids: List[tuple] = []
     while len(grids) < dim:
-        for grid in _random_grids(q, rng, dim - len(grids)):
-            if ech.try_add(_coordinates(grid)):
-                grids.append(grid)
+        den, vals = _draw_block(q, rng, dim - len(grids))
+        kept = ech.add_block(vals[:, coord_at])
+        grids += _grids_of(q, den[kept], vals[kept])
     return SubspaceBasis._from_grids(q, grids)
 
 

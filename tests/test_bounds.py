@@ -171,6 +171,19 @@ class TestBestBound:
         with pytest.raises(ValueError, match="pencil must be None or a PencilData"):
             best_bound(Assumptions(q=5, pencil=pencil))
 
+    @pytest.mark.parametrize("q,b", [(5, 7), (1, 2), (3, 4)])
+    def test_assumptions_reject_a_base_genus_above_q(self, q, b):
+        # such a document used to load, and only best_bound raised
+        message = rf"^base genus must lie in \[1, q\]={q}, got {b}$"
+        with pytest.raises(ValueError, match=message):
+            Assumptions.from_json({"q": q, "pencil": {"b": b}})
+        with pytest.raises(ValueError, match=message):
+            Assumptions(q=q, pencil=PencilData(b=b))
+
+    def test_base_genus_q_is_in_range(self):
+        rep = best_bound(Assumptions.from_json({"q": 5, "pencil": {"b": 5}}))
+        assert {e.name: e.value for e in rep.bounds}["pencil"] == 2
+
     def test_entries_in_table_order_with_the_pencil_only_when_given(self):
         names = ["bmy", "general_type", "odd_q", "power_of_two_q", "epsilon_offset"]
         rep = best_bound(Assumptions(q=5, no_irregular_pencils_genus_ge2=True))

@@ -194,6 +194,18 @@ class TestBoundCommand:
         code, _, _ = run(capsys, "bound", "--q", "5", "--pencil", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--q", "5", "--pencil", "b=7"), "base genus must lie in [1, q]=5, got 7"),
+            (("--table", "1..4", "--pencil", "b=2"), "base genus must lie in [1, q]=1, got 2"),
+            (("--q", "5", "--pencil", "b=7", "--no-irregular-pencils"), "inconsistent assumptions"),
+        ],
+    )
+    def test_pencil_out_of_range_exits_2_with_its_message(self, capsys, argv, message):
+        code, out, err = run(capsys, "bound", *argv)
+        assert code == 2 and out == "" and message in err
+
 
 class TestSearchCommand:
     def test_report_round_trips(self, capsys):

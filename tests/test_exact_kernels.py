@@ -434,7 +434,7 @@ class TestIndependence:
         # vectors moved by multiples of MODULUS (dependent only modulo p)
         rng = random.Random(seed)
         n = rng.randint(1, 7)
-        ech, kept = ModularEchelon(), []
+        ech, kept, vecs, flags = ModularEchelon(), [], [], []
         for _ in range(n + 3):
             kind = rng.random()
             if kept and kind < 0.3:
@@ -448,7 +448,48 @@ class TestIndependence:
             assert added == (fraction_rank(kept + [v]) > len(kept))
             if added:
                 kept.append(v)
+            vecs.append(v)
+            flags.append(added)
         assert len(ech.accepted) == fraction_rank(kept) == len(kept)
+        # the block entry point accepts the same rows, wherever the blocks are cut
+        blocks, start = ModularEchelon(), 0
+        while start < len(vecs):
+            stop = rng.randint(start + 1, len(vecs))
+            kept_rows = blocks.add_block(np.array(vecs[start:stop], dtype=np.int64))
+            assert [k in kept_rows for k in range(stop - start)] == flags[start:stop]
+            start = stop
+        _assert_same_echelon(blocks, ech)
+
+    def test_add_block_rows_dependent_in_the_block_or_only_mod_p(self):
+        first = [[1, 2, 0, 0, 0, 0], [0, 1, 3, 0, 0, 0]]
+        block = [
+            [1, 3, 3, 0, 0, 0],  # first[0] + first[1]: dependent over Q
+            [0, 0, 4, 1, 0, 0],
+            [2, 1, 0, 7, 0, 0],
+            [2, 1, 4, 8, 0, 0],  # block[1] + block[2], rows of this block
+            [1, 2, 0, 0, MODULUS, 0],  # first[0] mod p only: independent over Q
+            [0, 0, 0, 0, 0, 1],  # tested exactly once the row above was accepted
+            [1, 2, 0, 0, MODULUS, 3],  # block[4] + 3 block[5]: dependent over Q
+        ]
+        ech, ref = ModularEchelon(), ModularEchelon()
+        assert ech.add_block(np.array(first, dtype=np.int64)) == [0, 1]
+        assert ech.add_block(np.array(block, dtype=np.int64)) == [1, 2, 4, 5]
+        flags = [ref.try_add(v) for v in first + block]
+        assert flags == [True, True, False, True, True, False, True, True, False]
+        kept = [v for v, added in zip(first + block, flags) if added]
+        assert ech.exact_only and fraction_rank(kept) == len(kept) == 6
+        _assert_same_echelon(ech, ref)
+        # while exact, a block is tested row by row on the Gram matrix
+        assert ech.add_block(np.eye(6, dtype=np.int64)) == []
+
+    def test_add_block_leaves_a_copy_untouched(self):
+        ech = ModularEchelon()
+        ech.add_block(np.array([[1, 0, 2], [0, 1, 1]], dtype=np.int64))
+        snapshot = ech.copy()
+        rows, pivots = snapshot.rows.copy(), snapshot.pivots.copy()
+        assert ech.add_block(np.array([[0, 0, 5]], dtype=np.int64)) == [0]
+        assert (snapshot.rows == rows).all() and (snapshot.pivots == pivots).all()
+        assert len(snapshot.accepted) == 2 and len(ech.accepted) == 3
 
     def test_mod_dot_does_not_overflow_int64(self):
         # one chunk of _DOT_TERMS products of (p - 1)^2 is the most an int64
@@ -479,6 +520,13 @@ class TestIndependence:
     )
     def test_random_subspace_matches_the_pure_python_echelon(self, q, dim, seed):
         assert random_subspace(q, dim, seed)._grids == _reference_grids(q, dim, seed)
+
+
+def _assert_same_echelon(a, b):
+    assert a.exact_only == b.exact_only
+    assert [list(map(int, v)) for v in a.accepted] == [list(map(int, v)) for v in b.accepted]
+    assert a.pivots.tolist() == b.pivots.tolist()
+    assert a.rows.tolist() == b.rows.tolist()
 
 
 class _ReferenceEchelon:

@@ -10,6 +10,7 @@ from minertia.exactnum import (
     GaussianRational,
     RationalPolynomial,
     format_rational,
+    grid_combination,
     parse_rational,
     poly_gcd,
     poly_gcd_tower,
@@ -193,3 +194,31 @@ class TestPolyGcdTower:
         z = RationalPolynomial([])
         assert poly_gcd(p, z) == RationalPolynomial([-2, 1])
         assert poly_gcd(z, z) == z
+
+
+class TestGridCombination:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_entrywise_fraction_sums(self, seed):
+        rng = random.Random(seed)
+        q, count = rng.randint(1, 5), rng.randint(1, 6)
+
+        def grid():
+            ints = lambda: [[rng.randint(-50, 50) for _ in range(q)] for _ in range(q)]
+            return rng.randint(1, 30), ints(), ints()
+
+        grids = [grid() for _ in range(count)]
+        coeffs = [rng.choice([0, 0, 3, -1, Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+                  for _ in grids]
+        before = repr(grids)
+        den, re, im = grid_combination(q, zip(coeffs, grids))
+        assert repr(grids) == before  # read, never written
+        for i in range(q):
+            for j in range(q):
+                for got, part in ((re, 1), (im, 2)):
+                    want = sum(Fraction(c) * Fraction(g[part][i][j], g[0]) for c, g in zip(coeffs, grids))
+                    assert Fraction(got[i][j], den) == want
+
+    def test_no_nonzero_term_gives_the_zero_grid(self):
+        grids = [(3, [[1, 2], [2, 5]], [[0, 1], [-1, 0]])]
+        for terms in ([], [(0, grids[0])], [(Fraction(0), grids[0])]):
+            assert grid_combination(2, terms) == (1, [[0, 0], [0, 0]], [[0, 0], [0, 0]])

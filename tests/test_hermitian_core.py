@@ -95,6 +95,25 @@ class TestInertiaExamples:
         assert rank(HermitianMatrix.diagonal([1, -1, 0, 0])) == 2
 
 
+class TestInertiaCounts:
+    @pytest.mark.parametrize(
+        "counts", [(1.5, 0, 0), ("1", 0, 0), (0, True, 0), (0, 0, Fraction(1)), (0, 0, 2.0)]
+    )
+    def test_counts_must_be_integers(self, counts):
+        # 1.5 used to be written out as "rank": 1.5, and "1" raised TypeError
+        with pytest.raises(ValueError, match="must be an integer"):
+            Inertia(*counts)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="negative count"):
+            Inertia(1, -1, 0)
+
+    def test_integer_counts_round_trip(self):
+        inr = Inertia(2, 1, 0)
+        assert inr.to_json() == {"n_plus": 2, "n_minus": 1, "n_zero": 0, "m": 1, "rank": 3}
+        assert Inertia.from_json(inr.to_json()) == inr
+
+
 class TestInertiaProperties:
     def test_oracle_equivalence(self, rng):
         for q in range(2, 6):

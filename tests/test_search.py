@@ -1,8 +1,10 @@
 import contextlib
+import importlib.util
 import io
 import json
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,15 +153,25 @@ class TestBlockDraw:
 
     @pytest.mark.parametrize("q,dim", [(q, q * q - q // 2) for q in range(2, 10)] + [(17, 225)])
     def test_subspace_matches_one_candidate_draws(self, monkeypatch, q, dim):
-        # every third candidate is rejected, so the blocks are redrawn
+        # every third candidate is rejected, so the blocks are redrawn: the
+        # reference tests one candidate at a time with try_add, random_subspace
+        # a block at a time with add_block, both with the same rejections
         calls = []
-        try_add = search.ModularEchelon.try_add
+        try_add, add_block = search.ModularEchelon.try_add, search.ModularEchelon.add_block
+
+        def rejected():
+            calls.append(None)
+            return len(calls) % 3 == 1
 
         def every_third_rejected(self, vec):
-            calls.append(vec)
-            return len(calls) % 3 != 1 and try_add(self, vec)
+            return not rejected() and try_add(self, vec)
+
+        def every_third_rejected_in_block(self, block):
+            rows = [r for r in range(len(block)) if not rejected()]
+            return [rows[k] for k in add_block(self, block[rows])]
 
         monkeypatch.setattr(search.ModularEchelon, "try_add", every_third_rejected)
+        monkeypatch.setattr(search.ModularEchelon, "add_block", every_third_rejected_in_block)
         rng = search._stream(5, search._PURPOSE_BASIS)
         ech, grids = search.ModularEchelon(), []
         while len(grids) < dim:
@@ -170,6 +182,13 @@ class TestBlockDraw:
         calls.clear()
         assert random_subspace(q, dim, 5)._grids == tuple(grids)
         assert len(calls) == drawn
+
+    @pytest.mark.parametrize("q", range(1, 10))
+    def test_coordinates_are_a_column_gather_of_the_draw(self, q):
+        den, vals = search._draw_block(q, search._stream(3, search._PURPOSE_BASIS), 5)
+        coord_at = search._draw_layout(q)[-1]
+        grids = search._grids_of(q, den, vals)
+        assert vals[:, coord_at].tolist() == [search._coordinates(g) for g in grids]
 
 
 class TestRandomSubspace:
@@ -316,6 +335,50 @@ class TestLazyDescent:
         assert first.to_json() == doc["witness"]
 
 
+def _perfbench_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedLayers:
+    """perfbench's tracer wraps the falsifier's layers by name and reads
+    their results; each must stay where it looks for it and keep its
+    return shape, and a search makes one float image."""
+
+    FALSIFIER_LAYERS = {
+        "search.random_subspace",
+        "search.SubspaceBasis.element",
+        "search.SubspaceBasis.float_image",
+        "kernels.coordinate_descent",
+        "kernels.batch_stats",
+        "search.run_search",
+    }
+
+    def test_falsify_requests_are_traced_layer_by_layer(self):
+        tracing = _perfbench_tracing()
+        assert self.FALSIFIER_LAYERS <= {f"{m}.{p}" for m, p, _ in tracing.LAYERS}
+        originals = search.random_subspace, kernels.coordinate_descent
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            docs = [_cli_search("--q", "5", "--dim", "9", "--seed", str(s)) for s in range(1, 9)]
+        finally:
+            tracer.uninstall()
+        c = tracer.counts
+        for name in self.FALSIFIER_LAYERS:
+            assert c[name + ".calls"] > 0, name
+        for name in ("search.run_search", "search.random_subspace", "search.SubspaceBasis.float_image"):
+            assert c[name + ".calls"] == len(docs), name
+        evals = c["kernels.coordinate_descent.evals"]
+        assert c["kernels.batch_stats.samples"] + evals == sum(d["samples_used"] for d in docs)
+        assert c["search.run_search.witnesses"] == sum(d["witness"] is not None for d in docs)
+        assert 0 < c["kernels.coordinate_descent.hits"] <= c["kernels.coordinate_descent.calls"]
+        assert (search.random_subspace, kernels.coordinate_descent) == originals
+
+
 class TestGrow:
     def test_target_zero_trivial(self):
         rep = grow_subspace(5, 0, FAST)
@@ -388,6 +451,38 @@ class TestFloatRange:
         drawn.append(grow_subspace(5, 2, FAST).basis)
         for L in drawn:
             assert L.dim and L._exps == tuple(map(search._float_exponent, L._grids))
+
+    @pytest.mark.parametrize("num", [2**53 - 1, 2**53, 2**53 + 1, 3 * (2**53 + 1)])
+    @pytest.mark.parametrize("den", [1, 3, 2**53 - 1, 2**53 + 1])
+    def test_float_image_is_each_entry_as_complex_at_the_2_53_bound(self, num, den):
+        X = HermitianMatrix.from_scaled(den, [[num, 1], [1, -num]], [[0, num - 2], [2 - num, 0]])
+        L = SubspaceBasis(2, [X, HermitianMatrix.diagonal([Fraction(1, 3), 1])])
+        assert L._grids[0] == (den, [[num, 1], [1, -num]], [[0, num - 2], [2 - num, 0]])
+        # the float64 division only while every integer converts exactly
+        assert L._f64 == (num < 2**53 and den < 2**53) and L._exps == (0, 0)
+        want = np.array([[[complex(e) for e in row] for row in b.entries] for b in L.basis])
+        assert L.float_image().tobytes() == want.tobytes()
+
+    def test_float64_division_past_the_bound_would_round_twice(self):
+        # (2^53 + 1) / 3 is an integer, but 2^53 + 1 is no float64: why
+        # larger grids keep the Python int division
+        num, den = 2**53 + 1, 3
+        assert np.float64(num) / np.float64(den) != num / den
+        X = HermitianMatrix.from_scaled(den, [[num, 1], [1, 0]], [[0, 0], [0, 0]])
+        L = SubspaceBasis(2, [X])
+        assert not L._f64 and L.float_image()[0, 0, 0] == num // den
+
+    def test_drawn_grids_take_the_float64_division(self):
+        drawn = [random_subspace(q, q * q, seed=3) for q in (1, 2, 5, 9)]
+        drawn.append(grow_subspace(5, 2, FAST).basis)
+        for L in drawn:
+            assert L._f64 and all(map(search._f64_exact, L._grids))
+            want = [[[complex(e) for e in row] for row in b.entries] for b in L.basis]
+            assert L.float_image().tobytes() == np.array(want, dtype=np.complex128).tobytes()
+
+    def test_empty_basis_image(self):
+        for L in (SubspaceBasis(3, []), grow_subspace(3, 0, FAST).basis):
+            assert L.float_image().shape == (0, 3, 3)
 
     @settings(max_examples=25, deadline=None)
     @given(
