@@ -206,26 +206,33 @@ def _cmd_check(args, out) -> int:
 # time only where one process calls main() more than once.
 @functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The program's parser; its ``subcommands`` maps each subcommand's
+    name to that subcommand's own parser."""
     parser = _Parser(prog="minertia", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = {}
+    subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("inertia", help="exact signature of a Hermitian matrix")
+    def add_parser(name: str, **kwargs) -> _Parser:
+        parser.subcommands[name] = subparsers.add_parser(name, **kwargs)
+        return parser.subcommands[name]
+
+    p = add_parser("inertia", help="exact signature of a Hermitian matrix")
     p.add_argument("--matrix", required=True, help="matrix JSON file, or - for stdin")
     p.set_defaults(func=_cmd_inertia)
 
-    p = sub.add_parser("classify", help="stratum and cone membership")
+    p = add_parser("classify", help="stratum and cone membership")
     p.add_argument("--matrix", required=True)
     p.add_argument("--cone", action="store_true", help="also classify cone membership")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("degree", help="degree of the rank <= 2 locus and parity")
+    p = add_parser("degree", help="degree of the rank <= 2 locus and parity")
     p.add_argument("--q", type=int)
     p.add_argument("--table", help="range A..B")
     p.add_argument("--parity-only", action="store_true", dest="parity_only")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_degree)
 
-    p = sub.add_parser("bound", help="aggregate h^{1,1} lower bounds")
+    p = add_parser("bound", help="aggregate h^{1,1} lower bounds")
     p.add_argument("--q", type=int)
     p.add_argument("--table", help="range A..B for a sweep")
     p.add_argument("--pg", type=int)
@@ -239,7 +246,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("search", help="falsify minimal inertia >= 2 on a random subspace")
+    p = add_parser("search", help="falsify minimal inertia >= 2 on a random subspace")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -249,7 +256,7 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("grow", help="grow a candidate subspace (non-certified)")
+    p = add_parser("grow", help="grow a candidate subspace (non-certified)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -258,20 +265,34 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_grow, float_tolerance=_DEFAULTS.float_tolerance)
 
-    p = sub.add_parser("catalog", help="known-surface table")
+    p = add_parser("catalog", help="known-surface table")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("check", help="the acceptance criteria at a small budget")
+    p = add_parser("check", help="the acceptance criteria at a small budget")
     p.set_defaults(func=_cmd_check)
 
     return parser
 
 
+def _parse(parser: _Parser, argv: List[str]) -> argparse.Namespace:
+    """What ``parser.parse_args(argv)`` returns.  A command line that names
+    a subcommand first goes straight to that subcommand's parser; one that
+    does not, or that it does not use up, is parsed in full, so every help,
+    usage and error text is the full parse's."""
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.subcommand = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:

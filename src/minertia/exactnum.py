@@ -11,6 +11,8 @@ From the JSON edge inward a matrix is a scaled Gaussian-integer grid
 ``(den, re, im)``, one positive common denominator and two integer grids
 (:func:`parse_ratio`, :func:`scaled_gaussian_grid`, :func:`grid_combination`);
 these types are built from it only for an API caller, a JSON writer or an error.
+The JSON reader takes all of a matrix's ``"p/q"`` strings in one pass
+(:meth:`GaussianRational.json_grid_parts`).
 """
 
 from __future__ import annotations
@@ -18,16 +20,22 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, List, Sequence, Tuple, Union
+from itertools import chain, repeat
+from operator import itemgetter, mul
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
+
+from .errors import InconsistencyError
 
 Rational = Fraction
 
 RationalLike = Union[Fraction, int]
 
 
-_RATIONAL = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")  # \s is what str.strip() strips
+_RATIO = r"\s*-?[0-9]+(?:/[0-9]+)?\s*"  # \s is what str.strip() and str.split() take
+_RATIONAL = re.compile(_RATIO)
+_RATIONALS = re.compile(rf"{_RATIO}(?:,{_RATIO})*")  # no valid text holds a comma
 _PARTS = frozenset(("re", "im"))
+_PART_TEXTS = itemgetter("re", "im")
 
 
 def parse_ratio(text: str) -> Tuple[int, int]:
@@ -36,16 +44,51 @@ def parse_ratio(text: str) -> Tuple[int, int]:
     or plus sign) to the integers ``(p, q)``, q > 0 and not reduced."""
     if not isinstance(text, str):
         raise ValueError(f"not a rational: {text!r} (expected a string 'p/q')")
-    match = _RATIONAL.fullmatch(text)
-    if match is None:
+    if _RATIONAL.fullmatch(text) is None:
         raise ValueError(f"not a rational: {text!r}")
+    num, _, den = text.strip().partition("/")
     try:
-        num, den = int(match[1]), int(match[2] or 1)
+        num, den = int(num), int(den or 1)
     except ValueError as exc:  # more digits than int() converts
         raise ValueError(f"not a rational: {text!r}") from exc
     if not den:
         raise ValueError(f"not a rational: {text!r}")
     return num, den
+
+
+def _parse_ratios(texts: list) -> Optional[Tuple[List[int], List[int]]]:
+    """What :func:`parse_ratio` reads from each of ``texts``, as a list of
+    numerators and a list of denominators, or None if it refuses any.  One
+    regex match checks all the texts joined by commas, then each numeral,
+    without its whitespace, goes through ``int`` once."""
+    try:
+        joined = ",".join(texts)
+    except TypeError:  # a text that is not a string
+        return None
+    if not texts:
+        return [], []
+    if joined.count(",") != len(texts) - 1 or _RATIONALS.fullmatch(joined) is None:
+        return None
+    nums, _, dens = zip(*[t.partition("/") for t in "".join(joined.split()).split(",")])
+    try:
+        nums, dens = list(map(int, nums)), [int(d) if d else 1 for d in dens]
+    except ValueError:  # more digits than int() converts
+        return None
+    return (nums, dens) if all(dens) else None
+
+
+def _entry_texts(cells: list) -> Optional[list]:
+    """The "re" and "im" texts of each cell in turn, or None unless every
+    cell is a dict with exactly those two keys."""
+    if set(map(type, cells)) <= {dict}:  # two items with "re" and "im" among them: no other key
+        if sum(map(len, cells)) != 2 * len(cells):
+            return None
+    elif not all(isinstance(e, dict) and e.keys() == _PARTS for e in cells):
+        return None
+    try:
+        return list(chain.from_iterable(map(_PART_TEXTS, cells)))
+    except KeyError:
+        return None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -129,6 +172,21 @@ class GaussianRational:
         if not isinstance(obj, dict) or obj.keys() != _PARTS:
             raise ValueError(f"expected {{'re': ..., 'im': ...}}, got {obj!r}")
         return parse_ratio(obj["re"]), parse_ratio(obj["im"])
+
+    @staticmethod
+    def json_grid_parts(cells: list) -> Tuple[List[int], List[int]]:
+        """The numerators and denominators that :meth:`json_parts` reads
+        from each of ``cells`` (re, then im) as two flat lists, read in one
+        pass (:func:`_parse_ratios`).  If that pass refuses anything, the
+        cells are read again one at a time, so the error is the one
+        :meth:`json_parts` raises for the first bad cell."""
+        texts = _entry_texts(cells)
+        parts = None if texts is None else _parse_ratios(texts)
+        if parts is None:
+            for e in cells:
+                GaussianRational.json_parts(e)
+            raise InconsistencyError("the one-pass reader refused entries that json_parts reads")
+        return parts
 
     @classmethod
     def from_json(cls, obj) -> "GaussianRational":

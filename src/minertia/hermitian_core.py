@@ -226,10 +226,10 @@ class HermitianMatrix:
             raise ValueError("matrix 'entries' must be a list of rows (lists)")
         if len(entries) != q or any(len(row) != q for row in entries):
             raise ValueError(f"entries must be a full {q}x{q} grid")
-        parts = [p for row in entries for e in row for p in GaussianRational.json_parts(e)]
+        nums, dens = GaussianRational.json_grid_parts([e for row in entries for e in row])
         # the lcm of the reduced denominators: unreduced ones could multiply up
-        den = math.lcm(*{d // math.gcd(n, d) for n, d in parts})
-        vals = [n * den // d for n, d in parts]  # per row: re, im of each entry
+        den = math.lcm(*{d // math.gcd(n, d) for n, d in zip(nums, dens)})
+        vals = [n * den // d for n, d in zip(nums, dens)]  # per row: re, im of each entry
         rows = [vals[2 * q * i : 2 * q * (i + 1)] for i in range(q)]
         return cls.from_scaled(den, [r[0::2] for r in rows], [r[1::2] for r in rows])
 

@@ -337,6 +337,18 @@ class TestUsageErrors:
         assert code == 1
 
 
+class TestConsoleScript:
+    @pytest.mark.parametrize(
+        "argv", [["degree", "--q", "5"], ["inertia", "--matrix", "-", "extra"], ["--help"]]
+    )
+    def test_argv_none_reads_the_command_line(self, capsys, monkeypatch, argv):
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["minertia", *argv])
+        code = main()
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == expected
+
+
 class TestParserReuse:
     """One parser serves every call of a process, so no call may see the
     options of the one before."""

@@ -16,7 +16,9 @@ input (invalid JSON, a ragged grid, a zero denominator, broken conjugate
 symmetry off and on the diagonal, an empty grid), matrices written with
 unreduced rationals and stray whitespace, and ``classify --cone`` at
 q = 6..8 on matrices whose leading 5 x 5 block alone would mislead the cone
-decision.  Any change to the exact core or
+decision, and command lines at the edge between the program's parser and a
+subcommand's (``-h inertia``, ``inert``, ``inertia --mat -``, a left-over
+argument, ``--`` before ``--matrix``).  Any change to the exact core or
 the CLI must reproduce it byte for byte, and every JSON report in it must
 read back through its class's ``from_json`` to the same document.
 
@@ -253,6 +255,18 @@ def _cone_block_inputs():
     return [([list(_MATRIX_ARGVS[2])], text) for text in texts]
 
 
+def _dispatch_inputs():
+    """(argvs, stdin text) of command lines at the edge between the
+    program's parser and a subcommand's: an option before the subcommand,
+    a prefix of a subcommand's name, an abbreviated option, an argument
+    the subcommand leaves over, and ``--`` before its options."""
+    text = json.dumps(_matrix_json([[(Fraction(2), Fraction(0)), (Fraction(1, 2), Fraction(-1))],
+                                    [(Fraction(1, 2), Fraction(1)), (Fraction(-3), Fraction(0))]]))
+    argvs = [["-h", "inertia"], ["inert"], ["inertia", "--mat", "-"],
+             ["inertia", "--matrix", "-", "extra"], ["inertia", "--", "--matrix", "-"]]
+    return [([argv], text) for argv in argvs]
+
+
 def write_corpus(path=CORPUS):
     matrices = _build_matrices()
     cases = []
@@ -261,7 +275,7 @@ def write_corpus(path=CORPUS):
             cases.append({"argv": argv, "matrix": k, **run_cli(argv, json.dumps(mat))})
     for argv in _RUN_ARGVS + _USAGE_ARGVS:
         cases.append({"argv": argv, "matrix": None, **run_cli(argv)})
-    for argvs, text in _edge_inputs() + _cone_block_inputs():
+    for argvs, text in _edge_inputs() + _cone_block_inputs() + _dispatch_inputs():
         for argv in argvs:
             cases.append({"argv": argv, "matrix": None, "stdin": text, **run_cli(argv, text)})
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,9 +1,13 @@
+import collections
+import math
 import random
 import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     rand_hermitian,
@@ -28,6 +32,7 @@ from minertia.hermitian_core import (
     minimal_inertia,
     rank,
 )
+from minertia.jsonrecord import json_int
 from minertia.oracles import descartes_inertia
 from minertia.search import SubspaceBasis
 
@@ -314,6 +319,127 @@ class TestStoredGrid:
         assert x.shift(s) == HermitianMatrix(shifted)
         assert x.trace() == sum((x.entries[i][i].re for i in range(4)), Fraction(0))
         assert x.scale(0) == HermitianMatrix.zero(4) and x.scale(0).is_zero()
+
+
+def _read_by_entry(doc):
+    """``HermitianMatrix.from_json`` as it read before the one-pass reader:
+    ``json_parts`` on every entry in row order.  The reference reader."""
+    if not isinstance(doc, dict) or "q" not in doc or "entries" not in doc:
+        raise ValueError("matrix JSON needs keys 'q' and 'entries'")
+    q, entries = json_int(doc["q"], "matrix 'q'"), doc["entries"]
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ValueError("matrix 'entries' must be a list of rows (lists)")
+    if len(entries) != q or any(len(row) != q for row in entries):
+        raise ValueError(f"entries must be a full {q}x{q} grid")
+    parts = [p for row in entries for e in row for p in GaussianRational.json_parts(e)]
+    den = math.lcm(*{d // math.gcd(n, d) for n, d in parts})
+    vals = [n * den // d for n, d in parts]
+    rows = [vals[2 * q * i : 2 * q * (i + 1)] for i in range(q)]
+    return HermitianMatrix.from_scaled(den, [r[0::2] for r in rows], [r[1::2] for r in rows])
+
+
+def _outcome(read, doc):
+    try:
+        return "grid", read(doc).grid
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc), str(exc)
+
+
+# Whitespace that \s and str.strip() take, \x1c-\x1f among them (int() refuses those)
+_SPACES = [" ", "\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+           "\u2003", "\u2028", "\u3000"]
+_LONG = "7" * 4301  # more digits than int() converts by default
+_BAD_TEXTS = ["3/0", "-1/00", "1,2", "1/2,3", "", " ", "+1", "1.5", "1e3", "1_0", "1 2", "1 /2",
+              "--1", "/2", "1/", "1/-2", "\u0663", "\uff11", "0x1", _LONG, f"1/{_LONG}",
+              1, 0.5, None, ["1"], {"re": "1"}]
+_BAD_ENTRIES = [None, "1", ["1", "0"], {"re": "1"}, {"im": "0"}, {"re": "1", "im": "0", "x": "0"},
+                {"re": "1", "x": "0"}]
+
+
+@st.composite
+def _texts(draw):
+    """A rational as text, written in the ways the grammar allows."""
+    pad = st.lists(st.sampled_from(_SPACES), max_size=2).map("".join)
+    num = draw(st.integers(-30, 30))
+    sign = "-" if num < 0 or (num == 0 and draw(st.booleans())) else ""
+    digits = "0" * draw(st.integers(0, 2)) + str(abs(num))
+    den = draw(st.one_of(st.none(), st.integers(1, 12).map(lambda d: "0" * (d % 3 == 0) + str(d))))
+    return draw(pad) + sign + digits + ("" if den is None else "/" + den) + draw(pad)
+
+
+def _negated(text):
+    """The text of -x for a rational text x; anything else unchanged."""
+    if not isinstance(text, str) or not text.strip():
+        return text
+    body = text.lstrip()
+    lead = text[: len(text) - len(body)]
+    return lead + (body[1:] if body.startswith("-") else "-" + body)
+
+
+@st.composite
+def _matrix_docs(draw):
+    """Matrix JSON that is Hermitian as written, then, often, one entry
+    or one text spoiled."""
+    q = draw(st.integers(0, 4))
+    rows = [[None] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            re = draw(_texts())
+            im = draw(st.sampled_from(["0", "-0", " 00 ", "0/7"])) if i == j else draw(_texts())
+            rows[i][j] = {"re": re, "im": im}
+            rows[j][i] = {"re": re, "im": im if i == j else _negated(im)}
+    if q and draw(st.booleans()):
+        i, j = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+        if draw(st.booleans()):
+            rows[i][j] = draw(st.sampled_from(_BAD_ENTRIES))
+        else:
+            rows[i][j] = {**rows[i][j], draw(st.sampled_from(["re", "im"])): draw(st.sampled_from(_BAD_TEXTS))}
+    return {"q": q, "entries": rows}
+
+
+class TestOnePassReader:
+    """``from_json`` reads all components in one pass and must agree with
+    reading them one entry at a time: the same grid, or the same
+    exception type and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_matrix_docs())
+    def test_agrees_with_the_entrywise_reader(self, doc):
+        assert _outcome(HermitianMatrix.from_json, doc) == _outcome(_read_by_entry, doc)
+
+    @pytest.mark.parametrize("texts", [
+        ["\x1c-007/014\x1f", "\u3000-0\u2003"],
+        [" 10/4", "0/9"],
+        [_LONG[:4300], "0"],
+        [_LONG, "0"],
+        ["1,2", "0"],
+        ["3/0", "0"],
+        ["1", 0],
+        ["1", "0\n,"],
+        ["1", "\u0663"],
+    ])
+    def test_one_entry(self, texts):
+        doc = {"q": 1, "entries": [[dict(zip(("re", "im"), texts))]]}
+        assert _outcome(HermitianMatrix.from_json, doc) == _outcome(_read_by_entry, doc)
+
+    @pytest.mark.parametrize("entry", _BAD_ENTRIES)
+    def test_first_bad_entry_in_row_order_is_named(self, entry):
+        ok = {"re": "1", "im": "0"}
+        doc = {"q": 2, "entries": [[ok, {"re": "2", "im": "1/0"}], [entry, ok]]}
+        assert _outcome(HermitianMatrix.from_json, doc) == (ValueError, "not a rational: '1/0'")
+        doc["entries"][0][1] = ok
+        assert _outcome(HermitianMatrix.from_json, doc) == _outcome(_read_by_entry, doc)
+        assert _outcome(HermitianMatrix.from_json, doc)[0] is ValueError
+
+    def test_empty_grid_reaches_the_grid_check(self):
+        assert _outcome(HermitianMatrix.from_json, {"q": 0, "entries": []}) == (
+            NotHermitianError, "entries must form a nonempty square grid"
+        )
+
+    def test_a_dict_subclass_entry_reads_as_a_dict(self):
+        entry = collections.OrderedDict([("im", " 0"), ("re", "3/6")])
+        X = HermitianMatrix.from_json({"q": 1, "entries": [[entry]]})
+        assert X.grid == (2, ((1,),), ((0,),))
 
 
 class TestOneExactRule:
