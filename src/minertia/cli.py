@@ -40,6 +40,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    # argparse's wording of this message differs between patch releases
+    # (quoted choices or not); this is the one wording on every Python
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
 
 def _emit(doc, out) -> None:
     out.write(json.dumps(doc) + "\n")  # json.dump would skip the C encoder
@@ -169,6 +177,8 @@ def _cmd_search(args, out) -> int:
 def _cmd_grow(args, out) -> int:
     report = search_mod.grow_subspace(args.q, args.target, _search_config(args))
     _emit(report.to_json(), out)
+    if report.warning:
+        print(f"warning: {report.warning}", file=sys.stderr)
     return EXIT_OK
 
 

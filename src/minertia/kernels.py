@@ -74,11 +74,9 @@ def batch_stats(basis: np.ndarray, coeffs: np.ndarray, tol: float):
     xs = (coeffs @ flat).reshape(n, q, q)
     ev = np.linalg.eigvalsh(xs)
     scale = np.maximum(-ev[:, 0], ev[:, -1])  # max |lambda| of a sorted row
-    thr = tol * scale
-    n_plus = (ev > thr[:, None]).sum(axis=1).astype(np.int64)
-    n_minus = (ev < -thr[:, None]).sum(axis=1).astype(np.int64)
-    n_unc = q - n_plus - n_minus
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a threshold that overflows is inf: every eigenvalue of its row is uncertain
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        thr = tol * scale
         if q == 1:
             f = np.where(scale > 0, 1.0, -np.inf)
         else:
@@ -87,7 +85,9 @@ def batch_stats(basis: np.ndarray, coeffs: np.ndarray, tol: float):
                 np.maximum(ev[:, 1], -ev[:, q - 2]) / np.where(scale > 0, scale, 1.0),
                 -np.inf,
             )
-    return n_plus, n_minus, n_unc, f.astype(np.float64)
+    n_plus = (ev > thr[:, None]).sum(axis=1).astype(np.int64)
+    n_minus = (ev < -thr[:, None]).sum(axis=1).astype(np.int64)
+    return n_plus, n_minus, q - n_plus - n_minus, f.astype(np.float64)
 
 
 def coordinate_descent(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -48,7 +47,8 @@ def _stream(seed: int, purpose: int, salt: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and reproducibility knobs for the falsifier.
+    """Budget and reproducibility knobs for the falsifier, the values the
+    CLI sets; the rest of the budget is the module's constants below.
 
     Results are a deterministic function of the full config; ``workers``
     only affects wall time, not output.
@@ -59,9 +59,6 @@ class SearchConfig:
     descent_steps: int = 80
     float_tolerance: float = 1e-9
     workers: int = 1
-    descent_starts: int = 12
-    certify_margin: float = 1e-4
-    grow_attempts_per_dim: int = 8
 
     def __post_init__(self):
         if self.samples < 1:
@@ -72,12 +69,11 @@ class SearchConfig:
             raise ValueError("float_tolerance must be finite and positive")
         if self.descent_steps < 0:
             raise ValueError("descent_steps must be >= 0")
-        if self.descent_starts < 0:
-            raise ValueError("descent_starts must be >= 0")
-        if self.grow_attempts_per_dim < 1:
-            raise ValueError("grow_attempts_per_dim must be >= 1")
-        if not (math.isfinite(self.certify_margin) and self.certify_margin >= 0):
-            raise ValueError("certify_margin must be finite and >= 0")
+
+
+DESCENT_STARTS = 12  # descents run from at most this many best samples
+CERTIFY_MARGIN = 1e-4  # a descent stops once its objective reaches this
+GROW_ATTEMPTS_PER_DIM = 8  # candidates grow_subspace tries for each slot
 
 
 MODULUS = (1 << 24) - 3  # the largest prime below 2^24
@@ -98,21 +94,18 @@ def _mod_dot(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 class ModularEchelon:
     """Incremental linear independence of integer vectors over Q.
 
-    Vectors are reduced mod the prime ``MODULUS`` against rows kept in
-    reduced row echelon form as an int64 array: reducing a vector is one
-    product with its entries at the pivots, and a new pivot clears its
-    column from the old rows in one outer-product update.  Each update
-    builds new arrays, so :meth:`copy` is a cheap snapshot.  While the
-    accepted vectors are independent mod p, a nonzero reduction proves
-    independence over Q (a rational dependency, cleared of denominators and
-    content, would reduce to one mod p).  A zero reduction is re-tested by
-    the exact rank of the Gram matrix; a vector accepted that way breaks
-    independence mod p, so every later test is exact too.
-
-    :meth:`add_block` tests the rows of an int64 array in order: the block
-    is reduced mod p and against the old rows at once, and each row it
-    accepts clears its pivot column from the rows after it, so it accepts
-    exactly the rows that one :meth:`try_add` per row would.
+    :meth:`add_block` tests the rows of an integer array in order.  They
+    are reduced mod the prime ``MODULUS`` against rows kept in reduced row
+    echelon form as an int64 array: the block is reduced against the old
+    rows at once, one product with its entries at the pivots, and each row
+    it accepts clears its pivot column from every other row in one
+    outer-product update.  Each update builds new arrays, so :meth:`copy`
+    is a cheap snapshot.  While the accepted vectors are independent mod p,
+    a nonzero reduction proves independence over Q (a rational dependency,
+    cleared of denominators and content, would reduce to one mod p).  A
+    zero reduction is re-tested by the exact rank of the Gram matrix; a
+    vector accepted that way breaks independence mod p, so every later test
+    is exact too.
     """
 
     def __init__(self):
@@ -127,20 +120,12 @@ class ModularEchelon:
         new.exact_only = self.exact_only
         return new
 
-    def try_add(self, vec: Sequence[int]) -> bool:
-        """Accept ``vec`` and return True iff it is independent of the
-        vectors accepted so far."""
-        residues = np.array([[x % MODULUS for x in vec]], dtype=np.int64)
-        return bool(self._add(residues, [vec]))
-
     def add_block(self, block: np.ndarray) -> List[int]:
-        """Test the rows of the (m, n) int64 array ``block`` in order, as
-        m calls of :meth:`try_add` would; return the indices of the rows
-        accepted."""
-        return self._add(block % MODULUS, block)
-
-    def _add(self, res: np.ndarray, vecs) -> List[int]:
-        """Test ``vecs`` in order, ``res`` being their residues mod p."""
+        """Test the rows of the (m, n) integer array ``block`` in order,
+        accepting each that is independent of the vectors accepted before
+        it; return the indices of the rows accepted.  ``block`` is int64,
+        or of ``dtype=object`` when its integers do not fit int64."""
+        res = (block % MODULUS).astype(np.int64, copy=False)
         rows, pivots, kept = self.rows, self.pivots.tolist(), []
         if rows is None:
             rows = np.empty((0, res.shape[1]), dtype=np.int64)
@@ -149,7 +134,7 @@ class ModularEchelon:
         old = len(rows)
         a = np.concatenate((rows, res))  # the echelon rows, then the block
         echelon = list(range(old))  # the rows of a that stay in the echelon
-        for k, vec in enumerate(vecs):
+        for k, vec in enumerate(block):
             v = a[old + k]
             nonzero = () if self.exact_only else v.nonzero()[0]
             if not len(nonzero):
@@ -189,25 +174,21 @@ def _coordinates(grid) -> List[int]:
     return [re[i][i] for i in range(q)] + upper
 
 
-def _float_exponent(grid) -> int:
-    """Exponent e of the exact power of two 2^-e that scales a basis
-    matrix's float image into range: 0 while its largest |Re| or |Im|
-    lies in [2^-1000, 2^1000], else about that entry's binary logarithm."""
-    den, re, im = grid
-    top = max(map(abs, chain.from_iterable(re + im)))
-    if den <= top << 1000 and top <= den << 1000:
-        return 0
-    return top.bit_length() - den.bit_length()
-
-
 _F64_EXACT = 1 << 53  # every integer of smaller magnitude is a float64
 
 
-def _f64_exact(grid) -> bool:
-    """Whether den and every numerator of a grid lie below 2^53 in
-    magnitude, so that each converts to float64 exactly."""
+def _float_range(grid) -> Tuple[int, bool]:
+    """How a basis matrix's float image is made, from one pass over its
+    numerators for the largest |Re| or |Im|, top: the exponent e of the
+    exact power of two 2^-e that scales the image into range (0 while
+    top / den lies in [2^-1000, 2^1000], else about its binary logarithm),
+    and whether den and top lie below 2^53, so that every integer of the
+    grid converts to float64 exactly."""
     den, re, im = grid
-    return den < _F64_EXACT and max(map(abs, chain.from_iterable(re + im))) < _F64_EXACT
+    top = max(map(abs, chain.from_iterable(re + im)))
+    in_range = den <= top << 1000 and top <= den << 1000
+    exponent = 0 if in_range else top.bit_length() - den.bit_length()
+    return exponent, max(den, top) < _F64_EXACT
 
 
 class SubspaceBasis:
@@ -229,19 +210,21 @@ class SubspaceBasis:
         if len(basis) > q * q:
             raise ValueError(f"dimension {len(basis)} exceeds q^2 = {q * q}")
         grids = tuple((b.den, list(map(list, b.re)), list(map(list, b.im))) for b in basis)
-        ech = ModularEchelon()
-        for k, grid in enumerate(grids):
-            if not ech.try_add(_coordinates(grid)):
-                raise ValueError(f"basis matrix {k} is linearly dependent")
-        exps = tuple(map(_float_exponent, grids))
-        self._set(q, grids, exps, all(map(_f64_exact, grids)), basis)
+        ranges = [_float_range(g) for g in grids]
+        f64 = all(f for _, f in ranges)  # then every coordinate fits int64 too
+        coords = np.array([_coordinates(g) for g in grids], dtype=np.int64 if f64 else object)
+        kept = ModularEchelon().add_block(coords.reshape(len(grids), q * q))
+        if len(kept) < len(grids):
+            k = next((i for i, j in enumerate(kept) if i != j), len(kept))
+            raise ValueError(f"basis matrix {k} is linearly dependent")
+        self._set(q, grids, tuple(e for e, _ in ranges), f64, basis)
 
     @classmethod
     def _from_grids(cls, q: int, grids: Sequence) -> "SubspaceBasis":
         """A basis of :func:`_grids_of` grids whose independence a
         ``ModularEchelon`` has already established; it is not checked
-        again.  Every :func:`_float_exponent` is 0 and every integer lies
-        below 2^53 (see :func:`_grids_of`), without computing either."""
+        again.  Their :func:`_float_range` is (0, True) (see
+        :func:`_grids_of`), without computing it."""
         new = object.__new__(cls)
         new._set(q, tuple(grids), (0,) * len(grids), True, None)
         return new
@@ -277,10 +260,10 @@ class SubspaceBasis:
 
     def float_image(self) -> np.ndarray:
         """(dim, q, q) complex128 image of the basis, matrix i scaled by
-        2^-e_i (see :func:`_float_exponent`); an unscaled entry equals
+        2^-e_i (see :func:`_float_range`); an unscaled entry equals
         ``complex(entry)``.
 
-        When every den and numerator lies below 2^53 (see :func:`_f64_exact`),
+        When every den and numerator lies below 2^53 (see :func:`_float_range`),
         all e_i are 0 and each integer converts to float64 exactly, so one
         float64 division of the whole basis gives the correctly rounded
         quotients.  Other bases are divided entry by entry as Python ints,
@@ -343,8 +326,7 @@ def _draw_layout(q: int):
             im_sign[i, j], im_sign[j, i] = 1, -1
             at += 2
         at += 1
-    upper = [a for i in range(q) for j in range(i + 1, q) for a in (re_at[i, j], im_at[i, j])]
-    coord_at = np.array([re_at[i, i] for i in range(q)] + upper, dtype=np.intp)
+    coord_at = np.array(_coordinates((None, re_at.tolist(), im_at.tolist())), dtype=np.intp)
     bounds = np.array([-9, 1] * (q * q)), np.array([10, 10] * (q * q))
     return bounds, re_at, im_at, im_sign, coord_at
 
@@ -370,19 +352,9 @@ def _draw_block(q: int, rng: np.random.Generator, count: int):
 def _grids_of(q: int, den: np.ndarray, vals: np.ndarray) -> List[tuple]:
     """Scaled grids ``(den, re, im)`` of :func:`_draw_block` rows.  Their
     entries lie in [2^-1000, 2^1000] and their integers below 2^53, so a
-    grid's :func:`_float_exponent` is 0 and its float image is exact."""
+    grid's :func:`_float_range` is (0, True) and its float image is exact."""
     _, re_at, im_at, im_sign, _ = _draw_layout(q)
     return list(zip(den.tolist(), vals[:, re_at].tolist(), (vals[:, im_at] * im_sign).tolist()))
-
-
-def _random_grids(q: int, rng: np.random.Generator, count: int) -> List[tuple]:
-    """Scaled grids of ``count`` drawn matrices (see :func:`_draw_block`)."""
-    return _grids_of(q, *_draw_block(q, rng, count))
-
-
-def _random_grid(q: int, rng: np.random.Generator):
-    """One grid of :func:`_random_grids`."""
-    return _random_grids(q, rng, 1)[0]
 
 
 def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
@@ -512,9 +484,9 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
             break
 
     if witness is None:
-        for idx in np.argsort(-f, kind="stable")[: cfg.descent_starts]:
+        for idx in np.argsort(-f, kind="stable")[:DESCENT_STARTS]:
             c, fval, evals, hit = kernels.coordinate_descent(
-                basisf, coeffs[idx], cfg.descent_steps, cfg.certify_margin
+                basisf, coeffs[idx], cfg.descent_steps, CERTIFY_MARGIN
             )
             samples_used += evals
             if hit or fval >= 0:
@@ -584,7 +556,8 @@ class GrowReport:
 def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
     """Greedy growth of a candidate subspace: a proposal survives when the
     falsifier stays inconclusive on the enlarged span under the configured
-    budget.  The result is a non-certified candidate by construction."""
+    budget.  The result is a non-certified candidate by construction; its
+    ``warning`` says when the target exceeds the dimension limit."""
     if not 0 <= target_dim <= q * q:
         raise ValueError(f"target_dim must lie in [0, {q * q}]")
     warning = None
@@ -597,9 +570,8 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
             )
     except HypothesisNotMetError:
         warning = None  # no dimension limit applies to this q
-    if warning:
-        warnings.warn(warning)
 
+    coord_at = _draw_layout(q)[-1]
     rng = _stream(cfg.seed, _PURPOSE_GROW)
     ech = ModularEchelon()
     grids: List[tuple] = []
@@ -609,13 +581,14 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
         attempts = 0
         rejected = 0
         accepted = False
-        while attempts < cfg.grow_attempts_per_dim:
+        while attempts < GROW_ATTEMPTS_PER_DIM:
             attempts += 1
             salt += 1
-            grid = _random_grid(q, rng)
+            den, vals = _draw_block(q, rng, 1)
             grown = ech.copy()  # a rejected candidate leaves ech untouched
-            if not grown.try_add(_coordinates(grid)):
+            if not grown.add_block(vals[:, coord_at]):
                 continue
+            grid = _grids_of(q, den, vals)[0]
             trial = SubspaceBasis._from_grids(q, grids + [grid])
             report = run_search(trial, cfg, _salt=salt)
             if report.witness is None:

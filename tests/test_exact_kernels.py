@@ -393,6 +393,11 @@ def fraction_rank(rows):
     return rank
 
 
+def add_one(ech, vec):
+    """Test one vector as a one-row block of Python ints (``dtype=object``)."""
+    return ech.add_block(np.array([vec], dtype=object)) == [0]
+
+
 class TestIndependence:
     def test_echelon_matches_fraction_rank_and_copy_is_a_snapshot(self):
         rng = random.Random(8)
@@ -401,7 +406,7 @@ class TestIndependence:
         for _ in range(12):
             v = [rng.randint(-2, 2) for _ in range(6)]
             snapshot = ech.copy()
-            added = ech.try_add(v)
+            added = add_one(ech, v)
             assert added == (fraction_rank(kept + [v]) > len(kept))
             if added:
                 kept.append(v)
@@ -428,10 +433,24 @@ class TestIndependence:
         e33 = HermitianMatrix.diagonal([0, 0, 1])
         assert SubspaceBasis(3, [e11, shifted, e33]).dim == 3
 
+    def test_dependence_beyond_int64_names_the_first_dependent_matrix(self):
+        # the same basis as above times 10^30: its coordinates do not fit int64
+        big = 10**30
+        e11 = HermitianMatrix.diagonal([big, 0, 0])
+        shifted = HermitianMatrix.diagonal([big, big * MODULUS, 0])
+        e22, e33 = HermitianMatrix.diagonal([0, big, 0]), HermitianMatrix.diagonal([0, 0, big])
+        with pytest.raises(ValueError, match="basis matrix 2 is linearly dependent"):
+            SubspaceBasis(3, [e11, shifted, e22, e33, e11])
+        with pytest.raises(ValueError, match="basis matrix 1 is linearly dependent"):
+            SubspaceBasis(3, [e11, e11.scale(Fraction(-1, 3)), e22])
+        assert SubspaceBasis(3, [e11, shifted, e33]).dim == 3
+
+    @pytest.mark.parametrize("top", [4, 2**100])
     @pytest.mark.parametrize("seed", range(40))
-    def test_try_add_agrees_with_fraction_rank(self, seed):
-        # small entries, exact combinations of earlier vectors, and earlier
-        # vectors moved by multiples of MODULUS (dependent only modulo p)
+    def test_one_row_blocks_agree_with_fraction_rank(self, seed, top):
+        # entries up to top, exact combinations of earlier vectors, and
+        # earlier vectors moved by multiples of MODULUS (dependent only
+        # modulo p); entries beyond int64 are tested as dtype=object blocks
         rng = random.Random(seed)
         n = rng.randint(1, 7)
         ech, kept, vecs, flags = ModularEchelon(), [], [], []
@@ -443,8 +462,8 @@ class TestIndependence:
                 v = list(rng.choice(kept))
                 v[rng.randrange(n)] += rng.choice([-2, -1, 1, 3]) * MODULUS
             else:
-                v = [rng.randint(-4, 4) for _ in range(n)]
-            added = ech.try_add(v)
+                v = [rng.randint(-top, top) for _ in range(n)]
+            added = add_one(ech, v)
             assert added == (fraction_rank(kept + [v]) > len(kept))
             if added:
                 kept.append(v)
@@ -455,7 +474,8 @@ class TestIndependence:
         blocks, start = ModularEchelon(), 0
         while start < len(vecs):
             stop = rng.randint(start + 1, len(vecs))
-            kept_rows = blocks.add_block(np.array(vecs[start:stop], dtype=np.int64))
+            block = np.array(vecs[start:stop], dtype=np.int64 if top == 4 else object)
+            kept_rows = blocks.add_block(block)
             assert [k in kept_rows for k in range(stop - start)] == flags[start:stop]
             start = stop
         _assert_same_echelon(blocks, ech)
@@ -474,7 +494,7 @@ class TestIndependence:
         ech, ref = ModularEchelon(), ModularEchelon()
         assert ech.add_block(np.array(first, dtype=np.int64)) == [0, 1]
         assert ech.add_block(np.array(block, dtype=np.int64)) == [1, 2, 4, 5]
-        flags = [ref.try_add(v) for v in first + block]
+        flags = [add_one(ref, v) for v in first + block]
         assert flags == [True, True, False, True, True, False, True, True, False]
         kept = [v for v, added in zip(first + block, flags) if added]
         assert ech.exact_only and fraction_rank(kept) == len(kept) == 6
@@ -510,9 +530,9 @@ class TestIndependence:
         vecs = [[MODULUS - 1 if k != i else 2 * MODULUS - 2 + i for k in range(n)]
                 for i in range(n)]
         ech = ModularEchelon()
-        assert [ech.try_add(v) for v in vecs] == [True] * n
+        assert [add_one(ech, v) for v in vecs] == [True] * n
         assert not ech.exact_only
-        assert ech.try_add([sum(v[k] for v in vecs) for k in range(n)]) is False
+        assert not add_one(ech, [sum(v[k] for v in vecs) for k in range(n)])
 
     @pytest.mark.parametrize(
         "q,dim,seed",
@@ -565,7 +585,7 @@ def _reference_grids(q, dim, seed):
     rng = search._stream(seed, search._PURPOSE_BASIS)
     ech, grids = _ReferenceEchelon(), []
     while len(grids) < dim:
-        grid = search._random_grid(q, rng)
+        grid = search._grids_of(q, *search._draw_block(q, rng, 1))[0]
         if ech.try_add(search._coordinates(grid)):
             grids.append(grid)
     return tuple(grids)

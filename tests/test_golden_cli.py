@@ -18,7 +18,9 @@ unreduced rationals and stray whitespace, and ``classify --cone`` at
 q = 6..8 on matrices whose leading 5 x 5 block alone would mislead the cone
 decision, and command lines at the edge between the program's parser and a
 subcommand's (``-h inertia``, ``inert``, ``inertia --mat -``, a left-over
-argument, ``--`` before ``--matrix``).  Any change to the exact core or
+argument, ``--`` before ``--matrix``), and runs that once wrote a Python
+warning to stderr (``grow`` past the dimension limit, ``search`` with a
+tolerance whose threshold overflows).  Any change to the exact core or
 the CLI must reproduce it byte for byte, and every JSON report in it must
 read back through its class's ``from_json`` to the same document.
 
@@ -33,6 +35,7 @@ Regenerate (only when an output change is intended and documented):
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -267,6 +270,17 @@ def _dispatch_inputs():
     return [([argv], text) for argv in argvs]
 
 
+# after every case above, so that adding them moved no case
+_WARNING_ARGVS = [
+    # past q = 5's dimension limit 8: the report's warning is also one stderr line
+    ["grow", "--q", "5", "--target", "9", "--seed", "1", "--samples", "20",
+     "--descent-steps", "2"],
+    # the threshold tol * max|lambda| overflows, so every sample is escalated
+    ["search", "--q", "5", "--dim", "9", "--seed", "1", "--samples", "5",
+     "--float-tolerance", "1e308"],
+]
+
+
 def write_corpus(path=CORPUS):
     matrices = _build_matrices()
     cases = []
@@ -278,6 +292,8 @@ def write_corpus(path=CORPUS):
     for argvs, text in _edge_inputs() + _cone_block_inputs() + _dispatch_inputs():
         for argv in argvs:
             cases.append({"argv": argv, "matrix": None, "stdin": text, **run_cli(argv, text)})
+    for argv in _WARNING_ARGVS:
+        cases.append({"argv": argv, "matrix": None, **run_cli(argv)})
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"matrices": matrices, "cases": cases}, indent=1) + "\n")
 
@@ -330,6 +346,22 @@ def test_corpus_is_present_and_covers_the_commands():
 def test_output_is_byte_identical(case):
     got = run_cli(case["argv"], _stdin(case, _MATRICES))
     assert got == {k: case[k] for k in ("code", "stdout", "stderr")}
+
+
+def test_invalid_choice_texts_do_not_depend_on_the_argparse_release(monkeypatch):
+    # newer argparse patch releases list the choices without quotes
+    def unquoted(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(str, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_check_value", unquoted)
+    cases = [c for c in _CASES if "invalid choice" in c["stderr"]]
+    assert [c["argv"] for c in cases] == [["frobnicate"], ["catalog", "--format", "xml"], ["inert"]]
+    for case in cases:
+        got = run_cli(case["argv"], _stdin(case, _MATRICES))
+        assert got == {k: case[k] for k in ("code", "stdout", "stderr")}
 
 
 # the report class of each subcommand whose JSON output is a report, or a list of them

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -36,7 +37,7 @@ def unit_matrix(q, i, j, re=1, im=0):
     return HermitianMatrix(entries)
 
 
-FAST = SearchConfig(seed=11, samples=60, descent_steps=25, descent_starts=4)
+FAST = SearchConfig(seed=11, samples=60, descent_steps=25)
 
 
 class TestSubspaceBasis:
@@ -127,7 +128,7 @@ class TestDrawStream:
         b = search._stream(seed, search._PURPOSE_BASIS)
         for _ in range(3):
             ref = _scalar_random_hermitian(q, b)
-            grid = search._random_grid(q, a)
+            grid = search._grids_of(q, *search._draw_block(q, a, 1))[0]
             assert grid == scaled_gaussian_grid(ref.entries)
             assert HermitianMatrix.from_scaled(*grid) == ref
         assert a.integers(1 << 62) == b.integers(1 << 62)
@@ -148,35 +149,34 @@ class TestBlockDraw:
         for seed in (1, 2, 7):
             a = search._stream(seed, search._PURPOSE_BASIS)
             b = search._stream(seed, search._PURPOSE_BASIS)
-            assert search._random_grids(q, a, 6) == [search._random_grid(q, b) for _ in range(6)]
+            den, vals = search._draw_block(q, a, 6)
+            ones = [search._draw_block(q, b, 1) for _ in range(6)]
+            assert den.tolist() == [d for one, _ in ones for d in one.tolist()]
+            assert vals.tolist() == [row for _, one in ones for row in one.tolist()]
             assert a.integers(1 << 62) == b.integers(1 << 62)
 
     @pytest.mark.parametrize("q,dim", [(q, q * q - q // 2) for q in range(2, 10)] + [(17, 225)])
     def test_subspace_matches_one_candidate_draws(self, monkeypatch, q, dim):
         # every third candidate is rejected, so the blocks are redrawn: the
-        # reference tests one candidate at a time with try_add, random_subspace
-        # a block at a time with add_block, both with the same rejections
+        # reference draws and tests one candidate at a time, random_subspace
+        # a block at a time, both with the same rejections
         calls = []
-        try_add, add_block = search.ModularEchelon.try_add, search.ModularEchelon.add_block
+        add_block = search.ModularEchelon.add_block
 
         def rejected():
             calls.append(None)
             return len(calls) % 3 == 1
 
-        def every_third_rejected(self, vec):
-            return not rejected() and try_add(self, vec)
-
-        def every_third_rejected_in_block(self, block):
+        def every_third_rejected(self, block):
             rows = [r for r in range(len(block)) if not rejected()]
             return [rows[k] for k in add_block(self, block[rows])]
 
-        monkeypatch.setattr(search.ModularEchelon, "try_add", every_third_rejected)
-        monkeypatch.setattr(search.ModularEchelon, "add_block", every_third_rejected_in_block)
+        monkeypatch.setattr(search.ModularEchelon, "add_block", every_third_rejected)
         rng = search._stream(5, search._PURPOSE_BASIS)
         ech, grids = search.ModularEchelon(), []
         while len(grids) < dim:
-            grid = search._random_grid(q, rng)
-            if ech.try_add(search._coordinates(grid)):
+            grid = search._grids_of(q, *search._draw_block(q, rng, 1))[0]
+            if ech.add_block(np.array([search._coordinates(grid)])):
                 grids.append(grid)
         drawn = len(calls)
         calls.clear()
@@ -318,7 +318,7 @@ class TestLazyDescent:
             return search._certify(L, c) if hit or fval >= 0 else None
 
         # every start before the last fails to certify; the last gives the witness
-        assert 0 < len(runs) < cfg.descent_starts
+        assert 0 < len(runs) < search.DESCENT_STARTS
         assert [certify(r) for r in runs[:-1]] == [None] * (len(runs) - 1)
         assert certify(runs[-1]).to_json() == doc["witness"]
         assert doc["samples_used"] == cfg.samples + sum(r[2] for r in runs)
@@ -329,8 +329,8 @@ class TestLazyDescent:
         coeffs = search._stream(1, search._PURPOSE_FALSIFY).standard_normal((cfg.samples, L.dim))
         coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
         f = kernels.batch_stats(basisf, coeffs, cfg.float_tolerance)[3]
-        order = np.argsort(-f, kind="stable")[: cfg.descent_starts]
-        eager = [real(basisf, coeffs[i], cfg.descent_steps, cfg.certify_margin) for i in order]
+        order = np.argsort(-f, kind="stable")[: search.DESCENT_STARTS]
+        eager = [real(basisf, coeffs[i], cfg.descent_steps, search.CERTIFY_MARGIN) for i in order]
         first = next(w for w in map(certify, eager) if w is not None)
         assert first.to_json() == doc["witness"]
 
@@ -387,7 +387,7 @@ class TestGrow:
         assert not rep.certified
 
     def test_growth_at_q5(self):
-        cfg = SearchConfig(seed=47, samples=80, descent_steps=30, descent_starts=4)
+        cfg = SearchConfig(seed=47, samples=80, descent_steps=30)
         rep = grow_subspace(5, 3, cfg)
         assert 0 <= rep.achieved_dim <= 3
         assert len(rep.steps) >= rep.achieved_dim
@@ -396,17 +396,21 @@ class TestGrow:
         assert rep.basis.dim == rep.achieved_dim
 
     def test_warning_above_limit(self):
-        cfg = SearchConfig(seed=53, samples=30, descent_steps=10, descent_starts=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        # the report's field is the warning's one channel: no Python warning
+        cfg = SearchConfig(seed=53, samples=30, descent_steps=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = grow_subspace(5, 9, cfg)
-        assert rep.warning is not None
-        assert any("dimension limit" in str(w.message) for w in caught)
+        assert rep.warning == (
+            "target 9 exceeds the dimension limit 8 for q=5; growth beyond it cannot succeed"
+        )
+        assert GrowReport.from_json(rep.to_json()).warning == rep.warning
+        assert grow_subspace(5, 8, cfg).warning is None
 
     def test_no_warning_for_other_q(self):
-        cfg = SearchConfig(seed=59, samples=30, descent_steps=10, descent_starts=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        cfg = SearchConfig(seed=59, samples=30, descent_steps=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = grow_subspace(6, 2, cfg)
         assert rep.warning is None
 
@@ -450,7 +454,7 @@ class TestFloatRange:
         drawn = [random_subspace(q, q * q, seed=3) for q in (2, 5, 9)]
         drawn.append(grow_subspace(5, 2, FAST).basis)
         for L in drawn:
-            assert L.dim and L._exps == tuple(map(search._float_exponent, L._grids))
+            assert L.dim and L._exps == tuple(search._float_range(g)[0] for g in L._grids)
 
     @pytest.mark.parametrize("num", [2**53 - 1, 2**53, 2**53 + 1, 3 * (2**53 + 1)])
     @pytest.mark.parametrize("den", [1, 3, 2**53 - 1, 2**53 + 1])
@@ -476,7 +480,7 @@ class TestFloatRange:
         drawn = [random_subspace(q, q * q, seed=3) for q in (1, 2, 5, 9)]
         drawn.append(grow_subspace(5, 2, FAST).basis)
         for L in drawn:
-            assert L._f64 and all(map(search._f64_exact, L._grids))
+            assert L._f64 and all(search._float_range(g)[1] for g in L._grids)
             want = [[[complex(e) for e in row] for row in b.entries] for b in L.basis]
             assert L.float_image().tobytes() == np.array(want, dtype=np.complex128).tobytes()
 
@@ -494,7 +498,7 @@ class TestFloatRange:
         b = HermitianMatrix([[0, 0, 2], [0, 1, (0, 1)], [2, (0, -1), -1]])
         L = SubspaceBasis(3, [x.scale(Fraction(2) ** e) for x, e in zip((a, b), exps)])
         assert np.isfinite(L.float_image()).all()
-        rep = run_search(L, SearchConfig(seed=seed, samples=20, descent_steps=10, descent_starts=2))
+        rep = run_search(L, SearchConfig(seed=seed, samples=20, descent_steps=10))
         if rep.witness is not None:
             w = rep.witness
             assert L.element(w.coefficients) == w.element
@@ -556,6 +560,15 @@ class TestHistogram:
         assert rep.histogram == want and rep.escalations == escalated
         assert (escalated > 0) == (tol > 0.1)
 
+    def test_overflowing_tolerance_escalates_every_sample_without_a_warning(self):
+        # tol * max|lambda| overflows to inf: no sign is certain in float
+        L, cfg = random_subspace(5, 9, 1), SearchConfig(seed=1, samples=5, float_tolerance=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_search(L, cfg)
+        assert rep.escalations == cfg.samples == sum(rep.histogram.values())
+        assert rep.witness is not None and inertia(rep.witness.element) == rep.witness.inertia
+
 
 class TestWitnessSerialization:
     def test_round_trip(self):
@@ -582,16 +595,11 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 SearchConfig(seed=1, float_tolerance=tol)
 
-    def test_descent_grow_and_margin_values(self):
-        bad = [
-            {"descent_steps": -3},
-            {"descent_starts": -1},
-            {"grow_attempts_per_dim": 0},
-            {"certify_margin": -1e-4},
-            {"certify_margin": float("nan")},
-            {"certify_margin": float("inf")},
-        ]
-        for kw in bad:
-            with pytest.raises(ValueError):
-                SearchConfig(seed=1, **kw)
-        SearchConfig(seed=1, descent_steps=0, descent_starts=0, certify_margin=0.0)
+    def test_descent_steps_must_be_non_negative(self):
+        with pytest.raises(ValueError):
+            SearchConfig(seed=1, descent_steps=-3)
+        SearchConfig(seed=1, descent_steps=0)
+
+    def test_config_holds_what_the_cli_sets(self):
+        names = [f.name for f in dataclasses.fields(SearchConfig)]
+        assert names == ["seed", "samples", "descent_steps", "float_tolerance", "workers"]
