@@ -164,16 +164,6 @@ class ModularEchelon:
         return True
 
 
-def _coordinates(grid) -> List[int]:
-    """Integer coordinates of a scaled Hermitian grid ``(den, re, im)`` in
-    the q^2-dimensional real space of Hermitian matrices: diagonal, then Re
-    and Im of the upper triangle (dropping den keeps (in)dependence)."""
-    _, re, im = grid
-    q = len(re)
-    upper = [v for i in range(q) for j in range(i + 1, q) for v in (re[i][j], im[i][j])]
-    return [re[i][i] for i in range(q)] + upper
-
-
 _F64_EXACT = 1 << 53  # every integer of smaller magnitude is a float64
 
 
@@ -191,17 +181,37 @@ def _float_range(grid) -> Tuple[int, bool]:
     return exponent, max(den, top) < _F64_EXACT
 
 
+@functools.lru_cache(maxsize=None)
+def _coordinate_at(q: int) -> np.ndarray:
+    """Where the coordinates of :func:`_coordinates` lie in a matrix's Re
+    grid followed by its Im grid, both flattened."""
+    flat = np.arange(2 * q * q).reshape(2, q, q)
+    return np.concatenate((flat[0][np.triu_indices(q)], flat[1][np.triu_indices(q, 1)]))
+
+
+def _coordinates(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(n, q^2) integer coordinates of n scaled Hermitian grids, from their
+    (n, q, q) Re and Im arrays, in the q^2-dimensional real space of
+    Hermitian matrices: Re on and above the diagonal, then Im above it
+    (dropping the denominators keeps (in)dependence)."""
+    n, q, _ = re.shape
+    return np.concatenate((re, im), axis=1).reshape(n, 2 * q * q)[:, _coordinate_at(q)]
+
+
 class SubspaceBasis:
     """An ordered, exactly independent list of Hermitian matrices spanning
     a real subspace.
 
-    The matrices are held as scaled Gaussian-integer grids ``(den, re, im)``
-    (see :func:`~minertia.exactnum.scaled_gaussian_grid`), on which
-    :meth:`element` and :meth:`float_image` work directly; the tuple of
-    ``HermitianMatrix`` in :attr:`basis` is built from them on first use.
-    The constructor checks independence exactly."""
+    The matrices are held as integer arrays: each one's common denominator,
+    ``den`` (dim,), and its numerators over it, ``re`` and ``im`` (dim, q,
+    q), int64 when every integer lies below 2^53 (see :func:`_float_range`)
+    and of ``dtype=object`` (Python ints) otherwise.  :meth:`float_image`
+    divides them at once; the Python grids ``(den, re, im)`` (see
+    :func:`~minertia.exactnum.scaled_gaussian_grid`) that :meth:`element`
+    sums, and the tuple of ``HermitianMatrix`` in :attr:`basis`, are built
+    on first use.  The constructor checks independence exactly."""
 
-    __slots__ = ("q", "_grids", "_exps", "_f64", "_basis")
+    __slots__ = ("q", "_den", "_re", "_im", "_exps", "_grids", "_basis")
 
     def __init__(self, q: int, basis: Sequence[HermitianMatrix]):
         basis = tuple(basis)
@@ -209,53 +219,58 @@ class SubspaceBasis:
             raise ValueError("all basis matrices must share the subspace size")
         if len(basis) > q * q:
             raise ValueError(f"dimension {len(basis)} exceeds q^2 = {q * q}")
-        grids = tuple((b.den, list(map(list, b.re)), list(map(list, b.im))) for b in basis)
+        grids = tuple(b.grid for b in basis)
         ranges = [_float_range(g) for g in grids]
-        f64 = all(f for _, f in ranges)  # then every coordinate fits int64 too
-        coords = np.array([_coordinates(g) for g in grids], dtype=np.int64 if f64 else object)
-        kept = ModularEchelon().add_block(coords.reshape(len(grids), q * q))
-        if len(kept) < len(grids):
+        dtype = np.int64 if all(f for _, f in ranges) else object
+        den = np.array([b.den for b in basis], dtype=dtype)
+        re = np.array([b.re for b in basis], dtype=dtype).reshape(-1, q, q)
+        im = np.array([b.im for b in basis], dtype=dtype).reshape(-1, q, q)
+        kept = ModularEchelon().add_block(_coordinates(re, im))
+        if len(kept) < len(basis):
             k = next((i for i, j in enumerate(kept) if i != j), len(kept))
             raise ValueError(f"basis matrix {k} is linearly dependent")
-        self._set(q, grids, tuple(e for e, _ in ranges), f64, basis)
+        self._set(q, den, re, im, tuple(e for e, _ in ranges), grids, basis)
 
-    @classmethod
-    def _from_grids(cls, q: int, grids: Sequence) -> "SubspaceBasis":
-        """A basis of :func:`_grids_of` grids whose independence a
-        ``ModularEchelon`` has already established; it is not checked
-        again.  Their :func:`_float_range` is (0, True) (see
-        :func:`_grids_of`), without computing it."""
-        new = object.__new__(cls)
-        new._set(q, tuple(grids), (0,) * len(grids), True, None)
+    def _extended(self, den, re, im) -> "SubspaceBasis":
+        """This basis followed by :func:`_draw_block` rows that a
+        ``ModularEchelon`` has found independent of it, not checked again.
+        Drawn entries lie in [2^-1000, 2^1000] and their integers below
+        2^53, so their exponents are 0 (see :func:`_float_range`)."""
+        new = object.__new__(SubspaceBasis)
+        arrays = (self._den, den), (self._re, re), (self._im, im)
+        new._set(self.q, *map(np.concatenate, arrays), self._exps + (0,) * len(den), None, None)
         return new
 
-    def _set(self, q, grids, exps, f64, basis):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_grids", grids)
-        object.__setattr__(self, "_exps", exps)
-        object.__setattr__(self, "_f64", f64)
-        object.__setattr__(self, "_basis", basis)
+    def _set(self, q, den, re, im, exps, grids, basis):
+        for name, value in zip(self.__slots__, (q, den, re, im, exps, grids, basis)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceBasis is immutable")
 
+    def _python_grids(self) -> tuple:
+        if self._grids is None:
+            grids = tuple(zip(self._den.tolist(), self._re.tolist(), self._im.tolist()))
+            object.__setattr__(self, "_grids", grids)
+        return self._grids
+
     @property
     def basis(self) -> Tuple[HermitianMatrix, ...]:
         if self._basis is None:
-            basis = tuple(HermitianMatrix.from_scaled(*g) for g in self._grids)
+            basis = tuple(HermitianMatrix.from_scaled(*g) for g in self._python_grids())
             object.__setattr__(self, "_basis", basis)
         return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self._grids)
+        return len(self._den)
 
     def element(self, coeffs: Sequence[Fraction]) -> HermitianMatrix:
         """Exact linear combination sum_i coeffs[i] * basis[i], summed on
         the basis' integer grids; that sum is the matrix's stored grid."""
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count must match dimension")
-        terms = zip(map(exact_rational, coeffs), self._grids)
+        terms = zip(map(exact_rational, coeffs), self._python_grids())
         return HermitianMatrix.from_scaled(*grid_combination(self.q, terms))
 
     def float_image(self) -> np.ndarray:
@@ -263,31 +278,18 @@ class SubspaceBasis:
         2^-e_i (see :func:`_float_range`); an unscaled entry equals
         ``complex(entry)``.
 
-        When every den and numerator lies below 2^53 (see :func:`_float_range`),
-        all e_i are 0 and each integer converts to float64 exactly, so one
-        float64 division of the whole basis gives the correctly rounded
-        quotients.  Other bases are divided entry by entry as Python ints,
-        whose true division also rounds correctly."""
-        shape = (self.dim, self.q, self.q)
-        if self._f64:
-            grids = self._grids
-            den = np.array([g[0] for g in grids], dtype=np.float64).reshape(-1, 1, 1)
-            image = np.empty(shape, dtype=np.complex128)
-            image.real = np.array([g[1] for g in grids], dtype=np.float64).reshape(shape) / den
-            image.imag = np.array([g[2] for g in grids], dtype=np.float64).reshape(shape) / den
-            return image
-        re_vals: List[float] = []
-        im_vals: List[float] = []
-        for (den, re, im), e in zip(self._grids, self._exps):
-            if e:
-                up, den = max(-e, 0), den << max(e, 0)
-                re = [[a << up for a in row] for row in re]
-                im = [[b << up for b in row] for row in im]
-            re_vals += [a / den for row in re for a in row]
-            im_vals += [b / den for row in im for b in row]
-        image = np.empty(shape, dtype=np.complex128)
-        image.real.flat = re_vals
-        image.imag.flat = im_vals
+        One division of the numerator arrays by the denominators gives it:
+        in float64 for int64 arrays, whose integers lie below 2^53 and so
+        convert exactly, and as Python int true division for object arrays;
+        both round each quotient correctly."""
+        den, re, im = self._den, self._re, self._im
+        if any(self._exps):  # object arrays: multiply by 2^|e_i| on one side
+            den = den * np.array([1 << max(e, 0) for e in self._exps], dtype=object)
+            up = np.array([1 << max(-e, 0) for e in self._exps], dtype=object)[:, None, None]
+            re, im = re * up, im * up
+        image = np.empty(re.shape, dtype=np.complex128)
+        image.real = re / den[:, None, None]
+        image.imag = im / den[:, None, None]
         return image
 
     def _unscale(self, fracs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
@@ -309,11 +311,16 @@ class SubspaceBasis:
 
 
 @functools.lru_cache(maxsize=None)
+def _empty_basis(q: int) -> SubspaceBasis:
+    """The basis of no matrices, which drawn bases extend."""
+    return SubspaceBasis(q, ())
+
+
+@functools.lru_cache(maxsize=None)
 def _draw_layout(q: int):
     """The bounds of one candidate draw, (n, d) pairs with -9 <= n < 10 and
-    1 <= d < 10, q^2 of them; where its q^2 values n/d land: the draw
-    index of Re and of Im at each (i, j), and the sign of Im there; and the
-    draw index of each of its :func:`_coordinates`."""
+    1 <= d < 10, q^2 of them, and where its q^2 values n/d land: the draw
+    index of Re and of Im at each (i, j), and the sign of Im there."""
     re_at = np.zeros((q, q), dtype=np.intp)
     im_at = np.zeros((q, q), dtype=np.intp)
     im_sign = np.zeros((q, q), dtype=np.int64)
@@ -326,56 +333,46 @@ def _draw_layout(q: int):
             im_sign[i, j], im_sign[j, i] = 1, -1
             at += 2
         at += 1
-    coord_at = np.array(_coordinates((None, re_at.tolist(), im_at.tolist())), dtype=np.intp)
     bounds = np.array([-9, 1] * (q * q)), np.array([10, 10] * (q * q))
-    return bounds, re_at, im_at, im_sign, coord_at
+    return bounds, re_at, im_at, im_sign
 
 
 def _draw_block(q: int, rng: np.random.Generator, count: int):
     """``count`` random Hermitian matrices with entries n/d, |n| <= 9,
     1 <= d <= 9, as int64 arrays: each matrix's common denominator (at most
-    lcm(1..9) = 2520) and its q^2 numerators over it, in draw order.  Each
+    lcm(1..9) = 2520) and its (q, q) Re and Im numerators over it.  Each
     matrix takes 2q^2 integers: per row, the diagonal's (n, d), then (n, d)
     of Re and of Im of each entry right of it (the order of one scalar draw
     per integer).  One call draws all of them with the bounds tiled; that
     gives the same integers, and leaves the generator in the same state, as
     ``count`` draws of one matrix each."""
-    (low, high), *_ = _draw_layout(q)
+    (low, high), re_at, im_at, im_sign = _draw_layout(q)
     draws = rng.integers(np.tile(low, count), np.tile(high, count)).reshape(count, -1)
     nums, dens = draws[:, 0::2], draws[:, 1::2]
     g = np.gcd(nums, dens)
     dens = dens // g  # reduced, so den is their least common multiple
     den = np.lcm.reduce(dens, axis=1)
-    return den, nums // g * (den[:, None] // dens)
-
-
-def _grids_of(q: int, den: np.ndarray, vals: np.ndarray) -> List[tuple]:
-    """Scaled grids ``(den, re, im)`` of :func:`_draw_block` rows.  Their
-    entries lie in [2^-1000, 2^1000] and their integers below 2^53, so a
-    grid's :func:`_float_range` is (0, True) and its float image is exact."""
-    _, re_at, im_at, im_sign, _ = _draw_layout(q)
-    return list(zip(den.tolist(), vals[:, re_at].tolist(), (vals[:, im_at] * im_sign).tolist()))
+    vals = nums // g * (den[:, None] // dens)
+    return den, vals[:, re_at], vals[:, im_at] * im_sign
 
 
 def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
     """A seeded random subspace of the given dimension; independence is
     enforced exactly, dependent draws are rejected and redrawn.  The
-    candidates still needed are drawn in one call, their coordinates are
-    one column gather of the drawn integers, and one
-    :meth:`ModularEchelon.add_block` tests them in order; grids are built
-    only for the rows it accepts.  The basis is the one that drawing and
-    testing candidates one at a time gives."""
+    candidates still needed are drawn in one call and one
+    :meth:`ModularEchelon.add_block` tests their coordinates in order; the
+    basis is the one that drawing and testing candidates one at a time
+    gives."""
     if not 1 <= dim <= q * q:
         raise ValueError(f"dim must lie in [1, {q * q}], got {dim}")
-    coord_at = _draw_layout(q)[-1]
     rng = _stream(seed, _PURPOSE_BASIS)
     ech = ModularEchelon()
-    grids: List[tuple] = []
-    while len(grids) < dim:
-        den, vals = _draw_block(q, rng, dim - len(grids))
-        kept = ech.add_block(vals[:, coord_at])
-        grids += _grids_of(q, den[kept], vals[kept])
-    return SubspaceBasis._from_grids(q, grids)
+    L = _empty_basis(q)
+    while L.dim < dim:
+        den, re, im = _draw_block(q, rng, dim - L.dim)
+        kept = ech.add_block(_coordinates(re, im))
+        L = L._extended(den[kept], re[kept], im[kept])
+    return L
 
 
 def _uncertified(w: "Witness"):
@@ -565,16 +562,16 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
         limit = dim_limit_min_inertia_ge2(q)
         if target_dim > limit:
             warning = (
-                f"target {target_dim} exceeds the dimension limit {limit} "
-                f"for q={q}; growth beyond it cannot succeed"
+                f"target {target_dim} exceeds the dimension limit {limit} for q={q}; "
+                "every subspace of larger dimension contains an element with m <= 1, "
+                "so a larger achieved dimension means the budget missed one"
             )
     except HypothesisNotMetError:
         warning = None  # no dimension limit applies to this q
 
-    coord_at = _draw_layout(q)[-1]
     rng = _stream(cfg.seed, _PURPOSE_GROW)
     ech = ModularEchelon()
-    grids: List[tuple] = []
+    L = _empty_basis(q)
     steps: List[GrowStep] = []
     salt = 0
     for slot in range(target_dim):
@@ -584,16 +581,14 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
         while attempts < GROW_ATTEMPTS_PER_DIM:
             attempts += 1
             salt += 1
-            den, vals = _draw_block(q, rng, 1)
+            den, re, im = _draw_block(q, rng, 1)
             grown = ech.copy()  # a rejected candidate leaves ech untouched
-            if not grown.add_block(vals[:, coord_at]):
+            if not grown.add_block(_coordinates(re, im)):
                 continue
-            grid = _grids_of(q, den, vals)[0]
-            trial = SubspaceBasis._from_grids(q, grids + [grid])
+            trial = L._extended(den, re, im)
             report = run_search(trial, cfg, _salt=salt)
             if report.witness is None:
-                grids.append(grid)
-                ech = grown
+                L, ech = trial, grown
                 accepted = True
                 break
             rejected += 1
@@ -603,9 +598,9 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
     return GrowReport(
         q=q,
         target_dim=target_dim,
-        achieved_dim=len(grids),
+        achieved_dim=L.dim,
         seed=cfg.seed,
-        basis=SubspaceBasis._from_grids(q, grids),
+        basis=L,
         steps=tuple(steps),
         certified=False,
         warning=warning,

@@ -539,7 +539,8 @@ class TestIndependence:
         [(q, q * q, s) for q in range(2, 10) for s in (1, 2, 3)] + [(17, 225, 1)],
     )
     def test_random_subspace_matches_the_pure_python_echelon(self, q, dim, seed):
-        assert random_subspace(q, dim, seed)._grids == _reference_grids(q, dim, seed)
+        L = random_subspace(q, dim, seed)
+        assert (L._den.tolist(), L._re.tolist(), L._im.tolist()) == _reference_grids(q, dim, seed)
 
 
 def _assert_same_echelon(a, b):
@@ -582,10 +583,15 @@ class _ReferenceEchelon:
 
 
 def _reference_grids(q, dim, seed):
+    """The denominators, Re and Im grids of the first ``dim`` drawn
+    candidates independent of those before them, drawn one at a time."""
     rng = search._stream(seed, search._PURPOSE_BASIS)
-    ech, grids = _ReferenceEchelon(), []
-    while len(grids) < dim:
-        grid = search._grids_of(q, *search._draw_block(q, rng, 1))[0]
-        if ech.try_add(search._coordinates(grid)):
-            grids.append(grid)
-    return tuple(grids)
+    ech, grids = _ReferenceEchelon(), ([], [], [])
+    while len(grids[0]) < dim:
+        den, re, im = (part[0].tolist() for part in search._draw_block(q, rng, 1))
+        coords = [re[i][i] for i in range(q)]
+        coords += [v for i in range(q) for j in range(i + 1, q) for v in (re[i][j], im[i][j])]
+        if ech.try_add(coords):
+            for part, value in zip(grids, (den, re, im)):
+                part.append(value)
+    return grids

@@ -40,6 +40,11 @@ def unit_matrix(q, i, j, re=1, im=0):
 FAST = SearchConfig(seed=11, samples=60, descent_steps=25)
 
 
+def integers(L):
+    """A basis' integer arrays as nested lists, equal across dtypes."""
+    return L._den.tolist(), L._re.tolist(), L._im.tolist()
+
+
 class TestSubspaceBasis:
     def test_dimension_and_element(self):
         b1 = unit_matrix(3, 0, 0)
@@ -81,13 +86,26 @@ class TestSubspaceBasis:
     def test_grid_built_basis_matches_its_matrices(self, q, dim, seed):
         L = random_subspace(q, dim, seed)
         M = SubspaceBasis(q, L.basis)  # the checked constructor, from matrices
-        assert M._grids == L._grids
+        assert integers(M) == integers(L) and M._re.dtype == L._re.dtype == np.int64
         image = L.float_image()
         assert np.array_equal(M.float_image(), image)
         for k, b in enumerate(L.basis):
             assert image[k].tolist() == [[complex(e) for e in row] for row in b.entries]
         coeffs = [Fraction(k + 1, 7) for k in range(dim)]
         assert M.element(coeffs) == L.element(coeffs)
+
+    @pytest.mark.parametrize("first", ["element", "basis"])
+    def test_drawn_basis_builds_python_grids_on_first_use(self, first):
+        # the float image divides the drawn int64 arrays; the Python grids
+        # are built by the first element or basis call
+        L = random_subspace(5, 9, 1)
+        L.float_image()
+        assert L._grids is None and L._basis is None
+        if first == "element":
+            L.element([Fraction(1)] * 9)
+        else:
+            L.basis
+        assert L._grids is not None
 
 
 def _scalar_random_hermitian(q, rng):
@@ -128,7 +146,8 @@ class TestDrawStream:
         b = search._stream(seed, search._PURPOSE_BASIS)
         for _ in range(3):
             ref = _scalar_random_hermitian(q, b)
-            grid = search._grids_of(q, *search._draw_block(q, a, 1))[0]
+            den, re, im = search._draw_block(q, a, 1)
+            grid = (int(den[0]), re[0].tolist(), im[0].tolist())
             assert grid == scaled_gaussian_grid(ref.entries)
             assert HermitianMatrix.from_scaled(*grid) == ref
         assert a.integers(1 << 62) == b.integers(1 << 62)
@@ -149,10 +168,10 @@ class TestBlockDraw:
         for seed in (1, 2, 7):
             a = search._stream(seed, search._PURPOSE_BASIS)
             b = search._stream(seed, search._PURPOSE_BASIS)
-            den, vals = search._draw_block(q, a, 6)
+            block = search._draw_block(q, a, 6)
             ones = [search._draw_block(q, b, 1) for _ in range(6)]
-            assert den.tolist() == [d for one, _ in ones for d in one.tolist()]
-            assert vals.tolist() == [row for _, one in ones for row in one.tolist()]
+            for part, one_parts in zip(block, zip(*ones)):
+                assert part.tolist() == [x for one in one_parts for x in one.tolist()]
             assert a.integers(1 << 62) == b.integers(1 << 62)
 
     @pytest.mark.parametrize("q,dim", [(q, q * q - q // 2) for q in range(2, 10)] + [(17, 225)])
@@ -173,22 +192,27 @@ class TestBlockDraw:
 
         monkeypatch.setattr(search.ModularEchelon, "add_block", every_third_rejected)
         rng = search._stream(5, search._PURPOSE_BASIS)
-        ech, grids = search.ModularEchelon(), []
-        while len(grids) < dim:
-            grid = search._grids_of(q, *search._draw_block(q, rng, 1))[0]
-            if ech.add_block(np.array([search._coordinates(grid)])):
-                grids.append(grid)
+        ech, want = search.ModularEchelon(), ([], [], [])
+        while len(want[0]) < dim:
+            den, re, im = search._draw_block(q, rng, 1)
+            if ech.add_block(search._coordinates(re, im)):
+                for part, row in zip(want, (den, re, im)):
+                    part += row.tolist()
         drawn = len(calls)
         calls.clear()
-        assert random_subspace(q, dim, 5)._grids == tuple(grids)
+        assert integers(random_subspace(q, dim, 5)) == want
         assert len(calls) == drawn
 
     @pytest.mark.parametrize("q", range(1, 10))
     def test_coordinates_are_a_column_gather_of_the_draw(self, q):
-        den, vals = search._draw_block(q, search._stream(3, search._PURPOSE_BASIS), 5)
-        coord_at = search._draw_layout(q)[-1]
-        grids = search._grids_of(q, den, vals)
-        assert vals[:, coord_at].tolist() == [search._coordinates(g) for g in grids]
+        # Re on and above the diagonal, then Im above it, row by row
+        _, re, im = search._draw_block(q, search._stream(3, search._PURPOSE_BASIS), 5)
+        want = [
+            [r[i][j] for i in range(q) for j in range(i, q)]
+            + [m[i][j] for i in range(q) for j in range(i + 1, q)]
+            for r, m in zip(re.tolist(), im.tolist())
+        ]
+        assert search._coordinates(re, im).tolist() == want
 
 
 class TestRandomSubspace:
@@ -402,7 +426,9 @@ class TestGrow:
             warnings.simplefilter("error")
             rep = grow_subspace(5, 9, cfg)
         assert rep.warning == (
-            "target 9 exceeds the dimension limit 8 for q=5; growth beyond it cannot succeed"
+            "target 9 exceeds the dimension limit 8 for q=5; every subspace of larger "
+            "dimension contains an element with m <= 1, so a larger achieved dimension "
+            "means the budget missed one"
         )
         assert GrowReport.from_json(rep.to_json()).warning == rep.warning
         assert grow_subspace(5, 8, cfg).warning is None
@@ -454,16 +480,19 @@ class TestFloatRange:
         drawn = [random_subspace(q, q * q, seed=3) for q in (2, 5, 9)]
         drawn.append(grow_subspace(5, 2, FAST).basis)
         for L in drawn:
-            assert L.dim and L._exps == tuple(search._float_range(g)[0] for g in L._grids)
+            assert L.dim and L._exps == tuple(search._float_range(b.grid)[0] for b in L.basis)
 
     @pytest.mark.parametrize("num", [2**53 - 1, 2**53, 2**53 + 1, 3 * (2**53 + 1)])
     @pytest.mark.parametrize("den", [1, 3, 2**53 - 1, 2**53 + 1])
     def test_float_image_is_each_entry_as_complex_at_the_2_53_bound(self, num, den):
         X = HermitianMatrix.from_scaled(den, [[num, 1], [1, -num]], [[0, num - 2], [2 - num, 0]])
         L = SubspaceBasis(2, [X, HermitianMatrix.diagonal([Fraction(1, 3), 1])])
-        assert L._grids[0] == (den, [[num, 1], [1, -num]], [[0, num - 2], [2 - num, 0]])
-        # the float64 division only while every integer converts exactly
-        assert L._f64 == (num < 2**53 and den < 2**53) and L._exps == (0, 0)
+        assert [part[0] for part in integers(L)] == [
+            den, [[num, 1], [1, -num]], [[0, num - 2], [2 - num, 0]]
+        ]
+        # int64 arrays, divided in float64, only while every integer converts exactly
+        f64 = num < 2**53 and den < 2**53
+        assert L._re.dtype == (np.int64 if f64 else object) and L._exps == (0, 0)
         want = np.array([[[complex(e) for e in row] for row in b.entries] for b in L.basis])
         assert L.float_image().tobytes() == want.tobytes()
 
@@ -474,13 +503,14 @@ class TestFloatRange:
         assert np.float64(num) / np.float64(den) != num / den
         X = HermitianMatrix.from_scaled(den, [[num, 1], [1, 0]], [[0, 0], [0, 0]])
         L = SubspaceBasis(2, [X])
-        assert not L._f64 and L.float_image()[0, 0, 0] == num // den
+        assert L._re.dtype == object and L.float_image()[0, 0, 0] == num // den
 
     def test_drawn_grids_take_the_float64_division(self):
         drawn = [random_subspace(q, q * q, seed=3) for q in (1, 2, 5, 9)]
-        drawn.append(grow_subspace(5, 2, FAST).basis)
+        drawn += [random_subspace(17, 225, seed=3), grow_subspace(5, 2, FAST).basis]
         for L in drawn:
-            assert L._f64 and all(search._float_range(g)[1] for g in L._grids)
+            assert L._re.dtype == L._im.dtype == L._den.dtype == np.int64
+            assert all(search._float_range(b.grid)[1] for b in L.basis)
             want = [[[complex(e) for e in row] for row in b.entries] for b in L.basis]
             assert L.float_image().tobytes() == np.array(want, dtype=np.complex128).tobytes()
 
