@@ -11,19 +11,20 @@ inconsistency (arithmetic self-check failure).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from . import bounds as bounds_mod
-from . import criteria
-from . import degree as degree_mod
 from . import search as search_mod
 from .errors import InconsistencyError, MinertiaError
 from .hermitian_core import HermitianMatrix, inertia
 from .strata import classify_cone, classify_d2, d2_real_dimension
+
+# bounds, degree, criteria and csv are imported by the handlers that use
+# them, so that an inertia, classify or search process never loads them
+if TYPE_CHECKING:
+    from .bounds import BoundReport, PencilData
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,6 +55,8 @@ def _emit(doc, out) -> None:
 
 
 def _emit_csv(rows: List[list], header: List[str], out) -> None:
+    import csv
+
     writer = csv.writer(out)
     writer.writerow(header)
     writer.writerows(rows)
@@ -81,14 +84,16 @@ def _parse_range(spec: str):
     return int(lo), int(hi)
 
 
-def _parse_pencil(spec: str) -> bounds_mod.PencilData:
+def _parse_pencil(spec: str) -> PencilData:
+    from .bounds import PencilData
+
     # canonical form: b=B,fibers=l1,l2,...
     head, _, tail = spec.partition(",fibers=")
     if not head.startswith("b="):
         raise ValueError(f"pencil must look like b=B[,fibers=l1,l2,...], got {spec!r}")
     b = int(head[2:])
     fibers = [int(x) for x in tail.split(",") if x] if tail else []
-    return bounds_mod.PencilData(b=b, fiber_component_counts=tuple(fibers))
+    return PencilData(b=b, fiber_component_counts=tuple(fibers))
 
 
 def _cmd_inertia(args, out) -> int:
@@ -109,6 +114,8 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_degree(args, out) -> int:
+    from . import degree as degree_mod
+
     if args.q is None and args.table is None:
         raise ValueError("degree needs --q N or --table A..B")
     if args.q is not None:
@@ -129,16 +136,18 @@ def _cmd_degree(args, out) -> int:
 
 
 def _cmd_bound(args, out) -> int:
+    from .bounds import Assumptions, best_bound
+
     pencil = _parse_pencil(args.pencil) if args.pencil else None
 
-    def report(q: int) -> bounds_mod.BoundReport:
-        assumptions = bounds_mod.Assumptions(
+    def report(q: int) -> BoundReport:
+        assumptions = Assumptions(
             q=q,
             p_g=args.pg,
             no_irregular_pencils_genus_ge2=args.no_irregular_pencils,
             pencil=pencil,
         )
-        return bounds_mod.best_bound(assumptions)
+        return best_bound(assumptions)
 
     if args.table:
         lo, hi = _parse_range(args.table)
@@ -183,7 +192,9 @@ def _cmd_grow(args, out) -> int:
 
 
 def _cmd_catalog(args, out) -> int:
-    records = bounds_mod.catalog()
+    from .bounds import catalog
+
+    records = catalog()
     if args.format == "csv":
         rows = [
             [r.name, r.q, r.p_g, r.h11, r.no_irregular_pencils, r.note]
@@ -196,6 +207,8 @@ def _cmd_catalog(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
+    from . import criteria
+
     budget = criteria.Budget(full=False)
     failed = []
     for criterion in criteria.CRITERIA:

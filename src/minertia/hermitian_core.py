@@ -93,13 +93,15 @@ class HermitianMatrix:
         new._set(den, re, im)
         return new
 
-    def _set(self, den, re, im):
+    def _set(self, den, re, im, lowest=False):
+        """Check and store the grid, first divided by gcd(den, entries)
+        unless the caller knows that gcd is 1 (``lowest``)."""
         q = len(re)
         if q == 0 or any(len(row) != q for row in re):
             raise NotHermitianError("entries must form a nonempty square grid")
         if den <= 0:
             raise ValueError(f"the common denominator must be positive, got {den}")
-        g = math.gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+        g = 1 if lowest else math.gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
         if g > 1:
             den //= g
             re = [[v // g for v in row] for row in re]
@@ -227,11 +229,14 @@ class HermitianMatrix:
         if len(entries) != q or any(len(row) != q for row in entries):
             raise ValueError(f"entries must be a full {q}x{q} grid")
         nums, dens = GaussianRational.json_grid_parts([e for row in entries for e in row])
-        # the lcm of the reduced denominators: unreduced ones could multiply up
+        # the lcm of the reduced denominators: unreduced ones could multiply
+        # up, and over this lcm gcd(den, entries) is 1, so _set skips it
         den = math.lcm(*{d // math.gcd(n, d) for n, d in zip(nums, dens)})
-        vals = [n * den // d for n, d in zip(nums, dens)]  # per row: re, im of each entry
+        vals = tuple(n * den // d for n, d in zip(nums, dens))  # per row: re, im of each entry
         rows = [vals[2 * q * i : 2 * q * (i + 1)] for i in range(q)]
-        return cls.from_scaled(den, [r[0::2] for r in rows], [r[1::2] for r in rows])
+        new = object.__new__(cls)
+        new._set(den, [r[0::2] for r in rows], [r[1::2] for r in rows], lowest=True)
+        return new
 
 
 def grid_inertia(re: list, im: list) -> Inertia:

@@ -449,8 +449,9 @@ def _batched_stats(basisf, coeffs, tol, workers):
 
 def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchReport:
     """Full falsifier pass: sampling histogram, exact escalation of
-    tolerance-band samples, certification of direct hits, then coordinate
-    descent from the most promising starts.
+    tolerance-band samples, certification of direct hits (samples with
+    m <= 1, by the exact m for escalated ones), then coordinate descent
+    from the most promising starts.
 
     Descent starts run one at a time in decreasing order of their sampled
     objective, and each is certified as soon as it ends; the first that
@@ -472,6 +473,7 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
         mi = _exact_m_of_float_coeffs(L, coeffs[i])
         if mi is not None:
             histogram[mi] = histogram.get(mi, 0) + 1
+        m[i] = 2 if mi is None else mi  # certify below only an exact m <= 1
 
     samples_used = int(cfg.samples)
     witness: Optional[Witness] = None

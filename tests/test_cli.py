@@ -383,12 +383,17 @@ class TestParserReuse:
         assert _probe(_PARSER_PROBE) == "0 True True"
 
 
+def _fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this package."""
+    path = [str(Path(minertia.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **extra}
+
+
 def _probe(script):
     """Run ``script`` in a fresh interpreter with this package importable;
     return the last line it prints."""
-    path = [str(Path(minertia.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_fresh_env(), check=True)
     return done.stdout.splitlines()[-1]
 
 
@@ -400,7 +405,7 @@ class TestNumpyLoadsOnFirstFloatUse:
         doc = json.loads(_probe(_NUMPY_PROBE))
         assert doc["exact_codes"] == [0] * 5
         assert doc["numpy_after_exact"] is False
-        corpus = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
+        corpus = json.loads(_CORPUS.read_text())
         golden = next(c for c in corpus["cases"] if c["argv"] == _NUMPY_PROBE_SEARCH)
         assert doc["search"] == {"code": golden["code"], "stdout": golden["stdout"]}
         assert doc["numpy_after_search"] is True
@@ -413,6 +418,94 @@ class TestNumpyLoadsOnFirstFloatUse:
         # stdlib modules stand in for numpy, each first used by two threads at once
         assert json.loads(_probe(_TWO_THREAD_PROBE)) == []
 
+
+# the modules perfbench's tracer looks up in sys.modules after warm-up
+_TRACED = {f"minertia.{m}" for m in ("hermitian_core", "exactnum", "strata", "search", "kernels")}
+_UNUSED_BY_SEARCH = {f"minertia.{m}" for m in ("bounds", "degree", "criteria", "oracles")} | {"csv"}
+_CORPUS = Path(__file__).parent / "data" / "golden_cli.json"
+
+# one argv per subcommand, each taken from the golden corpus
+_ONE_PER_SUBCOMMAND = [
+    ["inertia", "--matrix", "-"],
+    ["classify", "--cone", "--matrix", "-"],
+    ["degree", "--table", "3..40", "--format", "csv"],
+    ["bound", "--q", "4", "--pg", "5", "--pencil", "b=2,fibers=3,2"],
+    ["search", "--q", "5", "--dim", "9", "--seed", "1", "--workers", "1"],
+    ["grow", "--q", "5", "--target", "4", "--seed", "1", "--workers", "1"],
+    ["catalog", "--format", "csv"],
+]
+
+
+class TestImportsFollowTheSubcommand:
+    """The package namespace is lazy and the CLI imports bounds, degree,
+    criteria and csv in the handlers that use them, so a process loads
+    only what its subcommand runs."""
+
+    def test_cli_import_and_a_search_load_no_unused_module(self):
+        doc = json.loads(_probe(_IMPORT_PROBE))
+        for stage in ("after_import", "after_search"):
+            assert not _UNUSED_BY_SEARCH & set(doc[stage]), stage
+            assert _TRACED <= set(doc[stage]), stage
+        assert doc["code"] == 0
+
+    def test_bare_import_loads_no_submodule(self):
+        script = "import sys, minertia; print([m for m in sys.modules if m.startswith('minertia.')])"
+        assert _probe(script) == "[]"
+
+    def test_submodule_after_bare_import(self):
+        script = "import minertia; print(minertia.kernels.__name__, minertia.bounds.__name__)"
+        assert _probe(script) == "minertia.kernels minertia.bounds"
+
+    def test_exported_names_are_the_defining_modules_objects(self):
+        import importlib
+
+        for module, names in minertia._EXPORTS.items():
+            defining = importlib.import_module(f"minertia.{module}")
+            for name in names:
+                assert getattr(minertia, name) is getattr(defining, name), name
+        assert sorted(minertia.__all__) == sorted(minertia._MODULE_OF)
+        assert set(minertia.__all__) <= set(dir(minertia))
+
+    def test_submodule_table_names_every_module(self):
+        package = Path(minertia.__file__).parent
+        modules = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}
+        assert minertia._SUBMODULES == modules
+        assert modules <= set(dir(minertia))
+
+    def test_star_import_binds_every_exported_name(self):
+        script = ("from minertia import *\n"
+                  "import minertia\n"
+                  "print(all(globals()[n] is getattr(minertia, n) for n in minertia.__all__))")
+        assert _probe(script) == "True"
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            minertia.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            from minertia import no_such_name  # noqa: F401
+
+    @pytest.mark.parametrize("argv", _ONE_PER_SUBCOMMAND, ids=lambda a: a[0])
+    def test_subcommand_in_its_own_process_matches_the_corpus(self, argv):
+        # the golden check runs every case in one process, where an earlier
+        # case's import could hide a handler's missing one
+        corpus = json.loads(_CORPUS.read_text())
+        case = next(c for c in corpus["cases"] if c["argv"] == argv)
+        stdin = json.dumps(corpus["matrices"][case["matrix"]]) if case["matrix"] is not None else ""
+        # bytes, so that csv's \r\n line ends reach the comparison as written
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "minertia", *argv],
+                              input=stdin.encode(), capture_output=True, env=_fresh_env(COLUMNS="80"))
+        got = (done.returncode, done.stdout.decode(), done.stderr.decode())
+        assert got == (case["code"], case["stdout"], case["stderr"])
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import minertia.cli
+after_import = sorted(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = minertia.cli.main(["search", "--q", "3", "--dim", "2", "--seed", "1", "--samples", "20"])
+print(json.dumps({"after_import": after_import, "after_search": sorted(sys.modules), "code": code}))
+"""
 
 _NUMPY_PROBE_SEARCH = ["search", "--q", "5", "--dim", "9", "--seed", "1", "--workers", "2"]
 

@@ -397,6 +397,62 @@ def _matrix_docs(draw):
     return {"q": q, "entries": rows}
 
 
+_WIDE = st.one_of(st.integers(-40, 40), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def _unreduced_texts(draw):
+    """``"n*k/d*k"``: a rational written with a common factor k, which may
+    be 1 and, like n and d, may lie beyond 2^64."""
+    n, k = draw(_WIDE), draw(st.one_of(st.integers(1, 12), st.integers(1, 2**70)))
+    d = draw(st.one_of(st.integers(1, 12), st.integers(1, 2**70)))
+    return f"{n * k}/{d * k}"
+
+
+@st.composite
+def _unreduced_docs(draw):
+    q = draw(st.integers(1, 4))
+    rows = [[None] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            re, im = draw(_unreduced_texts()), "0/5" if i == j else draw(_unreduced_texts())
+            rows[i][j] = {"re": re, "im": im}
+            rows[j][i] = {"re": re, "im": im if i == j else _negated(im)}
+    return {"q": q, "entries": rows}
+
+
+class TestJsonGridInLowestTerms:
+    """``from_json`` scales to the lcm of the reduced denominators, over
+    which gcd(den, entries) is 1, so it stores the grid without that gcd;
+    ``from_scaled``, which divides by it, must give the same grid."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_unreduced_docs())
+    def test_same_grid_as_from_scaled(self, doc):
+        X = HermitianMatrix.from_json(doc)
+        den, re, im = X.grid
+        assert math.gcd(den, *(v for row in re + im for v in row)) == 1
+        assert X.grid == HermitianMatrix.from_scaled(den * 6, [[6 * v for v in r] for r in re],
+                                                     [[6 * v for v in r] for r in im]).grid
+        assert X.grid == _read_by_entry(doc).grid
+
+    @pytest.mark.parametrize("texts,grid", [
+        (("2/4", "-6/8"), (4, ((2, -3), (-3, 0)), ((0, 0), (0, 0)))),
+        (("0/5", "0/7"), (1, ((0, 0), (0, 0)), ((0, 0), (0, 0)))),
+        ((f"{3 * 2**70}/{2**71}", "-1"), (2, ((3, -2), (-2, 0)), ((0, 0), (0, 0)))),
+    ])
+    def test_written_examples(self, texts, grid):
+        (a, b), z = texts, {"re": "0", "im": "0"}
+        doc = {"q": 2, "entries": [[{"re": a, "im": "0"}, {"re": b, "im": "0"}], [{"re": b, "im": "0"}, z]]}
+        assert HermitianMatrix.from_json(doc).grid == grid
+
+    def test_the_shortcut_still_checks_symmetry(self):
+        doc = {"q": 2, "entries": [[{"re": "0", "im": "0"}, {"re": "2/4", "im": "0"}],
+                                   [{"re": "1/4", "im": "0"}, {"re": "0", "im": "0"}]]}
+        with pytest.raises(NotHermitianError, match=r"\(0,1\)"):
+            HermitianMatrix.from_json(doc)
+
+
 class TestOnePassReader:
     """``from_json`` reads all components in one pass and must agree with
     reading them one entry at a time: the same grid, or the same

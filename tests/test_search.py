@@ -571,6 +571,38 @@ class TestCertification:
         assert w.coefficients == (-Fraction(2) ** -1100,)
         assert w.element == HermitianMatrix.diagonal([-1, 0])
 
+    @pytest.mark.parametrize(
+        "q,dim,seed,tol", [(6, 4, 1, 0.3), (4, 5, 3, 0.3), (5, 9, 1, 1e308), (5, 9, 2, 1e-9)]
+    )
+    def test_direct_hits_are_the_samples_with_m_at_most_1(self, monkeypatch, q, dim, seed, tol):
+        # an escalated sample counts by its exact m, so one whose exact m is
+        # >= 2 (or whose lift is zero) is never certified; at (6, 4, 1, 0.3)
+        # that is all 200 samples, which once made 28 rejected _certify calls
+        L, cfg = random_subspace(q, dim, seed), SearchConfig(seed=seed, samples=200, float_tolerance=tol)
+        coeffs = search._stream(seed, search._PURPOSE_FALSIFY).standard_normal((cfg.samples, L.dim))
+        coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
+        npl, nmi, nun, _ = kernels.batch_stats(L.float_image(), coeffs, tol)
+        expected = []
+        for i in range(cfg.samples):
+            m = search._exact_m_of_float_coeffs(L, coeffs[i]) if nun[i] else min(npl[i], nmi[i])
+            if m is not None and m <= 1:
+                expected.append(i)
+                if search._certify(L, coeffs[i]) is not None:
+                    break
+
+        calls = []
+        real_certify, real_descent = search._certify, kernels.coordinate_descent
+        monkeypatch.setattr(search, "_certify", lambda L, row: calls.append(row) or real_certify(L, row))
+        monkeypatch.setattr(
+            kernels, "coordinate_descent", lambda *a: calls.append(None) or real_descent(*a)
+        )
+        run_search(L, cfg)
+        direct = calls[: next((k for k, c in enumerate(calls) if c is None), len(calls))]
+        assert len(direct) == len(expected)
+        assert all(np.array_equal(row, coeffs[i]) for row, i in zip(direct, expected))
+        if (q, dim, seed, tol) == (6, 4, 1, 0.3):
+            assert expected == [] and nun.all()
+
 
 class TestHistogram:
     @pytest.mark.parametrize("tol", [1e-9, 0.3])
