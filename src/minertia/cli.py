@@ -166,20 +166,12 @@ def _cmd_bound(args, out) -> int:
 
 def _search_config(args) -> search_mod.SearchConfig:
     # grow has no --float-tolerance flag; its parser sets the default
-    return search_mod.SearchConfig(
-        seed=args.seed,
-        samples=args.samples,
-        descent_steps=args.descent_steps,
-        float_tolerance=args.float_tolerance,
-        workers=args.workers,
-    )
+    return search_mod.SearchConfig(args.seed, args.samples, args.float_tolerance, args.workers)
 
 
 def _cmd_search(args, out) -> int:
-    cfg = _search_config(args)
     basis = search_mod.random_subspace(args.q, args.dim, args.seed)
-    report = search_mod.run_search(basis, cfg)
-    _emit(report.to_json(), out)
+    _emit(search_mod.run_search(basis, _search_config(args)).to_json(), out)
     return EXIT_OK
 
 
@@ -274,7 +266,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--samples", type=int, default=_DEFAULTS.samples)
-    p.add_argument("--descent-steps", type=int, default=_DEFAULTS.descent_steps, dest="descent_steps")
     p.add_argument("--float-tolerance", type=float, default=_DEFAULTS.float_tolerance, dest="float_tolerance")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_search)
@@ -284,7 +275,6 @@ def build_parser() -> _Parser:
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--samples", type=int, default=_DEFAULTS.samples)
-    p.add_argument("--descent-steps", type=int, default=_DEFAULTS.descent_steps, dest="descent_steps")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_grow, float_tolerance=_DEFAULTS.float_tolerance)
 

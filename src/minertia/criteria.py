@@ -22,7 +22,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .bounds import Assumptions, best_bound, catalog, catalog_best_bound, k2_less_than_8chi
 from .degree import degree_binomial_form, degree_product_form, verify_parity_law
@@ -119,7 +119,7 @@ class Budget:
 
     def __init__(self, full: bool):
         self.full = full
-        self.falsifier_batch = None  # (results, seconds) once criterion 11 or 12 ran it
+        self.falsifier_batch = None  # (witness blobs, seconds) once criterion 11 or 12 ran it
 
     def size(self, small: int, full: int) -> int:
         return full if self.full else small
@@ -274,36 +274,34 @@ def criterion_10_catalog_consistency(budget: Budget) -> str:
 _FALSIFIER_SEEDS = range(5000, 5100)
 
 
-def _run_falsifier_batch(seeds) -> List[Tuple[int, Optional[str]]]:
-    results = []
-    for seed in seeds:
-        L = random_subspace(5, 9, seed=seed)
-        w = falsify_min_inertia(L, SearchConfig(seed=seed))
-        blob = None
-        if w is not None:
-            # exact certification: recompute from scratch
-            element = L.element(w.coefficients)
-            _require(element == w.element, f"seed {seed}: witness element does not re-derive")
-            _require(not element.is_zero(), f"seed {seed}: zero witness")
-            _require(inertia(element) == w.inertia, f"seed {seed}: witness inertia differs")
-            _require(w.inertia.m <= 1, f"seed {seed}: witness has m > 1")
-            blob = json.dumps(w.to_json(), sort_keys=True)
-        results.append((seed, blob))
-    return results
+def _falsify(q: int, dim: int, seed: int) -> Tuple[Optional[str], float]:
+    """``search --q q --dim dim --seed seed``: its witness re-derived
+    exactly, as sorted JSON (None if none), and the seconds it took."""
+    t0 = time.time()
+    L = random_subspace(q, dim, seed=seed)
+    w = falsify_min_inertia(L, SearchConfig(seed=seed))
+    elapsed = time.time() - t0
+    if w is None:
+        return None, elapsed
+    element = L.element(w.coefficients)
+    _require(element == w.element, f"seed {seed}: witness element does not re-derive")
+    _require(not element.is_zero(), f"seed {seed}: zero witness")
+    _require(inertia(element) == w.inertia, f"seed {seed}: witness inertia differs")
+    _require(w.inertia.m <= 1, f"seed {seed}: witness has m > 1")
+    return json.dumps(w.to_json(), sort_keys=True), elapsed
 
 
 def _first_falsifier_batch(budget: Budget):
     if budget.falsifier_batch is None:
         t0 = time.time()
-        results = _run_falsifier_batch(_FALSIFIER_SEEDS[: budget.size(20, 100)])
-        budget.falsifier_batch = results, time.time() - t0
+        blobs = [_falsify(5, 9, seed)[0] for seed in _FALSIFIER_SEEDS[: budget.size(20, 100)]]
+        budget.falsifier_batch = blobs, time.time() - t0
     return budget.falsifier_batch
 
 
 def criterion_11_falsifier_statistics(budget: Budget) -> str:
-    results, elapsed = _first_falsifier_batch(budget)
-    n = len(results)
-    successes = sum(1 for _, blob in results if blob is not None)
+    blobs, elapsed = _first_falsifier_batch(budget)
+    n, successes = len(blobs), sum(blob is not None for blob in blobs)
     # at least 95% falsified: 95/100 at full budget
     _require(20 * successes >= 19 * n, f"only {successes}/{n} subspaces falsified")
     _require(elapsed < 600.0, f"batch took {elapsed:.0f}s")
@@ -315,9 +313,8 @@ def criterion_11_falsifier_statistics(budget: Budget) -> str:
 
 def criterion_12_determinism_byte_for_byte(budget: Budget) -> str:
     first, _ = _first_falsifier_batch(budget)
-    second = _run_falsifier_batch([seed for seed, _ in first])
-    for (seed, blob1), (_, blob2) in zip(first, second):
-        _require(blob1 == blob2, f"witness differs on rerun for seed {seed}")
+    for seed, blob in zip(_FALSIFIER_SEEDS, first):
+        _require(_falsify(5, 9, seed)[0] == blob, f"witness differs on rerun for seed {seed}")
     return "rerun with identical seeds reproduces identical witnesses byte for byte"
 
 
@@ -344,6 +341,23 @@ def criterion_13_canonical_diagonal_labels(budget: Budget) -> str:
     return "canonical diagonals at q = 5 get all 4 stratum and 5 cone labels right"
 
 
+def criterion_14_falsifier_at_q9(budget: Budget) -> str:
+    seeds = range(1, budget.size(20, 100) + 1)
+    found = sum(_falsify(9, 49, seed)[0] is not None for seed in seeds)
+    _require(20 * found >= 19 * len(seeds), f"only {found}/{len(seeds)} subspaces falsified")
+    return f"{found}/{len(seeds)} dim-49 subspaces at q=9 (limit 48) falsified, certified exactly"
+
+
+def criterion_15_falsifier_at_q17_within_10s(budget: Budget) -> str:
+    secs = []
+    for seed in range(1, budget.size(1, 5) + 1):
+        blob, elapsed = _falsify(17, 225, seed)
+        _require(blob is not None, f"seed {seed}: no witness in a dim-225 subspace at q=17")
+        _require(elapsed < 10.0, f"seed {seed} took {elapsed:.1f}s")
+        secs.append(elapsed)
+    return f"{len(secs)} dim-225 subspaces at q=17 (limit 224) falsified, slowest {max(secs):.1f}s"
+
+
 CRITERIA: Tuple[Callable[[Budget], str], ...] = (
     criterion_01_degree_values_and_form_agreement,
     criterion_02_parity_law_sweep_to_1e6,
@@ -358,4 +372,6 @@ CRITERIA: Tuple[Callable[[Budget], str], ...] = (
     criterion_11_falsifier_statistics,
     criterion_12_determinism_byte_for_byte,
     criterion_13_canonical_diagonal_labels,
+    criterion_14_falsifier_at_q9,
+    criterion_15_falsifier_at_q17_within_10s,
 )

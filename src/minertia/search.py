@@ -2,8 +2,8 @@
 matrices in which every nonzero element is supposed to keep at least two
 positive and two negative eigenvalues.
 
-The search runs on a float fast path (seeded sampling plus coordinate
-descent on eigenvalue objectives) and promotes candidates to exact
+The search runs on a float fast path (seeded sampling, then alternating
+projection from the best samples) and promotes candidates to exact
 arithmetic before anything is reported: a returned witness always carries
 an exactly recomputed inertia with min(n_plus, n_minus) <= 1.  Absence of
 a witness is inconclusive, never a proof.
@@ -55,8 +55,7 @@ class SearchConfig:
     """
 
     seed: int
-    samples: int = 400
-    descent_steps: int = 80
+    samples: int = 128
     float_tolerance: float = 1e-9
     workers: int = 1
 
@@ -67,12 +66,10 @@ class SearchConfig:
             raise ValueError("workers must be >= 1")
         if not (math.isfinite(self.float_tolerance) and self.float_tolerance > 0):
             raise ValueError("float_tolerance must be finite and positive")
-        if self.descent_steps < 0:
-            raise ValueError("descent_steps must be >= 0")
 
 
-DESCENT_STARTS = 12  # descents run from at most this many best samples
-CERTIFY_MARGIN = 1e-4  # a descent stops once its objective reaches this
+DESCENT_STARTS = 12  # projection runs from at most this many best samples
+CERTIFY_MARGIN = 1e-4  # a projection start hits once its objective reaches this
 GROW_ATTEMPTS_PER_DIM = 8  # candidates grow_subspace tries for each slot
 
 
@@ -450,14 +447,14 @@ def _batched_stats(basisf, coeffs, tol, workers):
 def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchReport:
     """Full falsifier pass: sampling histogram, exact escalation of
     tolerance-band samples, certification of direct hits (samples with
-    m <= 1, by the exact m for escalated ones), then coordinate descent
-    from the most promising starts.
+    m <= 1, by the exact m for escalated ones), then alternating
+    projection (:func:`~minertia.kernels.alternating_projection`) from the
+    most promising samples.
 
-    Descent starts run one at a time in decreasing order of their sampled
-    objective, and each is certified as soon as it ends; the first that
-    certifies is the witness and no later start runs.  ``samples_used``
-    counts the objective evaluations actually made: the samples plus the
-    evaluations of the descents that ran."""
+    Starts run one at a time, best sampled objective first, on one
+    least-squares map made when the phase begins; each hit is certified at
+    once, the first that certifies is the witness and no later start runs.
+    ``samples_used`` counts the samples plus the iterations that ran."""
     basisf = L.float_image()
     coeffs = _stream(cfg.seed, _PURPOSE_FALSIFY, _salt).standard_normal((cfg.samples, L.dim))
     norms = np.linalg.norm(coeffs, axis=1)
@@ -483,12 +480,13 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
             break
 
     if witness is None:
+        lsq = kernels.least_squares_map(basisf)
         for idx in np.argsort(-f, kind="stable")[:DESCENT_STARTS]:
-            c, fval, evals, hit = kernels.coordinate_descent(
-                basisf, coeffs[idx], cfg.descent_steps, CERTIFY_MARGIN
+            c, _, iterations, hit = kernels.alternating_projection(
+                basisf, lsq, coeffs[idx], CERTIFY_MARGIN
             )
-            samples_used += evals
-            if hit or fval >= 0:
+            samples_used += iterations
+            if hit:
                 witness = _certify(L, c)
                 if witness is not None:
                     break

@@ -7,7 +7,10 @@ matrices; the other test modules import them from here.
 
 import random
 
+import numpy as np
 import pytest
+
+from minertia.hermitian_core import HermitianMatrix
 
 from minertia.criteria import (  # noqa: F401
     rand_hermitian,
@@ -21,3 +24,14 @@ from minertia.criteria import (  # noqa: F401
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+def gamma_matrices(q: int):
+    """Five anticommuting Hermitian q x q matrices (q = 4 or 8) that square
+    to the identity.  A nonzero real combination sum_k a_k G_k squares to
+    |a|^2 I and has trace 0, so its eigenvalues are |a| and -|a|, q/2 times
+    each: every nonzero element of their span has minimal inertia q/2."""
+    s1, s2, s3 = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])
+    gammas = [np.kron(s1, s) for s in (s1, s2, s3)] + [np.kron(s2, np.eye(2)), np.kron(s3, np.eye(2))]
+    gammas = [np.kron(g, np.eye(q // 4)) for g in gammas]
+    return [HermitianMatrix([[(int(z.real), int(z.imag)) for z in row] for row in g]) for g in gammas]

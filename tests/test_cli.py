@@ -234,14 +234,15 @@ class TestSearchCommand:
         code, _, _ = run(capsys, "search", "--q", "4", "--dim", "3")
         assert code == 1
 
-    def test_negative_descent_steps_exits_2(self, capsys):
+    @pytest.mark.parametrize("command", [["search", "--dim", "9"], ["grow", "--target", "4"]])
+    def test_removed_descent_steps_flag_is_a_usage_error(self, capsys, command):
         code, out, err = run(
-            capsys, "search", "--q", "5", "--dim", "9", "--seed", "1",
-            "--descent-steps", "-3",
+            capsys, *command, "--q", "5", "--seed", "1", "--descent-steps", "3",
         )
-        assert code == 2
+        assert code == 1
         assert out == ""
-        assert len(err.splitlines()) == 1
+        assert err.startswith("usage: minertia")
+        assert err.splitlines()[-1] == "minertia: error: unrecognized arguments: --descent-steps 3"
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_float_tolerance_exits_2(self, capsys, tol):

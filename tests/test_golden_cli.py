@@ -20,7 +20,8 @@ decision, and command lines at the edge between the program's parser and a
 subcommand's (``-h inertia``, ``inert``, ``inertia --mat -``, a left-over
 argument, ``--`` before ``--matrix``), and runs that once wrote a Python
 warning to stderr (``grow`` past the dimension limit, ``search`` with a
-tolerance whose threshold overflows).  Any change to the exact core or
+tolerance whose threshold overflows), and ``search`` at q = 9, dim 49 and
+q = 17, dim 225.  Any change to the exact core or
 the CLI must reproduce it byte for byte, and every JSON report in it must
 read back through its class's ``from_json`` to the same document.
 
@@ -158,7 +159,7 @@ _RUN_ARGVS = [
 ] + [
     # rejects ten candidates, so it covers the echelon rollback in grow
     ["grow", "--q", "5", "--target", "6", "--seed", "1", "--samples", "100",
-     "--descent-steps", "20", "--workers", str(w)]
+     "--workers", str(w)]
     for w in (1, 2)
 ] + [
     ["degree", "--q", q] for q in ("3", "5", "9", "17", "201")
@@ -273,11 +274,18 @@ def _dispatch_inputs():
 # after every case above, so that adding them moved no case
 _WARNING_ARGVS = [
     # past q = 5's dimension limit 8: the report's warning is also one stderr line
-    ["grow", "--q", "5", "--target", "9", "--seed", "1", "--samples", "20",
-     "--descent-steps", "2"],
+    ["grow", "--q", "5", "--target", "9", "--seed", "1", "--samples", "20"],
     # the threshold tol * max|lambda| overflows, so every sample is escalated
     ["search", "--q", "5", "--dim", "9", "--seed", "1", "--samples", "5",
      "--float-tolerance", "1e308"],
+]
+
+# after those: the paper's next cases q = 9 and 17 = 2^k + 1 at their first
+# dimension past the limit q^2 - (4q - 3), and a flag search does not take
+_LATE_ARGVS = [
+    ["search", "--q", "9", "--dim", "49", "--seed", "1"],
+    ["search", "--q", "17", "--dim", "225", "--seed", "1"],
+    ["search", "--q", "5", "--dim", "9", "--seed", "1", "--descent-steps", "3"],
 ]
 
 
@@ -292,7 +300,7 @@ def write_corpus(path=CORPUS):
     for argvs, text in _edge_inputs() + _cone_block_inputs() + _dispatch_inputs():
         for argv in argvs:
             cases.append({"argv": argv, "matrix": None, "stdin": text, **run_cli(argv, text)})
-    for argv in _WARNING_ARGVS:
+    for argv in _WARNING_ARGVS + _LATE_ARGVS:
         cases.append({"argv": argv, "matrix": None, **run_cli(argv)})
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"matrices": matrices, "cases": cases}, indent=1) + "\n")

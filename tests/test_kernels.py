@@ -1,7 +1,15 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
-from minertia import kernels
+from conftest import gamma_matrices
+from minertia import kernels, search
+from minertia.cli import main
+from minertia.hermitian_core import HermitianMatrix
+from minertia.search import CERTIFY_MARGIN, SubspaceBasis
 
 
 def random_hermitian_f(rng, q):
@@ -31,76 +39,15 @@ class TestBatchStats:
             assert nmi[i] == np.count_nonzero(ev < -thr)
             assert npl[i] + nmi[i] + nun[i] == q
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("zero_basis", [False, True])
-    def test_objective_matches_the_descent_objective_bit_for_bit(
-        self, monkeypatch, nprng, q, zero_basis
-    ):
-        # batch_stats spells out _objective_from_eigs vectorised; both must
-        # give the same float on the same eigenvalue row, so the rows are
-        # the ones batch_stats computes, not a second product
-        d, n = 3, 40
-        basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
-        if zero_basis:
-            basis[:] = 0
-        coeffs = nprng.standard_normal((n, d))
-        coeffs[0] = 0.0
-        real, rows = np.linalg.eigvalsh, []
-
-        def recorded(x):
-            rows.append(real(x))
-            return rows[-1]
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-        f = kernels.batch_stats(basis, coeffs, 1e-9)[3]
-        (ev,) = rows
-        want = np.array([kernels._objective_from_eigs(row) for row in ev])
-        assert want.tobytes() == f.tobytes()
-        assert np.isneginf(f[0]) and np.isneginf(f).all() == zero_basis
-
     def test_shape_validation(self, nprng):
         basis = np.stack([random_hermitian_f(nprng, 3) for _ in range(2)])
         with pytest.raises(ValueError):
             kernels.batch_stats(basis, nprng.standard_normal((5, 3)), 1e-9)
 
 
-class TestCoordinateDescent:
-    def test_never_decreases_objective(self, nprng):
-        d, q = 5, 5
-        basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
-        c0 = nprng.standard_normal(d)
-        x0 = np.tensordot(c0 / np.linalg.norm(c0), basis, axes=(0, 0))
-        ev0 = np.linalg.eigvalsh(x0)
-        f0 = max(ev0[1], -ev0[q - 2]) / np.abs(ev0).max()
-        c, f, evals, hit = kernels.coordinate_descent(basis, c0, 40, 1e-4)
-        assert f >= f0 - 1e-12
-        assert evals >= 1
-        assert abs(np.linalg.norm(c) - 1.0) < 1e-9
-
-    def test_margin_stop(self, nprng):
-        # a basis that contains a definite matrix: objective can reach >= 0
-        q = 4
-        basis = np.stack(
-            [np.eye(q, dtype=np.complex128), random_hermitian_f(nprng, q)]
-        )
-        c, f, evals, hit = kernels.coordinate_descent(
-            basis, np.array([1.0, 0.05]), 200, 1e-4
-        )
-        assert hit
-        assert f >= 1e-4
-
-    def test_deterministic(self, nprng):
-        d, q = 4, 4
-        basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
-        c0 = nprng.standard_normal(d)
-        r1 = kernels.coordinate_descent(basis, c0, 30, 1e-4)
-        r2 = kernels.coordinate_descent(basis, c0, 30, 1e-4)
-        assert np.array_equal(r1[0], r2[0])
-        assert r1[1:] == r2[1:]
-
-
-# The float kernels as they were before evaluations skipped np.linalg.norm
-# and np.max(np.abs(...)); the kernels must give the same floats bit for bit.
+# batch_stats as it was before it skipped np.linalg.norm and
+# np.max(np.abs(...)), with the objective one row at a time; it must give
+# the same floats bit for bit.
 def _reference_objective(ev):
     q = ev.shape[0]
     scale = float(np.max(np.abs(ev)))
@@ -109,42 +56,6 @@ def _reference_objective(ev):
     if q == 1:
         return 1.0
     return float(max(ev[1], -ev[q - 2]) / scale)
-
-
-def _reference_descent(basis, c0, sweeps, margin):
-    d, q, _ = basis.shape
-    flat = basis.reshape(d, q * q)
-
-    def f_of(c):
-        return _reference_objective(np.linalg.eigvalsh((c @ flat).reshape(q, q)))
-
-    c = np.asarray(c0, dtype=np.float64).copy()
-    norm = np.linalg.norm(c)
-    if norm == 0.0:
-        return c, -np.inf, 0, False
-    c /= norm
-    f = f_of(c)
-    evals = 1
-    step = 0.5
-    for _ in range(sweeps):
-        if f >= margin:
-            return c, f, evals, True
-        improved = False
-        for i in range(d):
-            for sgn in (1.0, -1.0):
-                cand = c.copy()
-                cand[i] += sgn * step
-                cand /= np.linalg.norm(cand)
-                fc = f_of(cand)
-                evals += 1
-                if fc > f:
-                    c, f = cand, fc
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-7:
-                break
-    return c, f, evals, f >= margin
 
 
 def _reference_batch_stats(basis, coeffs, tol):
@@ -162,20 +73,6 @@ def _reference_batch_stats(basis, coeffs, tol):
 class TestAgainstTheReferenceKernels:
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("zero_basis", [False, True])
-    def test_coordinate_descent_bit_for_bit(self, nprng, q, zero_basis):
-        for d, sweeps, margin in ((1, 5, 1e-4), (3, 20, 1e-4), (6, 40, 0.3), (4, 80, 2.0)):
-            basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
-            if zero_basis:
-                basis[:] = 0
-            for c0 in (nprng.standard_normal(d), np.zeros(d), np.eye(d)[0] * 1e-3):
-                got = kernels.coordinate_descent(basis, c0, sweeps, margin)
-                want = _reference_descent(basis, c0, sweeps, margin)
-                assert got[0].tobytes() == want[0].tobytes()
-                assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
-                assert got[2:] == want[2:]
-
-    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("zero_basis", [False, True])
     def test_batch_stats_bit_for_bit(self, nprng, q, zero_basis):
         basis = np.stack([random_hermitian_f(nprng, q) for _ in range(3)])
         if zero_basis:
@@ -185,3 +82,103 @@ class TestAgainstTheReferenceKernels:
         got = kernels.batch_stats(basis, coeffs, 1e-9)
         want = _reference_batch_stats(basis, coeffs, 1e-9)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _project(basis, c0, margin=CERTIFY_MARGIN):
+    return kernels.alternating_projection(basis, kernels.least_squares_map(basis), c0, margin)
+
+
+class TestLeastSquaresMap:
+    @pytest.mark.parametrize("q,d", [(1, 1), (2, 3), (4, 9), (5, 9), (6, 30)])
+    def test_matches_lstsq_on_the_real_image(self, nprng, q, d):
+        basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
+        y = random_hermitian_f(nprng, q)
+        image = np.concatenate((basis.real.reshape(d, -1), basis.imag.reshape(d, -1)), axis=1).T
+        want = np.linalg.lstsq(image, np.concatenate((y.real.ravel(), y.imag.ravel())), rcond=None)[0]
+        got = (kernels.least_squares_map(basis) @ y.ravel()).real
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_an_exactly_zero_pivot_drops_its_column(self):
+        # diag(1, 0) and diag(1, 2^-1100) are independent, but both float
+        # images are diag(1, 0): their QR has an exactly zero pivot, on
+        # which a solve of R raises LinAlgError
+        basis = SubspaceBasis(2, [
+            HermitianMatrix.diagonal([1, 0]),
+            HermitianMatrix.from_scaled(2 ** 1100, [[2 ** 1100, 0], [0, 1]], [[0, 0], [0, 0]]),
+            HermitianMatrix([[0, 1], [1, 0]]),
+        ]).float_image()
+        assert np.array_equal(basis[0], basis[1])
+        image = np.concatenate((basis.real.reshape(3, -1), basis.imag.reshape(3, -1)), axis=1).T
+        r = np.linalg.qr(image)[1]
+        assert 0 in r.diagonal()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(r, np.eye(3))
+        lsq = kernels.least_squares_map(basis)
+        assert np.isfinite(lsq).all() and not lsq[1].any()
+        y = np.array([[2.0, 3.0], [3.0, 0.0]])
+        assert np.allclose((lsq @ y.ravel()).real, [2.0, 0.0, 3.0])
+
+
+class TestAlternatingProjection:
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_start_with_margin_hits_at_iteration_1(self, nprng, q, sign):
+        # +-(I + R / 20) is definite, and +-diag(-1, 1, ..., 1) has m = 1 with margin
+        flip = np.diag([-1.0] + [1.0] * (q - 1))
+        basis = np.stack([np.eye(q), random_hermitian_f(nprng, q) / 20, flip]).astype(complex)
+        for c0 in (np.array([sign, 1.0, 0.0]), np.array([0.0, 0.0, sign])):
+            c, f, iterations, hit = _project(basis, c0)
+            assert (iterations, hit) == (1, True)
+            # the start's element, or its negative when that side is closer
+            assert np.array_equal(c, c0) or np.array_equal(c, -c0)
+            ev = np.linalg.eigvalsh(np.tensordot(c, basis, axes=(0, 0)))
+            assert f == pytest.approx(ev[min(1, q - 1)] / np.abs(ev).max(), rel=1e-12)
+            assert f >= CERTIFY_MARGIN
+
+    @pytest.mark.parametrize("q,dim", [(4, 2), (4, 5), (8, 5)])
+    def test_every_start_on_a_witness_free_subspace_stops_by_stagnation(self, nprng, q, dim):
+        # every nonzero element has eigenvalues +-|a|, q/2 times each: the
+        # objective stays -1, and no start reaches the iteration cap
+        basis = SubspaceBasis(q, gamma_matrices(q)[:dim]).float_image()
+        lsq = kernels.least_squares_map(basis)
+        for c0 in nprng.standard_normal((12, dim)):
+            c, f, iterations, hit = kernels.alternating_projection(basis, lsq, c0, CERTIFY_MARGIN)
+            assert not hit and abs(f + 1) < 1e-9
+            assert iterations == kernels.STALL_ITERATIONS + 1 < kernels.MAX_ITERATIONS
+
+    @pytest.mark.parametrize("q,d", [(3, 2), (4, 3), (5, 6), (6, 10)])
+    def test_reruns_are_bit_identical(self, nprng, q, d):
+        basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
+        lsq = kernels.least_squares_map(basis)
+        assert lsq.tobytes() == kernels.least_squares_map(basis).tobytes()
+        for c0 in nprng.standard_normal((6, d)):
+            first = kernels.alternating_projection(basis, lsq, c0, CERTIFY_MARGIN)
+            again = kernels.alternating_projection(basis, lsq, c0, CERTIFY_MARGIN)
+            assert first[0].tobytes() == again[0].tobytes() and first[1:] == again[1:]
+
+    def test_perfbench_traces_the_phase_by_its_old_name(self):
+        assert kernels.coordinate_descent is kernels.alternating_projection
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--q", "5", "--dim", "9", "--seed", "1"],
+        ["--q", "5", "--dim", "6", "--seed", "4"],
+        ["--q", "9", "--dim", "49", "--seed", "2"],
+        # more samples than one chunk: two workers sample in a thread pool
+        ["--q", "6", "--dim", "6", "--seed", "1", "--samples", str(2 * search._CHUNK + 1)],
+    ],
+)
+def test_search_prints_the_same_report_with_one_and_two_workers(argv):
+    docs = []
+    for workers in ("1", "2"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["search", *argv, "--workers", workers]) == 0
+        doc = json.loads(out.getvalue())
+        assert doc.pop("workers") == int(workers)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    samples = int(argv[argv.index("--samples") + 1]) if "--samples" in argv else 128
+    assert docs[0]["samples_used"] > samples  # the projection phase ran

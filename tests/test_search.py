@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gamma_matrices
 from minertia import kernels, search
 from minertia.cli import main
 from minertia.exactnum import GaussianRational, scaled_gaussian_grid
@@ -37,7 +38,7 @@ def unit_matrix(q, i, j, re=1, im=0):
     return HermitianMatrix(entries)
 
 
-FAST = SearchConfig(seed=11, samples=60, descent_steps=25)
+FAST = SearchConfig(seed=11, samples=60)
 
 
 def integers(L):
@@ -323,26 +324,28 @@ def _cli_search(*argv):
     return json.loads(out.getvalue())
 
 
-class TestLazyDescent:
+class TestProjectionPhase:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_descent_stops_at_first_certified_start(self, monkeypatch, workers):
-        real = kernels.coordinate_descent
-        runs = []
+    def test_phase_stops_at_the_first_certified_start(self, monkeypatch, workers):
+        real, real_map = kernels.alternating_projection, kernels.least_squares_map
+        runs, maps = [], []
 
         def counted(*args):
             runs.append(real(*args))
             return runs[-1]
 
-        monkeypatch.setattr(kernels, "coordinate_descent", counted)
+        monkeypatch.setattr(kernels, "alternating_projection", counted)
+        monkeypatch.setattr(kernels, "least_squares_map", lambda b: maps.append(b) or real_map(b))
         doc = _cli_search("--q", "5", "--dim", "9", "--seed", "1", "--workers", str(workers))
         L, cfg = random_subspace(5, 9, 1), SearchConfig(seed=1, workers=workers)
 
         def certify(result):
-            c, fval, _, hit = result
-            return search._certify(L, c) if hit or fval >= 0 else None
+            c, _, _, hit = result
+            return search._certify(L, c) if hit else None
 
-        # every start before the last fails to certify; the last gives the witness
-        assert 0 < len(runs) < search.DESCENT_STARTS
+        # every start before the last fails to certify; the last gives the
+        # witness, and the least-squares map is made once for all of them
+        assert 0 < len(runs) < search.DESCENT_STARTS and len(maps) == 1
         assert [certify(r) for r in runs[:-1]] == [None] * (len(runs) - 1)
         assert certify(runs[-1]).to_json() == doc["witness"]
         assert doc["samples_used"] == cfg.samples + sum(r[2] for r in runs)
@@ -354,9 +357,90 @@ class TestLazyDescent:
         coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
         f = kernels.batch_stats(basisf, coeffs, cfg.float_tolerance)[3]
         order = np.argsort(-f, kind="stable")[: search.DESCENT_STARTS]
-        eager = [real(basisf, coeffs[i], cfg.descent_steps, search.CERTIFY_MARGIN) for i in order]
+        lsq = real_map(basisf)
+        eager = [real(basisf, lsq, coeffs[i], search.CERTIFY_MARGIN) for i in order]
         first = next(w for w in map(certify, eager) if w is not None)
         assert first.to_json() == doc["witness"]
+
+    def test_no_least_squares_map_when_a_sample_certifies(self, monkeypatch):
+        maps = []
+        monkeypatch.setattr(kernels, "least_squares_map", maps.append)
+        rep = run_search(random_subspace(5, 9, 2), SearchConfig(seed=2))
+        assert rep.witness is not None and rep.samples_used == 128 and maps == []
+
+    @pytest.mark.parametrize("q,dim", [(4, 3), (4, 5), (8, 5)])
+    def test_witness_free_subspace_runs_every_start_to_stagnation(self, q, dim):
+        rep = run_search(SubspaceBasis(q, gamma_matrices(q)[:dim]), SearchConfig(seed=3))
+        assert rep.witness is None and rep.histogram == {q // 2: 128}
+        assert rep.samples_used == 128 + search.DESCENT_STARTS * (kernels.STALL_ITERATIONS + 1)
+
+
+class TestPhaseRobustness:
+    """The projection phase never raises on a valid exact input."""
+
+    @staticmethod
+    def _check(L, cfg):
+        rep = run_search(L, cfg)
+        if rep.witness is not None:
+            w = rep.witness
+            assert L.element(w.coefficients) == w.element
+            assert inertia(w.element) == w.inertia and w.inertia.m <= 1
+        return rep
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_two_identical_float_columns(self, seed):
+        # X and X + 2^-80 D are independent, but their float images are equal
+        x = HermitianMatrix.diagonal([1, 1, -1, -1])
+        twin = x.add(HermitianMatrix.diagonal([1, -1, 1, -1]).scale(Fraction(1, 2**80)))
+        L = SubspaceBasis(4, [x, twin] + gamma_matrices(4)[:3])
+        image = L.float_image()
+        assert np.array_equal(image[0], image[1])
+        rep = self._check(L, SearchConfig(seed=seed, samples=4))
+        assert rep.samples_used > 4  # the phase ran
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_an_exactly_zero_pivot(self, seed):
+        # the float images of diag(1, 0, 0, 0) and diag(1, 2^-1100, 0, 0) are equal
+        e = HermitianMatrix.diagonal([1, 0, 0, 0])
+        twin = e.add(HermitianMatrix.diagonal([0, 1, 0, 0]).scale(Fraction(1, 2**1100)))
+        L = SubspaceBasis(4, [e, twin] + gamma_matrices(4))
+        self._check(L, SearchConfig(seed=seed, samples=1))
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [1, 5])
+    def test_small_q(self, q, samples):
+        for dim in sorted({1, q * q}):
+            L = random_subspace(q, dim, seed=q)
+            assert self._check(L, SearchConfig(seed=q, samples=samples)).witness is not None
+            basis = L.float_image()
+            lsq = kernels.least_squares_map(basis)
+            for c0 in np.eye(dim):
+                assert kernels.alternating_projection(basis, lsq, c0, search.CERTIFY_MARGIN)[3]
+
+    @pytest.mark.parametrize("q,dim", [(4, 6), (5, 9), (6, 6)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_sample(self, q, dim, seed):
+        self._check(random_subspace(q, dim, seed), SearchConfig(seed=seed, samples=1))
+
+    @pytest.mark.parametrize(
+        "scales",
+        [
+            [Fraction(2) ** 1100, Fraction(2) ** -1100],
+            [Fraction(2) ** -1100, Fraction(2) ** 600, 1],
+            [Fraction(10) ** 400, Fraction(1, 10**400)],
+            [Fraction(1, 10**400), Fraction(10) ** 400, Fraction(2) ** -600],
+        ],
+    )
+    def test_extreme_entries(self, scales):
+        # the gamma matrices and diag(1, 1, 1, -1), scaled far apart
+        gens = gamma_matrices(4) + [HermitianMatrix.diagonal([1, 1, 1, -1])]
+        L = SubspaceBasis(4, [g.scale(scales[k % len(scales)]) for k, g in enumerate(gens)])
+        for seed in (1, 2, 3):
+            self._check(L, SearchConfig(seed=seed, samples=1))
+        basis = L.float_image()
+        lsq = kernels.least_squares_map(basis)
+        for c0 in np.eye(L.dim):
+            kernels.alternating_projection(basis, lsq, c0, search.CERTIFY_MARGIN)
 
 
 def _perfbench_tracing():
@@ -411,7 +495,7 @@ class TestGrow:
         assert not rep.certified
 
     def test_growth_at_q5(self):
-        cfg = SearchConfig(seed=47, samples=80, descent_steps=30)
+        cfg = SearchConfig(seed=47, samples=80)
         rep = grow_subspace(5, 3, cfg)
         assert 0 <= rep.achieved_dim <= 3
         assert len(rep.steps) >= rep.achieved_dim
@@ -421,7 +505,7 @@ class TestGrow:
 
     def test_warning_above_limit(self):
         # the report's field is the warning's one channel: no Python warning
-        cfg = SearchConfig(seed=53, samples=30, descent_steps=10)
+        cfg = SearchConfig(seed=53, samples=30)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = grow_subspace(5, 9, cfg)
@@ -434,7 +518,7 @@ class TestGrow:
         assert grow_subspace(5, 8, cfg).warning is None
 
     def test_no_warning_for_other_q(self):
-        cfg = SearchConfig(seed=59, samples=30, descent_steps=10)
+        cfg = SearchConfig(seed=59, samples=30)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = grow_subspace(6, 2, cfg)
@@ -528,7 +612,7 @@ class TestFloatRange:
         b = HermitianMatrix([[0, 0, 2], [0, 1, (0, 1)], [2, (0, -1), -1]])
         L = SubspaceBasis(3, [x.scale(Fraction(2) ** e) for x, e in zip((a, b), exps)])
         assert np.isfinite(L.float_image()).all()
-        rep = run_search(L, SearchConfig(seed=seed, samples=20, descent_steps=10))
+        rep = run_search(L, SearchConfig(seed=seed, samples=20))
         if rep.witness is not None:
             w = rep.witness
             assert L.element(w.coefficients) == w.element
@@ -591,10 +675,10 @@ class TestCertification:
                     break
 
         calls = []
-        real_certify, real_descent = search._certify, kernels.coordinate_descent
+        real_certify, real_projection = search._certify, kernels.alternating_projection
         monkeypatch.setattr(search, "_certify", lambda L, row: calls.append(row) or real_certify(L, row))
         monkeypatch.setattr(
-            kernels, "coordinate_descent", lambda *a: calls.append(None) or real_descent(*a)
+            kernels, "alternating_projection", lambda *a: calls.append(None) or real_projection(*a)
         )
         run_search(L, cfg)
         direct = calls[: next((k for k, c in enumerate(calls) if c is None), len(calls))]
@@ -657,11 +741,6 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 SearchConfig(seed=1, float_tolerance=tol)
 
-    def test_descent_steps_must_be_non_negative(self):
-        with pytest.raises(ValueError):
-            SearchConfig(seed=1, descent_steps=-3)
-        SearchConfig(seed=1, descent_steps=0)
-
     def test_config_holds_what_the_cli_sets(self):
         names = [f.name for f in dataclasses.fields(SearchConfig)]
-        assert names == ["seed", "samples", "descent_steps", "float_tolerance", "workers"]
+        assert names == ["seed", "samples", "float_tolerance", "workers"]
