@@ -122,8 +122,7 @@ def power_of_two_q_bound(q: int, no_pencils: bool) -> Optional[int]:
     """4q - 3 when q - 1 is a power of two, under no-irregular-pencils."""
     if q < 3:
         raise ValueError("q must be >= 3")
-    n = q - 1
-    if no_pencils and (1 << (n.bit_length() - 1)) == n:
+    if no_pencils and (q - 1) & (q - 2) == 0:
         return 4 * q - 3
     return None
 
@@ -208,19 +207,15 @@ class K2GapRecord:
 
 def k2_less_than_8chi(q: int) -> K2GapRecord:
     """For p_g = 2q - 3 and q = 2^k + 1 with k >= 3: the h11 >= 4q - 3
-    bound forces K^2 <= 8q - 17 < 8*chi = 8q - 16."""
-    n = q - 1
-    if q < 9 or (1 << (n.bit_length() - 1)) != n:
+    bound forces K^2 <= 8q - 17 < 8*chi = 8q - 16 (Noether's formula, as
+    :func:`surface_identities` gives it for h11 = 4q - 3)."""
+    h11_min = power_of_two_q_bound(q, no_pencils=True) if q >= 9 else None
+    if h11_min is None:
         raise HypothesisNotMetError(
             f"requires q = 2^k + 1 with k >= 3 (q >= 9); got q={q}"
         )
-    p_g = 2 * q - 3
-    chi = 1 - q + p_g
-    h11_min = 4 * q - 3
-    c2_min = 2 - 4 * q + 2 * p_g + h11_min
-    k2_upper = 12 * chi - c2_min
-    eight_chi = 8 * chi
-    return K2GapRecord(q, chi, k2_upper, eight_chi, k2_upper < eight_chi)
+    s = surface_identities(q, 2 * q - 3, h11_min)
+    return K2GapRecord(q, s.chi, s.K2, 8 * s.chi, s.K2 < 8 * s.chi)
 
 
 @json_record

@@ -316,6 +316,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (MinertiaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:  # an input too large for the memory available
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import kernels
 from .errors import HypothesisNotMetError
-from .exactnum import exact_rational, grid_combination
+from .exactnum import exact_rational
 from .hermitian_core import HermitianMatrix, Inertia, grid_inertia, inertia
 from .jsonrecord import json_int, json_list, json_object, json_record
 from .kernels import np
@@ -38,11 +38,12 @@ _PURPOSE_FALSIFY = 2
 _PURPOSE_GROW = 4  # 3 is retired: renumbering a purpose would change its outputs
 
 _CHUNK = 4096
+_DRAW_DEN = 2520  # lcm(1..9): every drawn denominator divides it
 
 
 def _stream(seed: int, purpose: int, salt: int = 0) -> np.random.Generator:
     key = [seed & _MASK64, ((purpose & 0xFFFFFFFF) << 32) | (salt & 0xFFFFFFFF)]
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class SearchConfig:
             raise ValueError("float_tolerance must be finite and positive")
 
 
-DESCENT_STARTS = 12  # projection runs from at most this many best samples
+PROJECTION_STARTS = 12  # projection runs from at most this many best samples
 CERTIFY_MARGIN = 1e-4  # a projection start hits once its objective reaches this
 GROW_ATTEMPTS_PER_DIM = 8  # candidates grow_subspace tries for each slot
 
@@ -199,16 +200,16 @@ class SubspaceBasis:
     """An ordered, exactly independent list of Hermitian matrices spanning
     a real subspace.
 
-    The matrices are held as integer arrays: each one's common denominator,
-    ``den`` (dim,), and its numerators over it, ``re`` and ``im`` (dim, q,
-    q), int64 when every integer lies below 2^53 (see :func:`_float_range`)
-    and of ``dtype=object`` (Python ints) otherwise.  :meth:`float_image`
-    divides them at once; the Python grids ``(den, re, im)`` (see
-    :func:`~minertia.exactnum.scaled_gaussian_grid`) that :meth:`element`
-    sums, and the tuple of ``HermitianMatrix`` in :attr:`basis`, are built
-    on first use.  The constructor checks independence exactly."""
+    The matrices are held as integer arrays only: each one's common
+    denominator, ``den`` (dim,), not always the least (a drawn matrix's is
+    2520), and its numerators over it, ``re`` and ``im`` (dim, q, q), int64
+    when every integer lies below 2^53 (see :func:`_float_range`) and of
+    ``dtype=object`` (Python ints) otherwise.  :meth:`float_image` divides
+    them and :meth:`element` is one exact product with them; the tuple of
+    ``HermitianMatrix`` in :attr:`basis` is built on first read.  The
+    constructor checks independence exactly."""
 
-    __slots__ = ("q", "_den", "_re", "_im", "_exps", "_grids", "_basis")
+    __slots__ = ("q", "_den", "_re", "_im", "_exps", "_basis")
 
     def __init__(self, q: int, basis: Sequence[HermitianMatrix]):
         basis = tuple(basis)
@@ -216,8 +217,7 @@ class SubspaceBasis:
             raise ValueError("all basis matrices must share the subspace size")
         if len(basis) > q * q:
             raise ValueError(f"dimension {len(basis)} exceeds q^2 = {q * q}")
-        grids = tuple(b.grid for b in basis)
-        ranges = [_float_range(g) for g in grids]
+        ranges = [_float_range(b.grid) for b in basis]
         dtype = np.int64 if all(f for _, f in ranges) else object
         den = np.array([b.den for b in basis], dtype=dtype)
         re = np.array([b.re for b in basis], dtype=dtype).reshape(-1, q, q)
@@ -226,7 +226,7 @@ class SubspaceBasis:
         if len(kept) < len(basis):
             k = next((i for i, j in enumerate(kept) if i != j), len(kept))
             raise ValueError(f"basis matrix {k} is linearly dependent")
-        self._set(q, den, re, im, tuple(e for e, _ in ranges), grids, basis)
+        self._set(q, den, re, im, tuple(e for e, _ in ranges), basis)
 
     def _extended(self, den, re, im) -> "SubspaceBasis":
         """This basis followed by :func:`_draw_block` rows that a
@@ -235,26 +235,21 @@ class SubspaceBasis:
         2^53, so their exponents are 0 (see :func:`_float_range`)."""
         new = object.__new__(SubspaceBasis)
         arrays = (self._den, den), (self._re, re), (self._im, im)
-        new._set(self.q, *map(np.concatenate, arrays), self._exps + (0,) * len(den), None, None)
+        new._set(self.q, *map(np.concatenate, arrays), self._exps + (0,) * len(den), None)
         return new
 
-    def _set(self, q, den, re, im, exps, grids, basis):
-        for name, value in zip(self.__slots__, (q, den, re, im, exps, grids, basis)):
+    def _set(self, q, den, re, im, exps, basis):
+        for name, value in zip(self.__slots__, (q, den, re, im, exps, basis)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceBasis is immutable")
 
-    def _python_grids(self) -> tuple:
-        if self._grids is None:
-            grids = tuple(zip(self._den.tolist(), self._re.tolist(), self._im.tolist()))
-            object.__setattr__(self, "_grids", grids)
-        return self._grids
-
     @property
     def basis(self) -> Tuple[HermitianMatrix, ...]:
         if self._basis is None:
-            basis = tuple(HermitianMatrix.from_scaled(*g) for g in self._python_grids())
+            grids = zip(self._den.tolist(), self._re.tolist(), self._im.tolist())
+            basis = tuple(HermitianMatrix.from_scaled(*g) for g in grids)
             object.__setattr__(self, "_basis", basis)
         return self._basis
 
@@ -263,12 +258,18 @@ class SubspaceBasis:
         return len(self._den)
 
     def element(self, coeffs: Sequence[Fraction]) -> HermitianMatrix:
-        """Exact linear combination sum_i coeffs[i] * basis[i], summed on
-        the basis' integer grids; that sum is the matrix's stored grid."""
+        """Exact linear combination sum_i coeffs[i] * basis[i]: the Re and
+        Im numerator arrays, as ``dtype=object``, each in one product with
+        integer scales over den = lcm_i(denominator(coeffs[i]) * den_i),
+        then reduced to lowest terms by ``HermitianMatrix.from_scaled``."""
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count must match dimension")
-        terms = zip(map(exact_rational, coeffs), self._python_grids())
-        return HermitianMatrix.from_scaled(*grid_combination(self.q, terms))
+        fracs = list(map(exact_rational, coeffs))
+        dens = [f.denominator * d for f, d in zip(fracs, self._den.tolist())]
+        den = math.lcm(*dens)
+        scales = np.array([f.numerator * (den // d) for f, d in zip(fracs, dens)], dtype=object)
+        re, im = (np.tensordot(scales, a.astype(object), 1).tolist() for a in (self._re, self._im))
+        return HermitianMatrix.from_scaled(den, re, im)
 
     def float_image(self) -> np.ndarray:
         """(dim, q, q) complex128 image of the basis, matrix i scaled by
@@ -336,21 +337,19 @@ def _draw_layout(q: int):
 
 def _draw_block(q: int, rng: np.random.Generator, count: int):
     """``count`` random Hermitian matrices with entries n/d, |n| <= 9,
-    1 <= d <= 9, as int64 arrays: each matrix's common denominator (at most
-    lcm(1..9) = 2520) and its (q, q) Re and Im numerators over it.  Each
-    matrix takes 2q^2 integers: per row, the diagonal's (n, d), then (n, d)
-    of Re and of Im of each entry right of it (the order of one scalar draw
-    per integer).  One call draws all of them with the bounds tiled; that
-    gives the same integers, and leaves the generator in the same state, as
-    ``count`` draws of one matrix each."""
+    1 <= d <= 9, as int64 arrays: each matrix's denominator, always 2520
+    (not always the least; the scale it puts on the coordinates is a unit
+    mod the prime ``MODULUS``, so the echelon keeps the same candidates),
+    and its (q, q) Re and Im numerators over it.  Each matrix takes 2q^2
+    integers: per row, the diagonal's (n, d), then (n, d) of Re and of Im
+    of each entry right of it (the order of one scalar draw per integer).
+    One call draws all of them with the bounds tiled; that gives the same
+    integers, and leaves the generator in the same state, as ``count``
+    draws of one matrix each."""
     (low, high), re_at, im_at, im_sign = _draw_layout(q)
     draws = rng.integers(np.tile(low, count), np.tile(high, count)).reshape(count, -1)
-    nums, dens = draws[:, 0::2], draws[:, 1::2]
-    g = np.gcd(nums, dens)
-    dens = dens // g  # reduced, so den is their least common multiple
-    den = np.lcm.reduce(dens, axis=1)
-    vals = nums // g * (den[:, None] // dens)
-    return den, vals[:, re_at], vals[:, im_at] * im_sign
+    vals = draws[:, 0::2] * (_DRAW_DEN // draws[:, 1::2])
+    return np.full(count, _DRAW_DEN, dtype=np.int64), vals[:, re_at], vals[:, im_at] * im_sign
 
 
 def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
@@ -481,7 +480,7 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
 
     if witness is None:
         lsq = kernels.least_squares_map(basisf)
-        for idx in np.argsort(-f, kind="stable")[:DESCENT_STARTS]:
+        for idx in np.argsort(-f, kind="stable")[:PROJECTION_STARTS]:
             c, _, iterations, hit = kernels.alternating_projection(
                 basisf, lsq, coeffs[idx], CERTIFY_MARGIN
             )

@@ -254,6 +254,17 @@ class TestSearchCommand:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 5.96 GiB for an array"])
+    def test_memory_error_exits_2_with_one_line(self, capsys, monkeypatch, message):
+        # an input too large for the memory available, without allocating it
+        def out_of_memory(q, dim, seed):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(minertia.search, "random_subspace", out_of_memory)
+        code, out, err = run(capsys, "search", "--q", "20000", "--dim", "1", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory" + (f": {message}" if message else "") + "\n"
+
 
 class TestGrowCommand:
     def test_basic(self, capsys):

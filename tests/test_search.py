@@ -87,26 +87,89 @@ class TestSubspaceBasis:
     def test_grid_built_basis_matches_its_matrices(self, q, dim, seed):
         L = random_subspace(q, dim, seed)
         M = SubspaceBasis(q, L.basis)  # the checked constructor, from matrices
-        assert integers(M) == integers(L) and M._re.dtype == L._re.dtype == np.int64
+        assert M.basis == L.basis and M._re.dtype == L._re.dtype == np.int64
+        # the drawn arrays are over 2520, M's in lowest terms: the same matrices
+        assert L._den.tolist() == [2520] * dim
+        for a, b in ((L._re, M._re), (L._im, M._im)):
+            assert (a * M._den[:, None, None] == b * L._den[:, None, None]).all()
         image = L.float_image()
-        assert np.array_equal(M.float_image(), image)
+        assert M.float_image().tobytes() == image.tobytes()
         for k, b in enumerate(L.basis):
             assert image[k].tolist() == [[complex(e) for e in row] for row in b.entries]
         coeffs = [Fraction(k + 1, 7) for k in range(dim)]
         assert M.element(coeffs) == L.element(coeffs)
 
     @pytest.mark.parametrize("first", ["element", "basis"])
-    def test_drawn_basis_builds_python_grids_on_first_use(self, first):
-        # the float image divides the drawn int64 arrays; the Python grids
-        # are built by the first element or basis call
+    def test_drawn_basis_builds_its_matrices_only_when_basis_is_read(self, first):
+        # the float image divides the drawn int64 arrays and element
+        # multiplies them; only reading basis builds the HermitianMatrix tuple
         L = random_subspace(5, 9, 1)
         L.float_image()
-        assert L._grids is None and L._basis is None
+        assert L._basis is None and not hasattr(L, "_grids")
         if first == "element":
             L.element([Fraction(1)] * 9)
-        else:
-            L.basis
-        assert L._grids is not None
+            assert L._basis is None
+        assert len(L.basis) == 9 and L._basis is not None
+
+
+def _reference_element(L, coeffs):
+    """sum_i coeffs[i] * basis[i], entry by entry, summed in Fractions."""
+
+    def entry(i, j):
+        zs = [(c, b.entries[i][j]) for c, b in zip(coeffs, L.basis)]
+        return GaussianRational(sum(c * z.re for c, z in zs), sum(c * z.im for c, z in zs))
+
+    return HermitianMatrix([[entry(i, j) for j in range(L.q)] for i in range(L.q)])
+
+
+def _coefficient_rows(dim, rng):
+    """Coefficient rows of each kind ``element`` is given: dyadic over
+    2^24 (as ``_certify`` rounds them), exact lifts of unit float rows (as
+    escalation makes them), small rationals, and all zero."""
+    floats = rng.standard_normal(dim)
+    floats /= np.linalg.norm(floats)
+    dyadic = rng.integers(-(1 << 24), (1 << 24) + 1, dim)
+    nums, dens = rng.integers(-9, 10, dim), rng.integers(1, 10, dim)
+    return [
+        [Fraction(int(k), 1 << 24) for k in dyadic],
+        [Fraction(float(x)) for x in floats],
+        [Fraction(int(n), int(d)) for n, d in zip(nums, dens)],
+        [Fraction(0)] * dim,
+    ]
+
+
+class TestElement:
+    """``element`` is one exact product over the integer arrays; it must
+    equal the sum of the basis matrices in Fractions (equal matrices have
+    equal lowest-terms grids)."""
+
+    @pytest.mark.parametrize("q,dim", [(q, q * q) for q in range(2, 10)] + [(17, 40)])
+    def test_drawn_bases_match_the_fraction_sum(self, q, dim):
+        L = random_subspace(q, dim, seed=q)
+        for coeffs in _coefficient_rows(dim, np.random.default_rng(q)):
+            assert L.element(coeffs) == _reference_element(L, coeffs)
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_empty_basis(self, q):
+        for L in (SubspaceBasis(q, []), grow_subspace(q, 0, FAST).basis):
+            assert L.element([]).grid == (1, ((0,) * q,) * q, ((0,) * q,) * q)
+
+    @pytest.mark.parametrize(
+        "scales",
+        [
+            [Fraction(2) ** 1100, Fraction(2) ** -1100],
+            [Fraction(2) ** -1100, Fraction(2) ** 600, 1],
+            [Fraction(2**53 + 1), Fraction(1, 3 * (2**60 + 7))],
+        ],
+    )
+    def test_object_bases_match_the_fraction_sum(self, scales):
+        gens = gamma_matrices(4) + [HermitianMatrix.diagonal([1, 1, 1, -1])]
+        L = SubspaceBasis(4, [g.scale(scales[k % len(scales)]) for k, g in enumerate(gens)])
+        assert L._re.dtype == object
+        assert any(L._exps) == any(abs(s) > 2**1000 or abs(s) < 2**-1000 for s in scales)
+        for coeffs in _coefficient_rows(L.dim, np.random.default_rng(7)):
+            for row in (coeffs, L._unscale(coeffs)):
+                assert L.element(row) == _reference_element(L, row)
 
 
 def _scalar_random_hermitian(q, rng):
@@ -148,9 +211,13 @@ class TestDrawStream:
         for _ in range(3):
             ref = _scalar_random_hermitian(q, b)
             den, re, im = search._draw_block(q, a, 1)
-            grid = (int(den[0]), re[0].tolist(), im[0].tolist())
-            assert grid == scaled_gaussian_grid(ref.entries)
-            assert HermitianMatrix.from_scaled(*grid) == ref
+            # over 2520 = lcm(1..9): the least common denominator, scaled up
+            ref_den, ref_re, ref_im = scaled_gaussian_grid(ref.entries)
+            up = 2520 // ref_den
+            assert den.tolist() == [2520] and 2520 % ref_den == 0
+            assert re[0].tolist() == [[v * up for v in row] for row in ref_re]
+            assert im[0].tolist() == [[v * up for v in row] for row in ref_im]
+            assert HermitianMatrix.from_scaled(2520, re[0].tolist(), im[0].tolist()) == ref
         assert a.integers(1 << 62) == b.integers(1 << 62)
         assert a.standard_normal() == b.standard_normal()
 
@@ -214,6 +281,26 @@ class TestBlockDraw:
             for r, m in zip(re.tolist(), im.tolist())
         ]
         assert search._coordinates(re, im).tolist() == want
+
+
+class TestSeeds:
+    """A seed is taken mod 2^64, and each residue keys streams of its own."""
+
+    @pytest.mark.parametrize(
+        "a,b", [(2**63, 2**63 + 1), (2**64 - 2, 2**64 - 1), (2**63, 2**64 - 1), (0, 2**63)]
+    )
+    def test_distinct_seeds_draw_distinct_subspaces(self, a, b):
+        assert integers(random_subspace(5, 9, a)) != integers(random_subspace(5, 9, b))
+
+    def test_negative_seed_is_taken_mod_2_64_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L = random_subspace(5, 9, -1)
+            rep = run_search(L, SearchConfig(seed=-1))
+        assert integers(L) == integers(random_subspace(5, 9, 2**64 - 1))
+        assert integers(L) != integers(random_subspace(5, 9, 0))
+        top = 2**64 - 1
+        assert dataclasses.replace(rep, seed=top) == run_search(L, SearchConfig(seed=top))
 
 
 class TestRandomSubspace:
@@ -345,7 +432,7 @@ class TestProjectionPhase:
 
         # every start before the last fails to certify; the last gives the
         # witness, and the least-squares map is made once for all of them
-        assert 0 < len(runs) < search.DESCENT_STARTS and len(maps) == 1
+        assert 0 < len(runs) < search.PROJECTION_STARTS and len(maps) == 1
         assert [certify(r) for r in runs[:-1]] == [None] * (len(runs) - 1)
         assert certify(runs[-1]).to_json() == doc["witness"]
         assert doc["samples_used"] == cfg.samples + sum(r[2] for r in runs)
@@ -356,7 +443,7 @@ class TestProjectionPhase:
         coeffs = search._stream(1, search._PURPOSE_FALSIFY).standard_normal((cfg.samples, L.dim))
         coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
         f = kernels.batch_stats(basisf, coeffs, cfg.float_tolerance)[3]
-        order = np.argsort(-f, kind="stable")[: search.DESCENT_STARTS]
+        order = np.argsort(-f, kind="stable")[: search.PROJECTION_STARTS]
         lsq = real_map(basisf)
         eager = [real(basisf, lsq, coeffs[i], search.CERTIFY_MARGIN) for i in order]
         first = next(w for w in map(certify, eager) if w is not None)
@@ -372,7 +459,7 @@ class TestProjectionPhase:
     def test_witness_free_subspace_runs_every_start_to_stagnation(self, q, dim):
         rep = run_search(SubspaceBasis(q, gamma_matrices(q)[:dim]), SearchConfig(seed=3))
         assert rep.witness is None and rep.histogram == {q // 2: 128}
-        assert rep.samples_used == 128 + search.DESCENT_STARTS * (kernels.STALL_ITERATIONS + 1)
+        assert rep.samples_used == 128 + search.PROJECTION_STARTS * (kernels.STALL_ITERATIONS + 1)
 
 
 class TestPhaseRobustness:
