@@ -49,7 +49,6 @@ _EXPORTS = {
     ),
     "exactnum": (
         "GaussianRational",
-        "Rational",
         "RationalPolynomial",
         "format_rational",
         "parse_rational",
@@ -84,7 +83,6 @@ _EXPORTS = {
         "classify_d2",
         "d2_real_dimension",
         "dim_limit_min_inertia_ge2",
-        "eigenvalue_of_high_multiplicity",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -9,15 +9,13 @@ maximum of the applicable ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import HypothesisNotMetError
-from .jsonrecord import json_bool, json_int, json_record
+from .jsonrecord import json_bool, json_int, json_record, record
 
 
 @json_record
-@dataclass(frozen=True)
 class PencilData:
     """A fibration over a genus-b curve; fiber_component_counts lists the
     number of irreducible components l(F) for each scored fiber."""
@@ -28,14 +26,14 @@ class PencilData:
     def __post_init__(self):
         if json_int(self.b, "base genus") < 1:
             raise ValueError(f"base genus must be >= 1, got {self.b}")
-        counts = tuple(self.fiber_component_counts)
+        counts = self.fiber_component_counts
+        if not isinstance(counts, tuple):
+            raise ValueError(f"fiber component counts must be a tuple, got {counts!r}")
         if any(json_int(l, "fiber component count") < 1 for l in counts):
             raise ValueError("every fiber component count must be >= 1")
-        object.__setattr__(self, "fiber_component_counts", counts)
 
 
 @json_record
-@dataclass(frozen=True)
 class Assumptions:
     q: int
     p_g: Optional[int] = None
@@ -66,7 +64,6 @@ class Assumptions:
 
 
 @json_record
-@dataclass(frozen=True)
 class BoundEntry:
     name: str
     value: Optional[int]
@@ -75,7 +72,6 @@ class BoundEntry:
 
 
 @json_record
-@dataclass(frozen=True)
 class BoundReport:
     q: int
     assumptions: Assumptions
@@ -179,7 +175,7 @@ def best_bound(a: Assumptions) -> BoundReport:
     return BoundReport(a.q, a, tuple(entries), best, best_names)
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceIdentities:
     chi: int
     c2: int
@@ -196,7 +192,7 @@ def surface_identities(q: int, p_g: int, h11: int) -> SurfaceIdentities:
     return SurfaceIdentities(chi, c2, 12 * chi - c2)
 
 
-@dataclass(frozen=True)
+@record
 class K2GapRecord:
     q: int
     chi: int
@@ -219,7 +215,6 @@ def k2_less_than_8chi(q: int) -> K2GapRecord:
 
 
 @json_record
-@dataclass(frozen=True)
 class SurfaceRecord:
     name: str
     q: int

@@ -276,7 +276,8 @@ _FALSIFIER_SEEDS = range(5000, 5100)
 
 def _falsify(q: int, dim: int, seed: int) -> Tuple[Optional[str], float]:
     """``search --q q --dim dim --seed seed``: its witness re-derived
-    exactly, as sorted JSON (None if none), and the seconds it took."""
+    exactly and its inertia re-read by the sign-variation oracle, as
+    sorted JSON (None if none), and the seconds it took."""
     t0 = time.time()
     L = random_subspace(q, dim, seed=seed)
     w = falsify_min_inertia(L, SearchConfig(seed=seed))
@@ -287,6 +288,7 @@ def _falsify(q: int, dim: int, seed: int) -> Tuple[Optional[str], float]:
     _require(element == w.element, f"seed {seed}: witness element does not re-derive")
     _require(not element.is_zero(), f"seed {seed}: zero witness")
     _require(inertia(element) == w.inertia, f"seed {seed}: witness inertia differs")
+    _require(descartes_inertia(element) == w.inertia, f"seed {seed}: oracle inertia differs")
     _require(w.inertia.m <= 1, f"seed {seed}: witness has m > 1")
     return json.dumps(w.to_json(), sort_keys=True), elapsed
 

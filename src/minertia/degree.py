@@ -10,7 +10,6 @@ equivalently when q - 2 and q - 1 have disjoint binary expansions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -79,7 +78,6 @@ def two_adic_valuation(q: int) -> int:
 
 
 @json_record
-@dataclass(frozen=True)
 class DegreeRecord:
     q: int
     degree: Optional[int]  # None above MATERIALIZE_LIMIT

@@ -26,8 +26,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InconsistencyError
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int]
 
 

@@ -12,7 +12,6 @@ as independent checks of each other (see :mod:`minertia.oracles`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul, ne, neg
@@ -30,7 +29,6 @@ from .jsonrecord import json_int, json_record
 
 
 @json_record(derived=("m", "rank"))
-@dataclass(frozen=True)
 class Inertia:
     """Eigenvalue sign counts (n_plus, n_minus, n_zero) of a Hermitian matrix."""
 
@@ -39,6 +37,9 @@ class Inertia:
     n_zero: int
 
     def __post_init__(self):
+        a, b, c = self.n_plus, self.n_minus, self.n_zero
+        if type(a) is type(b) is type(c) is int and min(a, b, c) >= 0:
+            return  # the common case, without building the error texts
         for name in ("n_plus", "n_minus", "n_zero"):
             if json_int(getattr(self, name), f"inertia {name!r}") < 0:
                 raise ValueError(f"inertia has a negative count: {self}")

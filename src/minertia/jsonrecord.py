@@ -1,7 +1,15 @@
-"""One strict JSON codec for the report dataclasses.
+"""Frozen report records and one strict JSON codec for them.
 
-:func:`json_record` derives ``to_json`` and ``from_json`` from a frozen
-dataclass's fields and their types.  ``from_json`` accepts exactly what
+:func:`record` makes a class a frozen value class: its annotations are
+its fields, in order, and class attributes give their defaults.  The
+class gets ``__init__`` (positional or keyword arguments, then
+``__post_init__`` if the class defines one), ``__eq__`` and ``__hash__``
+over the fields, a ``__repr__`` like ``Inertia(n_plus=1, n_minus=4,
+n_zero=0)``, and assigning or deleting an attribute raises
+``AttributeError``.
+
+:func:`json_record` does that and derives ``to_json`` and ``from_json``
+from the fields and their types.  ``from_json`` accepts exactly what
 ``to_json`` writes: integers are JSON integers (never bools or floats),
 bools are JSON booleans, rationals are ``"p/q"`` strings, and a document
 that is not an object, lacks a key whose field has no default, or holds a
@@ -16,7 +24,6 @@ own ``to_json``/``from_json``.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import re
 import typing
@@ -25,6 +32,8 @@ from fractions import Fraction
 from .exactnum import format_rational, parse_rational
 
 _DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+MISSING = object()  # the default of a field that has none
 
 
 def json_int(value, what: str) -> int:
@@ -118,9 +127,83 @@ def _codec(tp):
     raise TypeError(f"no JSON codec for field type {tp!r}")
 
 
+def _fields(cls) -> tuple:
+    """(name, default) of each field: the class's own annotations, in
+    order, each with its class attribute as default (``MISSING`` if none)."""
+    return tuple((name, vars(cls).get(name, MISSING)) for name in cls.__annotations__)
+
+
+def record(cls):
+    """Class decorator: make ``cls`` a frozen value class over its fields
+    (see the module docstring), with no generated source.
+
+    Each instance keeps its field values as attributes and, in order, as
+    one tuple ``_values`` that ``__eq__``, ``__hash__`` and ``__repr__``
+    read: one attribute load instead of one ``getattr`` per field.  So
+    ``__post_init__`` may check the fields but not replace them."""
+    fields = _fields(cls)
+    names = tuple(name for name, _ in fields)
+    defaults = [default for _, default in fields]
+    position = {name: k for k, name in enumerate(names)}
+    n = len(names)
+    post_init = getattr(cls, "__post_init__", None)
+    set_field = object.__setattr__
+    what = f"{cls.__qualname__}()"
+
+    def bind(args, kwargs) -> tuple:
+        """The field values of ``cls(*args, **kwargs)``, or the TypeError a
+        function with the fields as parameters would raise."""
+        if len(args) > n:
+            raise TypeError(f"{what} takes {n} arguments but {len(args)} were given")
+        values = [*args, *defaults[len(args):]]
+        for name, value in kwargs.items():
+            k = position.get(name, -1)
+            if k < 0:
+                raise TypeError(f"{what} got an unexpected keyword argument {name!r}")
+            if k < len(args):
+                raise TypeError(f"{what} got multiple values for argument {name!r}")
+            values[k] = value
+        missing = [repr(name) for name, value in zip(names, values) if value is MISSING]
+        if missing:
+            raise TypeError(f"{what} missing required arguments: {', '.join(missing)}")
+        return tuple(values)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        set_field(self, "_values", args)
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, names, self._values))})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
+
+
 def json_record(cls=None, *, keys=(), derived=(), custom=(), check=None):
-    """Class decorator: install ``to_json``/``from_json`` on a frozen
-    dataclass, with the field plan computed once, here.
+    """Class decorator: make ``cls`` a :func:`record` and install
+    ``to_json``/``from_json`` on it, with the field plan computed once,
+    here.
 
     ``keys`` maps a field name to its JSON key when they differ.
     ``derived`` names properties written after the fields and ignored on
@@ -132,14 +215,15 @@ def json_record(cls=None, *, keys=(), derived=(), custom=(), check=None):
     ``__post_init__``)."""
 
     def install(cls):
+        record(cls)
         keys_, custom_ = dict(keys), dict(custom)
         hints = typing.get_type_hints(cls)
         plan = []  # (field, key, write, read, default, what); what None: read(value, doc)
-        for f in dataclasses.fields(cls):
-            key = keys_.get(f.name, f.name)
-            write, read = custom_[f.name] if f.name in custom_ else _codec(hints[f.name])
-            what = None if f.name in custom_ else f"{cls.__name__} {key!r}"
-            plan.append((f.name, key, write, read, f.default, what))
+        for name, default in _fields(cls):
+            key = keys_.get(name, name)
+            write, read = custom_[name] if name in custom_ else _codec(hints[name])
+            what = None if name in custom_ else f"{cls.__name__} {key!r}"
+            plan.append((name, key, write, read, default, what))
         plan = tuple(plan)
         derived_ = tuple(derived)
 
@@ -154,19 +238,19 @@ def json_record(cls=None, *, keys=(), derived=(), custom=(), check=None):
 
         def from_json(klass, obj):
             json_object(obj, cls.__name__)
-            kwargs = {}
-            for name, key, _, read, default, what in plan:
-                value = obj.get(key, dataclasses.MISSING)
-                if value is dataclasses.MISSING:
-                    if default is dataclasses.MISSING:
+            values = []
+            for _, key, _, read, default, what in plan:
+                value = obj.get(key, MISSING)
+                if value is MISSING:
+                    if default is MISSING:
                         raise ValueError(f"{cls.__name__} JSON lacks the key {key!r}")
-                    kwargs[name] = default
+                    values.append(default)
                 else:
-                    kwargs[name] = read(value, obj if what is None else what)
-            record = klass(**kwargs)
-            if check and (fault := check(record)):
+                    values.append(read(value, obj if what is None else what))
+            made = klass(*values)
+            if check and (fault := check(made)):
                 raise ValueError(f"{cls.__name__} JSON is inconsistent: {fault}")
-            return record
+            return made
 
         to_json.__qualname__ = f"{cls.__qualname__}.to_json"
         from_json.__qualname__ = f"{cls.__qualname__}.from_json"

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -28,7 +27,7 @@ from . import kernels
 from .errors import HypothesisNotMetError
 from .exactnum import exact_rational
 from .hermitian_core import HermitianMatrix, Inertia, grid_inertia, inertia
-from .jsonrecord import json_int, json_list, json_object, json_record
+from .jsonrecord import json_int, json_list, json_object, json_record, record
 from .kernels import np
 from .strata import dim_limit_min_inertia_ge2
 
@@ -46,7 +45,7 @@ def _stream(seed: int, purpose: int, salt: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
-@dataclass(frozen=True)
+@record
 class SearchConfig:
     """Budget and reproducibility knobs for the falsifier, the values the
     CLI sets; the rest of the budget is the module's constants below.
@@ -259,16 +258,27 @@ class SubspaceBasis:
 
     def element(self, coeffs: Sequence[Fraction]) -> HermitianMatrix:
         """Exact linear combination sum_i coeffs[i] * basis[i]: the Re and
-        Im numerator arrays, as ``dtype=object``, each in one product with
-        integer scales over den = lcm_i(denominator(coeffs[i]) * den_i),
-        then reduced to lowest terms by ``HermitianMatrix.from_scaled``."""
+        Im numerator arrays, each in one product with integer scales over
+        den = lcm_i(denominator(coeffs[i]) * den_i), then reduced to lowest
+        terms by ``HermitianMatrix.from_scaled``.
+
+        The product is in int64 when the arrays are and sum_i |scale_i|
+        times their largest |numerator| lies below 2^63, which bounds every
+        partial sum; otherwise it is in Python ints (``dtype=object``)."""
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count must match dimension")
         fracs = list(map(exact_rational, coeffs))
         dens = [f.denominator * d for f, d in zip(fracs, self._den.tolist())]
         den = math.lcm(*dens)
-        scales = np.array([f.numerator * (den // d) for f, d in zip(fracs, dens)], dtype=object)
-        re, im = (np.tensordot(scales, a.astype(object), 1).tolist() for a in (self._re, self._im))
+        scales = [f.numerator * (den // d) for f, d in zip(fracs, dens)]
+        arrays, dtype = (self._re, self._im), object
+        total = sum(map(abs, scales))
+        if self._re.dtype == np.int64 and total < 1 << 63:
+            top = max(1, *(int(np.abs(a).max(initial=0)) for a in arrays))
+            if total * top < 1 << 63:
+                dtype = np.int64
+        scales = np.array(scales, dtype=dtype)
+        re, im = (np.tensordot(scales, a.astype(dtype, copy=False), 1).tolist() for a in arrays)
         return HermitianMatrix.from_scaled(den, re, im)
 
     def float_image(self) -> np.ndarray:
@@ -378,7 +388,6 @@ def _uncertified(w: "Witness"):
 
 
 @json_record(check=_uncertified)
-@dataclass(frozen=True)
 class Witness:
     """An exactly certified element with minimal inertia <= 1."""
 
@@ -388,7 +397,6 @@ class Witness:
 
 
 @json_record
-@dataclass(frozen=True)
 class SearchReport:
     q: int
     dim: int
@@ -512,7 +520,6 @@ def falsify_min_inertia(L: SubspaceBasis, cfg: SearchConfig) -> Optional[Witness
 
 
 @json_record
-@dataclass(frozen=True)
 class GrowStep:
     target_slot: int
     attempts: int
@@ -529,7 +536,6 @@ def _read_flat_basis(value, doc: dict) -> SubspaceBasis:
 
 
 @json_record(custom={"basis": (_flat_basis, _read_flat_basis)})
-@dataclass(frozen=True)
 class GrowReport:
     q: int
     target_dim: int

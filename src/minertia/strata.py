@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -47,7 +46,6 @@ class ConeLabel(enum.Enum):
 
 
 @json_record(keys={"label": "cone"})
-@dataclass(frozen=True)
 class ConeClassification:
     label: ConeLabel
     apex_shift: Optional[Fraction]
@@ -86,9 +84,10 @@ def classify_d2(X: HermitianMatrix) -> StratumLabel:
 
 
 def _high_multiplicity_shift(X: HermitianMatrix) -> Optional[Tuple[Fraction, Inertia]]:
-    """The eigenvalue s of :func:`eigenvalue_of_high_multiplicity` with the
-    inertia of X - s*I, or None.
+    """The unique rational eigenvalue s of X of multiplicity >= q - 2 with
+    the inertia of X - s*I, or None.
 
+    For q >= 5 two such eigenvalues would need 2(q - 2) <= q, impossible.
     Five rows are enough to find s.  If s has multiplicity mu >= q - 2 in
     X, its eigenspace meets span(e_1..e_5) in dimension >= mu - (q - 5)
     >= 3, and every v there satisfies X_5 v_5 = s v_5 for the leading 5 x 5
@@ -134,20 +133,6 @@ def _high_multiplicity_shift(X: HermitianMatrix) -> Optional[Tuple[Fraction, Ine
             "the leading block's triple eigenvalue fails its rank <= 2 check"
         )
     return None
-
-
-def eigenvalue_of_high_multiplicity(X: HermitianMatrix) -> Optional[Fraction]:
-    """The unique rational eigenvalue of multiplicity >= q - 2, if any.
-
-    For q >= 5 two such eigenvalues would need 2(q - 2) <= q, impossible.
-    Such an s is a triple eigenvalue of the leading 5 x 5 block (its
-    eigenspace meets the first five coordinates in dimension >= 3), which
-    has at most one, so the block names the only candidate; it is s
-    exactly when X - s*I has rank <= 2, which elimination decides (see
-    :func:`_high_multiplicity_shift`).
-    """
-    found = _high_multiplicity_shift(X)
-    return None if found is None else found[0]
 
 
 def classify_cone(X: HermitianMatrix) -> ConeClassification:

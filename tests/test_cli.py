@@ -401,10 +401,10 @@ def _fresh_env(**extra):
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **extra}
 
 
-def _probe(script):
-    """Run ``script`` in a fresh interpreter with this package importable;
-    return the last line it prints."""
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+def _probe(script, *args):
+    """Run ``script`` with ``args`` in a fresh interpreter with this package
+    importable; return the last line it prints."""
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
                           env=_fresh_env(), check=True)
     return done.stdout.splitlines()[-1]
 
@@ -500,15 +500,43 @@ class TestImportsFollowTheSubcommand:
     def test_subcommand_in_its_own_process_matches_the_corpus(self, argv):
         # the golden check runs every case in one process, where an earlier
         # case's import could hide a handler's missing one
-        corpus = json.loads(_CORPUS.read_text())
-        case = next(c for c in corpus["cases"] if c["argv"] == argv)
-        stdin = json.dumps(corpus["matrices"][case["matrix"]]) if case["matrix"] is not None else ""
+        case, stdin = _corpus_case(argv)
         # bytes, so that csv's \r\n line ends reach the comparison as written
         done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "minertia", *argv],
                               input=stdin.encode(), capture_output=True, env=_fresh_env(COLUMNS="80"))
         got = (done.returncode, done.stdout.decode(), done.stderr.decode())
         assert got == (case["code"], case["stdout"], case["stderr"])
 
+    @pytest.mark.parametrize("argv", _ONE_PER_SUBCOMMAND, ids=lambda a: a[0])
+    def test_subcommand_loads_no_dataclasses_and_exact_ones_no_inspect(self, argv):
+        # the records are built without dataclasses, whose import loads
+        # inspect, ast and dis; only numpy, in search and grow, loads those
+        _, stdin = _corpus_case(argv, succeeded=True)
+        doc = json.loads(_probe(_INTROSPECTION_PROBE, stdin, *argv))
+        assert doc["code"] == 0
+        assert "dataclasses" not in doc["loaded"]
+        if argv[0] not in ("search", "grow"):
+            assert doc["loaded"] == []
+
+
+def _corpus_case(argv, succeeded=False):
+    """The first golden corpus case of ``argv`` (with exit code 0 if
+    ``succeeded``) and its stdin text."""
+    corpus = json.loads(_CORPUS.read_text())
+    case = next(c for c in corpus["cases"] if c["argv"] == argv and not (succeeded and c["code"]))
+    return case, json.dumps(corpus["matrices"][case["matrix"]]) if case["matrix"] is not None else ""
+
+
+# argv[1] is the stdin text, argv[2:] the command line
+_INTROSPECTION_PROBE = """
+import contextlib, io, json, sys
+from minertia.cli import main
+sys.stdin = io.StringIO(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+loaded = sorted({"dataclasses", "inspect", "ast", "dis"} & set(sys.modules))
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
 
 _IMPORT_PROBE = """
 import contextlib, io, json, sys

@@ -53,6 +53,7 @@ from minertia.bounds import BoundReport, SurfaceRecord
 from minertia.cli import main
 from minertia.degree import DegreeRecord
 from minertia.hermitian_core import Inertia
+from minertia.oracles import descartes_inertia
 from minertia.search import GrowReport, SearchReport
 
 CORPUS = Path(__file__).parent / "data" / "golden_cli.json"
@@ -397,6 +398,16 @@ def test_report_reads_back_to_the_same_document(case):
     cls = _READERS[case["argv"][0]]
     for record in doc if isinstance(doc, list) else [doc]:
         assert cls.from_json(record).to_json() == record
+
+
+@pytest.mark.parametrize("argv", _LATE_ARGVS[:2], ids=lambda argv: " ".join(argv))
+def test_witness_past_the_limit_agrees_with_the_sign_variation_oracle(argv):
+    # reading the witness checks it by elimination; Descartes' rule on the
+    # characteristic polynomial shares no step with that
+    case = next(c for c in _CASES if c["argv"] == argv)
+    witness = SearchReport.from_json(json.loads(case["stdout"])).witness
+    assert descartes_inertia(witness.element) == witness.inertia
+    assert witness.inertia.m <= 1
 
 
 if __name__ == "__main__":

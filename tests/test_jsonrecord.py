@@ -1,5 +1,7 @@
-"""The strict report JSON codec: every report class reads back exactly
-what it writes, and anything else raises ValueError naming the key."""
+"""The report records and their strict JSON codec: records are frozen
+values with the constructor, equality, hash and repr of their fields, and
+every report class reads back exactly what it writes, and anything else
+raises ValueError naming the key."""
 
 import json
 from fractions import Fraction
@@ -12,10 +14,14 @@ from minertia.bounds import (
     Assumptions,
     BoundEntry,
     BoundReport,
+    K2GapRecord,
     PencilData,
+    SurfaceIdentities,
     SurfaceRecord,
     best_bound,
     catalog,
+    k2_less_than_8chi,
+    surface_identities,
 )
 from minertia.degree import DegreeRecord, parity_record
 from minertia.exactnum import GaussianRational
@@ -30,7 +36,7 @@ from minertia.search import (
     random_subspace,
     run_search,
 )
-from minertia.strata import ConeClassification, classify_cone
+from minertia.strata import ConeClassification, ConeLabel, classify_cone
 
 _SEARCH = run_search(random_subspace(3, 3, 1), SearchConfig(seed=1, samples=20))
 _BASIS = random_subspace(2, 2, 1)
@@ -64,6 +70,122 @@ RECORDS = [
 
 def _with(cls, **changes):
     return {**VALID[cls], **changes}
+
+
+_ENTRY = BoundEntry("general_type", 13, True, "3q - 2, unconditional for general type")
+_WITNESS = Witness(
+    (Fraction(1), Fraction(-1, 2)), HermitianMatrix.diagonal([1, Fraction(-1, 2)]), Inertia(1, 1, 0)
+)
+_GROW = GrowReport(2, 3, 1, 1, random_subspace(2, 1, 1), _STEPS[:1], False, None)
+
+# one instance of every record, with the repr a frozen dataclass gave it
+REPRS = [
+    (Inertia(1, 4, 0), "Inertia(n_plus=1, n_minus=4, n_zero=0)"),
+    (ConeClassification(ConeLabel.C1, Fraction(3, 7)),
+     "ConeClassification(label=<ConeLabel.C1: 'C1'>, apex_shift=Fraction(3, 7))"),
+    (ConeClassification(ConeLabel.NOT_IN_C2, None),
+     "ConeClassification(label=<ConeLabel.NOT_IN_C2: 'NotInC2'>, apex_shift=None)"),
+    (parity_record(5), "DegreeRecord(q=5, degree=175, v2=0, is_odd=True, q_is_2k_plus_1=True, k=2)"),
+    (parity_record(6),
+     "DegreeRecord(q=6, degree=1764, v2=2, is_odd=False, q_is_2k_plus_1=False, k=None)"),
+    (PencilData(2, (3, 2)), "PencilData(b=2, fiber_component_counts=(3, 2))"),
+    (Assumptions(q=5, p_g=3, pencil=PencilData(b=1)),
+     "Assumptions(q=5, p_g=3, no_irregular_pencils_genus_ge2=False, "
+     "pencil=PencilData(b=1, fiber_component_counts=()), minimal_surface=False)"),
+    (_ENTRY, "BoundEntry(name='general_type', value=13, applicable=True, "
+     "note='3q - 2, unconditional for general type')"),
+    (BoundReport(5, Assumptions(q=5), (_ENTRY,), 13, ("general_type",)),
+     "BoundReport(q=5, assumptions=Assumptions(q=5, p_g=None, no_irregular_pencils_genus_ge2=False, "
+     "pencil=None, minimal_surface=False), bounds=(BoundEntry(name='general_type', value=13, "
+     "applicable=True, note='3q - 2, unconditional for general type'),), best=13, "
+     "best_names=('general_type',))"),
+    (surface_identities(5, 10, 25), "SurfaceIdentities(chi=6, c2=27, K2=45)"),
+    (k2_less_than_8chi(9), "K2GapRecord(q=9, chi=7, K2_upper=55, eight_chi=56, strict=True)"),
+    (catalog()[0],
+     "SurfaceRecord(name='symmetric square of a genus-3 curve', q=3, p_g=3, h11=10, "
+     "no_irregular_pencils=True, note='smallest known h11 for q=3; the sharp lower bound 9 "
+     "is unrealized')"),
+    (SearchConfig(seed=1), "SearchConfig(seed=1, samples=128, float_tolerance=1e-09, workers=1)"),
+    (_WITNESS, "Witness(coefficients=(Fraction(1, 1), Fraction(-1, 2)), "
+     "element=HermitianMatrix(q=2), inertia=Inertia(n_plus=1, n_minus=1, n_zero=0))"),
+    (SearchReport(5, 9, 1, None, 128, {2: 120, 3: 8}, 1, "numpy", 0),
+     "SearchReport(q=5, dim=9, seed=1, witness=None, samples_used=128, "
+     "histogram={2: 120, 3: 8}, workers=1, backend='numpy', escalations=0)"),
+    (_STEPS[0], "GrowStep(target_slot=0, attempts=3, accepted=True, rejected_with_witness=2)"),
+    (_GROW, f"GrowReport(q=2, target_dim=3, achieved_dim=1, seed=1, basis={_GROW.basis!r}, "
+     "steps=(GrowStep(target_slot=0, attempts=3, accepted=True, rejected_with_witness=2),), "
+     "certified=False, warning=None)"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("rec,text", REPRS, ids=[type(rec).__name__ for rec, _ in REPRS])
+    def test_repr_is_the_dataclass_text(self, rec, text):
+        assert repr(rec) == text
+
+    def test_every_record_class_has_a_repr_case(self):
+        classes = {type(rec) for rec, _ in REPRS}
+        assert set(RECORDS) | {SurfaceIdentities, K2GapRecord, SearchConfig} == classes
+
+    def test_positional_keyword_and_default_arguments(self):
+        assert Assumptions(q=5) == Assumptions(5, None, False, None, False)
+        assert PencilData(2) == PencilData(b=2, fiber_component_counts=())
+        assert SearchConfig(3, workers=2) == SearchConfig(workers=2, seed=3, samples=128)
+        assert Inertia(n_zero=0, n_plus=1, n_minus=4) == Inertia(1, 4, 0)
+        assert Inertia(1, n_zero=0, n_minus=4) == Inertia(1, 4, 0)
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: Inertia(1, 2), "missing required arguments: 'n_zero'"),
+            (lambda: SearchConfig(), "missing required arguments: 'seed'"),
+            (lambda: GrowStep(accepted=True), "'target_slot', 'attempts', 'rejected_with_witness'"),
+            (lambda: Inertia(1, 2, n_zeros=0), "unexpected keyword argument 'n_zeros'"),
+            (lambda: Inertia(1, 2, 3, n_plus=1), "multiple values for argument 'n_plus'"),
+            (lambda: Inertia(1, 2, 3, 4), "takes 3 arguments but 4 were given"),
+        ],
+    )
+    def test_missing_or_unknown_argument_raises_type_error(self, make, message):
+        with pytest.raises(TypeError, match=message):
+            make()
+
+    def test_post_init_still_validates(self):
+        with pytest.raises(ValueError, match="negative count"):
+            Inertia(1, n_minus=-2, n_zero=0)
+        with pytest.raises(ValueError, match="base genus"):
+            PencilData(b=0)
+        with pytest.raises(ValueError, match="samples"):
+            SearchConfig(1, 0)
+        with pytest.raises(ValueError, match="must be a tuple"):
+            PencilData(2, [3, 2])
+
+    @pytest.mark.parametrize("rec", [rec for rec, _ in REPRS], ids=lambda r: type(r).__name__)
+    def test_frozen_against_set_and_delete(self, rec):
+        name = next(iter(vars(rec)))  # the first field
+        before = repr(rec)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(rec, name, 0)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            rec.not_a_field = 0
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(rec, name)
+        assert repr(rec) == before
+
+    def test_equality_and_hash_within_a_class(self):
+        a, b = Inertia(1, 2, 3), Inertia(n_plus=1, n_minus=2, n_zero=3)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Inertia(1, 2, 4) and not a == Inertia(2, 1, 3)
+        assert a.negated() == Inertia(2, 1, 3)
+        assert PencilData(2, (3,)) == PencilData(b=2, fiber_component_counts=(3,))
+        assert hash(PencilData(2, (3,))) == hash(PencilData(b=2, fiber_component_counts=(3,)))
+        assert PencilData(2, (3,)) != PencilData(2, (3, 1))
+
+    def test_no_equality_across_classes(self):
+        # the same field values in another record class, or a tuple
+        a, other = Inertia(6, 27, 45), surface_identities(5, 10, 25)
+        assert (other.chi, other.c2, other.K2) == (6, 27, 45)
+        assert a != other and not a == other and other != a
+        assert a != (6, 27, 45) and Inertia(1, 2, 0) != {"n_plus": 1, "n_minus": 2, "n_zero": 0}
 
 
 class TestRoundTrip:

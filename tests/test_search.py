@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import importlib.util
 import io
 import json
@@ -171,6 +170,22 @@ class TestElement:
             for row in (coeffs, L._unscale(coeffs)):
                 assert L.element(row) == _reference_element(L, row)
 
+    @pytest.mark.parametrize("total,dtype", [((1 << 23) - 1, np.int64), (1 << 23, object)])
+    def test_int64_product_just_below_the_bound_only(self, monkeypatch, total, dtype):
+        # sum|scale_i| * max|numerator| = total * 2^40, and so is entry (0, 0):
+        # 2^63 - 2^40 fits int64, 2^63 would wrap
+        top = 1 << 40
+        L = SubspaceBasis(2, [HermitianMatrix.diagonal([top, 1]), HermitianMatrix.diagonal([top, -1])])
+        assert L._re.dtype == np.int64
+        products, tensordot = [], search.np.tensordot
+        monkeypatch.setattr(search.np, "tensordot",
+                            lambda a, b, axes: products.append(b.dtype) or tensordot(a, b, axes))
+        for coeffs in ([Fraction(total - 5), Fraction(5)], [Fraction(-total + 1, 2), Fraction(1, 2)]):
+            products.clear()
+            element = L.element(coeffs)
+            assert products == [dtype] * 2
+            assert element == _reference_element(L, coeffs)
+
 
 def _scalar_random_hermitian(q, rng):
     """Reference draw: one scalar ``rng.integers`` call per integer and
@@ -300,7 +315,7 @@ class TestSeeds:
         assert integers(L) == integers(random_subspace(5, 9, 2**64 - 1))
         assert integers(L) != integers(random_subspace(5, 9, 0))
         top = 2**64 - 1
-        assert dataclasses.replace(rep, seed=top) == run_search(L, SearchConfig(seed=top))
+        assert {**rep.to_json(), "seed": top} == run_search(L, SearchConfig(seed=top)).to_json()
 
 
 class TestRandomSubspace:
@@ -829,5 +844,6 @@ class TestConfigValidation:
                 SearchConfig(seed=1, float_tolerance=tol)
 
     def test_config_holds_what_the_cli_sets(self):
-        names = [f.name for f in dataclasses.fields(SearchConfig)]
-        assert names == ["seed", "samples", "float_tolerance", "workers"]
+        assert repr(SearchConfig(seed=1)) == (
+            "SearchConfig(seed=1, samples=128, float_tolerance=1e-09, workers=1)"
+        )

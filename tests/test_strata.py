@@ -12,6 +12,7 @@ from minertia.errors import (
 )
 from minertia.hermitian_core import (
     HermitianMatrix,
+    Inertia,
     congruence_transform,
     inertia,
     minimal_inertia,
@@ -20,12 +21,12 @@ from minertia.strata import (
     ConeClassification,
     ConeLabel,
     StratumLabel,
+    _high_multiplicity_shift,
     classify_cone,
     classify_d2,
     cone_dimension,
     d2_real_dimension,
     dim_limit_min_inertia_ge2,
-    eigenvalue_of_high_multiplicity,
 )
 
 
@@ -84,33 +85,35 @@ class TestClassifyD2:
 
 
 class TestHighMultiplicityEigenvalue:
+    """The eigenvalue s of multiplicity >= q - 2 and the inertia of X - s*I."""
+
     def test_multiplicity_three_of_five(self):
-        assert eigenvalue_of_high_multiplicity(
+        assert _high_multiplicity_shift(
             HermitianMatrix.diagonal([2, 1, 1, 1, 0])
-        ) == Fraction(1)
+        ) == (Fraction(1), Inertia(1, 1, 3))
 
     def test_simple_spectrum_gives_none(self):
         assert (
-            eigenvalue_of_high_multiplicity(HermitianMatrix.diagonal([1, 2, 3, 4, 5]))
+            _high_multiplicity_shift(HermitianMatrix.diagonal([1, 2, 3, 4, 5]))
             is None
         )
 
     def test_scalar_matrix(self):
-        assert eigenvalue_of_high_multiplicity(
+        assert _high_multiplicity_shift(
             HermitianMatrix.scalar(5, 7)
-        ) == Fraction(7)
+        ) == (Fraction(7), Inertia(0, 0, 5))
 
     def test_fractional_shift(self):
         s = Fraction(3, 7)
         x = HermitianMatrix.diagonal([s + 2, s, s, s, s - 1])
-        assert eigenvalue_of_high_multiplicity(x) == s
+        assert _high_multiplicity_shift(x) == (s, Inertia(1, 1, 3))
 
     def test_small_q_rejected(self):
         with pytest.raises(UnsupportedSizeError):
-            eigenvalue_of_high_multiplicity(HermitianMatrix.identity(4))
+            _high_multiplicity_shift(HermitianMatrix.identity(4))
 
     def test_non_diagonal_input(self, rng):
-        # congruence preserves rank, so rank-2 + 5*I keeps the eigenvalue 5
+        # congruence preserves inertia, so rank-2 + 5*I keeps the eigenvalue 5
         # with multiplicity exactly 3 while filling in off-diagonal entries
         low_rank = HermitianMatrix.diagonal([0, 0, 0, -3, -4])
         done = 0
@@ -120,7 +123,7 @@ class TestHighMultiplicityEigenvalue:
             except Exception:
                 continue
             z = y.shift(Fraction(-5))  # y + 5*I
-            assert eigenvalue_of_high_multiplicity(z) == Fraction(5)
+            assert _high_multiplicity_shift(z) == (Fraction(5), Inertia(0, 2, 3))
             done += 1
 
 
