@@ -165,8 +165,7 @@ def _cmd_bound(args, out) -> int:
 
 
 def _search_config(args) -> search_mod.SearchConfig:
-    # grow has no --float-tolerance flag; its parser sets the default
-    return search_mod.SearchConfig(args.seed, args.samples, args.float_tolerance, args.workers)
+    return search_mod.SearchConfig(args.seed, args.samples, args.workers)
 
 
 def _cmd_search(args, out) -> int:
@@ -261,22 +260,17 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_bound)
 
-    p = add_parser("search", help="falsify minimal inertia >= 2 on a random subspace")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int, default=_DEFAULTS.samples)
-    p.add_argument("--float-tolerance", type=float, default=_DEFAULTS.float_tolerance, dest="float_tolerance")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_search)
-
-    p = add_parser("grow", help="grow a candidate subspace (non-certified)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int, default=_DEFAULTS.samples)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_grow, float_tolerance=_DEFAULTS.float_tolerance)
+    for name, size, func, summary in (
+        ("search", "--dim", _cmd_search, "falsify minimal inertia >= 2 on a random subspace"),
+        ("grow", "--target", _cmd_grow, "grow a candidate subspace (non-certified)"),
+    ):
+        p = add_parser(name, help=summary)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument(size, type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--samples", type=int, default=_DEFAULTS.samples)
+        p.add_argument("--workers", type=int, default=_DEFAULTS.workers)
+        p.set_defaults(func=func)
 
     p = add_parser("catalog", help="known-surface table")
     p.add_argument("--format", choices=["json", "csv"], default="json")

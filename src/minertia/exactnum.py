@@ -30,7 +30,6 @@ RationalLike = Union[Fraction, int]
 
 
 _RATIO = r"\s*-?[0-9]+(?:/[0-9]+)?\s*"  # \s is what str.strip() and str.split() take
-_RATIONAL = re.compile(_RATIO)
 _RATIONALS = re.compile(rf"{_RATIO}(?:,{_RATIO})*")  # no valid text holds a comma
 _PARTS = frozenset(("re", "im"))
 _PART_TEXTS = itemgetter("re", "im")
@@ -42,15 +41,10 @@ def parse_ratio(text: str) -> Tuple[int, int]:
     or plus sign) to the integers ``(p, q)``, q > 0 and not reduced."""
     if not isinstance(text, str):
         raise ValueError(f"not a rational: {text!r} (expected a string 'p/q')")
-    if _RATIONAL.fullmatch(text) is None:
+    parts = _parse_ratios([text])
+    if parts is None:
         raise ValueError(f"not a rational: {text!r}")
-    num, _, den = text.strip().partition("/")
-    try:
-        num, den = int(num), int(den or 1)
-    except ValueError as exc:  # more digits than int() converts
-        raise ValueError(f"not a rational: {text!r}") from exc
-    if not den:
-        raise ValueError(f"not a rational: {text!r}")
+    (num,), (den,) = parts
     return num, den
 
 

@@ -9,7 +9,7 @@ Hermitian matrices).
 
 from __future__ import annotations
 
-from .hermitian_core import HermitianMatrix, Inertia, char_poly
+from .hermitian_core import HermitianMatrix, Inertia, _berkowitz
 
 
 def sign_variations(coeffs) -> int:
@@ -29,11 +29,13 @@ def sign_variations(coeffs) -> int:
 def descartes_inertia(X: HermitianMatrix) -> Inertia:
     """Signature of X from det(xI - X) by sign variations.
 
-    n_zero is the multiplicity of the root 0 (trailing zero coefficients in
-    ascending order), n_plus the variations of p(x), n_minus those of p(-x).
+    The integer coefficients of det(yI - den*X) that Berkowitz's algorithm
+    gives are read as they are: the coefficient of y^(q-k) is den^k times
+    that of x^(q-k), so every sign is the same.  n_zero is the
+    multiplicity of the root 0 (trailing zero coefficients), n_plus the
+    variations of p(x), n_minus those of p(-x).
     """
-    p = char_poly(X)
-    coeffs = list(p.coeffs)
+    coeffs = _berkowitz(X.re, X.im)[::-1]  # ascending
     n_zero = 0
     while coeffs and not coeffs[0]:
         coeffs.pop(0)

@@ -56,18 +56,17 @@ class SearchConfig:
 
     seed: int
     samples: int = 128
-    float_tolerance: float = 1e-9
     workers: int = 1
 
     def __post_init__(self):
-        if self.samples < 1:
+        json_int(self.seed, "seed")
+        if json_int(self.samples, "samples") < 1:
             raise ValueError("samples must be >= 1")
-        if self.workers < 1:
+        if json_int(self.workers, "workers") < 1:
             raise ValueError("workers must be >= 1")
-        if not (math.isfinite(self.float_tolerance) and self.float_tolerance > 0):
-            raise ValueError("float_tolerance must be finite and positive")
 
 
+FLOAT_TOLERANCE = 1e-9  # a sample with an eigenvalue within this * max|lambda| of 0 is decided exactly
 PROJECTION_STARTS = 12  # projection runs from at most this many best samples
 CERTIFY_MARGIN = 1e-4  # a projection start hits once its objective reaches this
 GROW_ATTEMPTS_PER_DIM = 8  # candidates grow_subspace tries for each slot
@@ -97,7 +96,9 @@ class ModularEchelon:
     rows at once, one product with its entries at the pivots, and each row
     it accepts clears its pivot column from every other row in one
     outer-product update.  Each update builds new arrays, so :meth:`copy`
-    is a cheap snapshot.  While the accepted vectors are independent mod p,
+    is a cheap snapshot: a :class:`SubspaceBasis` holds the echelon of its
+    coordinates and extends a copy of it, leaving its own as it was.
+    While the accepted vectors are independent mod p,
     a nonzero reduction proves independence over Q (a rational dependency,
     cleared of denominators and content, would reduce to one mod p).  A
     zero reduction is re-tested by the exact rank of the Gram matrix; a
@@ -205,12 +206,15 @@ class SubspaceBasis:
     when every integer lies below 2^53 (see :func:`_float_range`) and of
     ``dtype=object`` (Python ints) otherwise.  :meth:`float_image` divides
     them and :meth:`element` is one exact product with them; the tuple of
-    ``HermitianMatrix`` in :attr:`basis` is built on first read.  The
-    constructor checks independence exactly."""
+    ``HermitianMatrix`` in :attr:`basis` is built on first read.  A basis
+    holds the ``ModularEchelon`` of its coordinates; :meth:`_extended`
+    tests new rows against it, and builds every basis."""
 
-    __slots__ = ("q", "_den", "_re", "_im", "_exps", "_basis")
+    __slots__ = ("q", "_den", "_re", "_im", "_exps", "_basis", "_echelon")
 
     def __init__(self, q: int, basis: Sequence[HermitianMatrix]):
+        if q < 1:
+            raise ValueError(f"q must be >= 1, got {q}")
         basis = tuple(basis)
         if any(b.q != q for b in basis):
             raise ValueError("all basis matrices must share the subspace size")
@@ -221,24 +225,28 @@ class SubspaceBasis:
         den = np.array([b.den for b in basis], dtype=dtype)
         re = np.array([b.re for b in basis], dtype=dtype).reshape(-1, q, q)
         im = np.array([b.im for b in basis], dtype=dtype).reshape(-1, q, q)
-        kept = ModularEchelon().add_block(_coordinates(re, im))
-        if len(kept) < len(basis):
-            k = next((i for i, j in enumerate(kept) if i != j), len(kept))
+        self._set(q, den[:0], re[:0], im[:0], (), None, ModularEchelon())
+        full = self._extended(den, re, im)
+        if full.dim < len(basis):  # full keeps the matrices before the first dependent one
+            k = next((i for i, (a, b) in enumerate(zip(full.basis, basis)) if a != b), full.dim)
             raise ValueError(f"basis matrix {k} is linearly dependent")
-        self._set(q, den, re, im, tuple(e for e, _ in ranges), basis)
+        self._set(q, full._den, full._re, full._im, tuple(e for e, _ in ranges), basis, full._echelon)
 
     def _extended(self, den, re, im) -> "SubspaceBasis":
-        """This basis followed by :func:`_draw_block` rows that a
-        ``ModularEchelon`` has found independent of it, not checked again.
-        Drawn entries lie in [2^-1000, 2^1000] and their integers below
-        2^53, so their exponents are 0 (see :func:`_float_range`)."""
+        """This basis followed by each candidate row (``den`` (m,), ``re``
+        and ``im`` (m, q, q)) independent of it and of the rows kept before
+        it, as a copy of its echelon finds.  A kept row's exponent is 0, as
+        a drawn row's is (see :func:`_float_range`)."""
+        echelon = self._echelon.copy()
+        kept = echelon.add_block(_coordinates(re, im))
+        arrays = (self._den, den[kept]), (self._re, re[kept]), (self._im, im[kept])
         new = object.__new__(SubspaceBasis)
-        arrays = (self._den, den), (self._re, re), (self._im, im)
-        new._set(self.q, *map(np.concatenate, arrays), self._exps + (0,) * len(den), None)
+        exps = self._exps + (0,) * len(kept)
+        new._set(self.q, *map(np.concatenate, arrays), exps, None, echelon)
         return new
 
-    def _set(self, q, den, re, im, exps, basis):
-        for name, value in zip(self.__slots__, (q, den, re, im, exps, basis)):
+    def _set(self, q, den, re, im, exps, basis, echelon):
+        for name, value in zip(self.__slots__, (q, den, re, im, exps, basis, echelon)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -365,19 +373,15 @@ def _draw_block(q: int, rng: np.random.Generator, count: int):
 def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:
     """A seeded random subspace of the given dimension; independence is
     enforced exactly, dependent draws are rejected and redrawn.  The
-    candidates still needed are drawn in one call and one
-    :meth:`ModularEchelon.add_block` tests their coordinates in order; the
-    basis is the one that drawing and testing candidates one at a time
-    gives."""
+    candidates still needed are drawn in one call and tested in order by
+    one :meth:`SubspaceBasis._extended`; the basis is the one that drawing
+    and testing candidates one at a time gives."""
     if not 1 <= dim <= q * q:
         raise ValueError(f"dim must lie in [1, {q * q}], got {dim}")
     rng = _stream(seed, _PURPOSE_BASIS)
-    ech = ModularEchelon()
     L = _empty_basis(q)
     while L.dim < dim:
-        den, re, im = _draw_block(q, rng, dim - L.dim)
-        kept = ech.add_block(_coordinates(re, im))
-        L = L._extended(den[kept], re[kept], im[kept])
+        L = L._extended(*_draw_block(q, rng, dim - L.dim))
     return L
 
 
@@ -467,7 +471,7 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
     norms = np.linalg.norm(coeffs, axis=1)
     norms[norms == 0] = 1.0
     coeffs /= norms[:, None]  # seeded unit coefficient rows
-    npl, nmi, nun, f = _batched_stats(basisf, coeffs, cfg.float_tolerance, cfg.workers)
+    npl, nmi, nun, f = _batched_stats(basisf, coeffs, FLOAT_TOLERANCE, cfg.workers)
 
     m = np.minimum(npl, nmi)
     certain = nun == 0
@@ -575,7 +579,6 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
         warning = None  # no dimension limit applies to this q
 
     rng = _stream(cfg.seed, _PURPOSE_GROW)
-    ech = ModularEchelon()
     L = _empty_basis(q)
     steps: List[GrowStep] = []
     salt = 0
@@ -586,14 +589,11 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
         while attempts < GROW_ATTEMPTS_PER_DIM:
             attempts += 1
             salt += 1
-            den, re, im = _draw_block(q, rng, 1)
-            grown = ech.copy()  # a rejected candidate leaves ech untouched
-            if not grown.add_block(_coordinates(re, im)):
+            trial = L._extended(*_draw_block(q, rng, 1))
+            if trial.dim == L.dim:  # a dependent candidate
                 continue
-            trial = L._extended(den, re, im)
-            report = run_search(trial, cfg, _salt=salt)
-            if report.witness is None:
-                L, ech = trial, grown
+            if run_search(trial, cfg, _salt=salt).witness is None:
+                L = trial
                 accepted = True
                 break
             rejected += 1

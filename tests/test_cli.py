@@ -244,15 +244,31 @@ class TestSearchCommand:
         assert err.startswith("usage: minertia")
         assert err.splitlines()[-1] == "minertia: error: unrecognized arguments: --descent-steps 3"
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_float_tolerance_exits_2(self, capsys, tol):
+    @pytest.mark.parametrize("command", [["search", "--dim", "9"], ["grow", "--target", "4"]])
+    def test_removed_float_tolerance_flag_is_a_usage_error(self, capsys, command):
+        # the tolerance is the constant search.FLOAT_TOLERANCE
         code, out, err = run(
-            capsys, "search", "--q", "4", "--dim", "3", "--seed", "5",
-            "--samples", "40", "--float-tolerance", tol,
+            capsys, *command, "--q", "5", "--seed", "1", "--float-tolerance", "1e-9",
         )
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: minertia")
+        assert err.splitlines()[-1] == (
+            "minertia: error: unrecognized arguments: --float-tolerance 1e-9"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["search", "--q", "-3", "--dim", "1"], "q must be >= 1, got -3"),
+            (["grow", "--q", "0", "--target", "0"], "q must be >= 1, got 0"),
+            (["grow", "--q", "-2", "--target", "1"], "q must be >= 1, got -2"),
+            # random_subspace checks the dimension first
+            (["search", "--q", "0", "--dim", "1"], "dim must lie in [1, 0], got 1"),
+        ],
+    )
+    def test_q_below_1_exits_2_with_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--seed", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("message", ["", "Unable to allocate 5.96 GiB for an array"])
     def test_memory_error_exits_2_with_one_line(self, capsys, monkeypatch, message):

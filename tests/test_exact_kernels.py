@@ -166,6 +166,19 @@ class TestInertiaAgainstOracle:
             X = rand_hermitian_generic(rng, q, max_num=1 << 120, max_den=1 << 120)
             assert inertia(X) == descartes_inertia(X)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_large_denominator(self, seed):
+        # the oracle reads the signs of det(yI - den*X), whose coefficient
+        # of y^(q-k) is den^k times that of det(xI - X); den >= 3^40 here
+        rng = random.Random(seed)
+        q = rng.randint(2, 7)
+        X = rand_low_rank(rng, q, rng.randint(1, 3), rng.randint(0, 3))
+        Y = X.scale(Fraction(1, 3**40))
+        assert Y.den % 3**40 == 0
+        assert descartes_inertia(Y) == inertia(Y) == inertia(X)
+        signs = [(c > 0) - (c < 0) for c in char_poly(Y).coeffs[::-1]]
+        assert signs == [(c > 0) - (c < 0) for c in _berkowitz(Y.re, Y.im)]
+
 
 @st.composite
 def huge_entry_matrices(draw):
@@ -541,6 +554,77 @@ class TestIndependence:
     def test_random_subspace_matches_the_pure_python_echelon(self, q, dim, seed):
         L = random_subspace(q, dim, seed)
         assert (L._den.tolist(), L._re.tolist(), L._im.tolist()) == _reference_grids(q, dim, seed)
+
+
+def _matrix(rng, q, top, scale):
+    """A random Hermitian matrix with entries n/d, |n| <= top, d <= 6,
+    times ``scale``."""
+    entries = [[None] * q for _ in range(q)]
+    for i in range(q):
+        entries[i][i] = (Fraction(rng.randint(-top, top), rng.randint(1, 6)), 0)
+        for j in range(i + 1, q):
+            re, im = (Fraction(rng.randint(-top, top), rng.randint(1, 6)) for _ in "ri")
+            entries[i][j], entries[j][i] = (re, im), (re, -im)
+    return HermitianMatrix(entries).scale(scale)
+
+
+def _real_coordinates(X):
+    q = X.q
+    return ([Fraction(X.re[i][j], X.den) for i in range(q) for j in range(i, q)]
+            + [Fraction(X.im[i][j], X.den) for i in range(q) for j in range(i + 1, q)])
+
+
+def _independent_prefix(start, candidates):
+    """``start`` followed by each candidate that raises the Fraction rank."""
+    kept = list(start)
+    for c in candidates:
+        if fraction_rank([_real_coordinates(m) for m in kept + [c]]) > len(kept):
+            kept.append(c)
+    return kept
+
+
+class TestExtended:
+    """``SubspaceBasis._extended`` tests candidate rows against the
+    echelon the basis holds: it keeps exactly the rows that raise the
+    Fraction rank of the basis and the rows kept before them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32), st.booleans())
+    def test_keeps_the_rows_a_fraction_rank_accepts(self, q, seed, big):
+        # entries of 1 or 2 over d <= 6 make many dependent candidates;
+        # times 2^60 every integer lies beyond 2^53, so the arrays are
+        # dtype=object
+        rng = random.Random(seed)
+        scale = 2**60 if big else 1
+        basis = _independent_prefix([], [_matrix(rng, q, 2, scale) for _ in range(q * q)])
+        L = SubspaceBasis(q, basis)
+        assert L._re.dtype == (object if big and basis else np.int64)
+        candidates = [_matrix(rng, q, 2, scale) for _ in range(rng.randint(1, 4))]
+        if basis:  # a combination of basis rows, and a basis row
+            combination = L.element([rng.randint(-2, 2) for _ in basis])
+            candidates.insert(rng.randint(0, len(candidates)), combination)
+            candidates.append(rng.choice(basis))
+        candidates.append(rng.choice(candidates))  # a repeated candidate
+        dtype = object if big else np.int64
+        den = np.array([c.den for c in candidates], dtype=dtype)
+        re, im = (np.array([getattr(c, part) for c in candidates], dtype=dtype) for part in ("re", "im"))
+        want = tuple(_independent_prefix(basis, candidates))
+        grown = L._extended(den, re, im)
+        assert grown.basis == want and grown._exps == (0,) * len(want)
+        # L and its echelon are as they were: extending it again gives the same
+        assert L.dim == len(basis) and L._extended(den, re, im).basis == want
+        # and the grown basis tests a further candidate against all its rows
+        assert grown._extended(den, re, im).dim == len(want)
+
+    def test_a_scaled_basis_keeps_its_exponents(self):
+        # the constructor's rows keep their float-image exponents; rows
+        # that _extended adds get 0
+        big = HermitianMatrix.diagonal([Fraction(2) ** 1100, 0])
+        L = SubspaceBasis(2, [big])
+        assert L._exps != (0,)
+        den, re, im = search._draw_block(2, search._stream(1, search._PURPOSE_BASIS), 2)
+        grown = L._extended(den, re, im)
+        assert grown._exps == L._exps + (0,) * (grown.dim - 1) and grown.dim == 3
 
 
 def _assert_same_echelon(a, b):

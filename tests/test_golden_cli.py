@@ -19,9 +19,10 @@ q = 6..8 on matrices whose leading 5 x 5 block alone would mislead the cone
 decision, and command lines at the edge between the program's parser and a
 subcommand's (``-h inertia``, ``inert``, ``inertia --mat -``, a left-over
 argument, ``--`` before ``--matrix``), and runs that once wrote a Python
-warning to stderr (``grow`` past the dimension limit, ``search`` with a
-tolerance whose threshold overflows), and ``search`` at q = 9, dim 49 and
-q = 17, dim 225.  Any change to the exact core or
+warning to stderr (``grow`` past the dimension limit, and ``search`` with
+a tolerance whose threshold overflowed, now a usage error: the flag is
+gone), ``search`` at q = 9, dim 49 and q = 17, dim 225, and ``search`` and
+``grow`` at q <= 0.  Any change to the exact core or
 the CLI must reproduce it byte for byte, and every JSON report in it must
 read back through its class's ``from_json`` to the same document.
 
@@ -276,17 +277,21 @@ def _dispatch_inputs():
 _WARNING_ARGVS = [
     # past q = 5's dimension limit 8: the report's warning is also one stderr line
     ["grow", "--q", "5", "--target", "9", "--seed", "1", "--samples", "20"],
-    # the threshold tol * max|lambda| overflows, so every sample is escalated
+    # the threshold tol * max|lambda| overflowed, so every sample was
+    # escalated; --float-tolerance is gone, so this is a usage error now
     ["search", "--q", "5", "--dim", "9", "--seed", "1", "--samples", "5",
      "--float-tolerance", "1e308"],
 ]
 
 # after those: the paper's next cases q = 9 and 17 = 2^k + 1 at their first
-# dimension past the limit q^2 - (4q - 3), and a flag search does not take
+# dimension past the limit q^2 - (4q - 3), a flag search does not take, and
+# a subspace size below 1, refused with the basis's own message
 _LATE_ARGVS = [
     ["search", "--q", "9", "--dim", "49", "--seed", "1"],
     ["search", "--q", "17", "--dim", "225", "--seed", "1"],
     ["search", "--q", "5", "--dim", "9", "--seed", "1", "--descent-steps", "3"],
+    ["search", "--q", "-3", "--dim", "1", "--seed", "1"],
+    ["grow", "--q", "0", "--target", "0", "--seed", "1"],
 ]
 
 

@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -20,7 +21,9 @@ from minertia.errors import NotHermitianError, SingularTransformError
 from minertia.exactnum import (
     GaussianRational,
     RationalPolynomial,
+    _parse_ratios,
     exact_rational,
+    parse_ratio,
     scaled_gaussian_grid,
 )
 from minertia.hermitian_core import (
@@ -496,6 +499,48 @@ class TestOnePassReader:
         entry = collections.OrderedDict([("im", " 0"), ("re", "3/6")])
         X = HermitianMatrix.from_json({"q": 1, "entries": [[entry]]})
         assert X.grid == (2, ((1,),), ((0,),))
+
+
+def _reference_ratio(text):
+    """The grammar read by hand: -?[0-9]+(/[0-9]+)? between whitespace
+    that str.strip() takes, ASCII digits, as many as int() converts, and
+    a nonzero denominator; (p, q), or None when it refuses the text."""
+    if not isinstance(text, str):
+        return None
+    num, _, den = text.strip().partition("/")
+    if not re.fullmatch(r"-?[0-9]+", num) or not re.fullmatch(r"(?:[0-9]+)?", den):
+        return None
+    if "/" in text and not den:
+        return None
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # more digits than int() converts
+        return None
+    return (num, den) if den else None
+
+
+_GRAMMAR_ALPHABET = "0123456789/-,+._e \t\n\x1c\x1d\x1e\x1f\xa0\u3000"
+
+
+class TestOneRationalGrammar:
+    """``parse_ratio`` is the one-text case of the one-pass reader: on good
+    texts, bad texts and random texts over the grammar's alphabet and its
+    near misses, both read what the grammar reads by hand, and refuse the
+    rest."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(_texts(), st.sampled_from(_BAD_TEXTS), st.text(_GRAMMAR_ALPHABET, max_size=8)))
+    def test_parse_ratio_reads_the_grammar(self, text):
+        want = _reference_ratio(text)
+        assert _parse_ratios([text]) == (None if want is None else ([want[0]], [want[1]]))
+        if want is not None:
+            assert parse_ratio(text) == want
+        elif isinstance(text, str):
+            with pytest.raises(ValueError, match=re.escape(f"not a rational: {text!r}") + "$"):
+                parse_ratio(text)
+        else:
+            with pytest.raises(ValueError, match=r"\(expected a string 'p/q'\)$"):
+                parse_ratio(text)
 
 
 class TestOneExactRule:

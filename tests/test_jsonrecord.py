@@ -105,7 +105,7 @@ REPRS = [
      "SurfaceRecord(name='symmetric square of a genus-3 curve', q=3, p_g=3, h11=10, "
      "no_irregular_pencils=True, note='smallest known h11 for q=3; the sharp lower bound 9 "
      "is unrealized')"),
-    (SearchConfig(seed=1), "SearchConfig(seed=1, samples=128, float_tolerance=1e-09, workers=1)"),
+    (SearchConfig(seed=1), "SearchConfig(seed=1, samples=128, workers=1)"),
     (_WITNESS, "Witness(coefficients=(Fraction(1, 1), Fraction(-1, 2)), "
      "element=HermitianMatrix(q=2), inertia=Inertia(n_plus=1, n_minus=1, n_zero=0))"),
     (SearchReport(5, 9, 1, None, 128, {2: 120, 3: 8}, 1, "numpy", 0),

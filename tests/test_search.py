@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -55,6 +56,19 @@ class TestSubspaceBasis:
         assert el.entries[0][0].re == 2
         assert el.entries[0][1].re == Fraction(-1, 2)
         assert el.entries[1][0].re == Fraction(-1, 2)
+
+    @pytest.mark.parametrize("q", [0, -3])
+    def test_q_below_1_is_refused_with_its_own_message(self, q):
+        builders = [
+            lambda: SubspaceBasis(q, []),
+            lambda: SubspaceBasis.from_json({"q": q, "basis": []}),
+            lambda: grow_subspace(q, 0, FAST),
+        ]
+        if q:  # at q = 0 no dim lies in [1, q^2], and random_subspace says so first
+            builders.append(lambda: random_subspace(q, 1, 1))
+        for build in builders:
+            with pytest.raises(ValueError, match=f"^q must be >= 1, got {q}$"):
+                build()
 
     def test_rejects_dependent(self):
         b1 = unit_matrix(3, 0, 0)
@@ -457,7 +471,7 @@ class TestProjectionPhase:
         basisf = L.float_image()
         coeffs = search._stream(1, search._PURPOSE_FALSIFY).standard_normal((cfg.samples, L.dim))
         coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
-        f = kernels.batch_stats(basisf, coeffs, cfg.float_tolerance)[3]
+        f = kernels.batch_stats(basisf, coeffs, search.FLOAT_TOLERANCE)[3]
         order = np.argsort(-f, kind="stable")[: search.PROJECTION_STARTS]
         lsq = real_map(basisf)
         eager = [real(basisf, lsq, coeffs[i], search.CERTIFY_MARGIN) for i in order]
@@ -764,7 +778,8 @@ class TestCertification:
         # an escalated sample counts by its exact m, so one whose exact m is
         # >= 2 (or whose lift is zero) is never certified; at (6, 4, 1, 0.3)
         # that is all 200 samples, which once made 28 rejected _certify calls
-        L, cfg = random_subspace(q, dim, seed), SearchConfig(seed=seed, samples=200, float_tolerance=tol)
+        monkeypatch.setattr(search, "FLOAT_TOLERANCE", tol)
+        L, cfg = random_subspace(q, dim, seed), SearchConfig(seed=seed, samples=200)
         coeffs = search._stream(seed, search._PURPOSE_FALSIFY).standard_normal((cfg.samples, L.dim))
         coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
         npl, nmi, nun, _ = kernels.batch_stats(L.float_image(), coeffs, tol)
@@ -792,9 +807,10 @@ class TestCertification:
 
 class TestHistogram:
     @pytest.mark.parametrize("tol", [1e-9, 0.3])
-    def test_histogram_matches_a_per_sample_loop(self, tol):
+    def test_histogram_matches_a_per_sample_loop(self, monkeypatch, tol):
         # at tol 0.3 many samples fall in the tolerance band and are escalated
-        L, cfg = random_subspace(4, 5, 3), SearchConfig(seed=3, samples=120, float_tolerance=tol)
+        monkeypatch.setattr(search, "FLOAT_TOLERANCE", tol)
+        L, cfg = random_subspace(4, 5, 3), SearchConfig(seed=3, samples=120)
         rep = run_search(L, cfg)
         coeffs = search._stream(3, search._PURPOSE_FALSIFY).standard_normal((cfg.samples, L.dim))
         coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
@@ -808,9 +824,10 @@ class TestHistogram:
         assert rep.histogram == want and rep.escalations == escalated
         assert (escalated > 0) == (tol > 0.1)
 
-    def test_overflowing_tolerance_escalates_every_sample_without_a_warning(self):
+    def test_overflowing_tolerance_escalates_every_sample_without_a_warning(self, monkeypatch):
         # tol * max|lambda| overflows to inf: no sign is certain in float
-        L, cfg = random_subspace(5, 9, 1), SearchConfig(seed=1, samples=5, float_tolerance=1e308)
+        monkeypatch.setattr(search, "FLOAT_TOLERANCE", 1e308)
+        L, cfg = random_subspace(5, 9, 1), SearchConfig(seed=1, samples=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = run_search(L, cfg)
@@ -835,15 +852,17 @@ class TestConfigValidation:
             SearchConfig(seed=1, samples=0)
         with pytest.raises(ValueError):
             SearchConfig(seed=1, workers=0)
-        with pytest.raises(ValueError):
-            SearchConfig(seed=1, float_tolerance=0)
 
-    def test_float_tolerance_must_be_finite_and_positive(self):
-        for tol in (float("nan"), float("inf"), -1e-9):
-            with pytest.raises(ValueError):
-                SearchConfig(seed=1, float_tolerance=tol)
+    @pytest.mark.parametrize(
+        "field,value",
+        [("seed", True), ("seed", "1"), ("seed", 1.0), ("samples", 2.5), ("samples", True),
+         ("samples", "40"), ("workers", 2.5), ("workers", True), ("workers", None)],
+    )
+    def test_non_integer_values_are_refused(self, field, value):
+        # what the reports would refuse to read back, or numpy would refuse
+        # deep inside the search, is refused here
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            SearchConfig(**{"seed": 1, field: value})
 
     def test_config_holds_what_the_cli_sets(self):
-        assert repr(SearchConfig(seed=1)) == (
-            "SearchConfig(seed=1, samples=128, float_tolerance=1e-09, workers=1)"
-        )
+        assert repr(SearchConfig(seed=1)) == "SearchConfig(seed=1, samples=128, workers=1)"
