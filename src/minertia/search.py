@@ -103,26 +103,26 @@ class ModularEchelon:
     cleared of denominators and content, would reduce to one mod p).  A
     zero reduction is re-tested by the exact rank of the Gram matrix; a
     vector accepted that way breaks independence mod p, so every later test
-    is exact too.
+    is exact too.  The echelon keeps rows mod p only; its owner passes in
+    the accepted vectors.
     """
 
     def __init__(self):
         self.pivots = np.empty(0, dtype=np.intp)
         self.rows: Optional[np.ndarray] = None  # (rank, n) int64, entries mod p
-        self.accepted: List[Sequence[int]] = []
         self.exact_only = False
 
     def copy(self) -> "ModularEchelon":
         new = ModularEchelon()
-        new.pivots, new.rows, new.accepted = self.pivots, self.rows, list(self.accepted)
-        new.exact_only = self.exact_only
+        new.pivots, new.rows, new.exact_only = self.pivots, self.rows, self.exact_only
         return new
 
-    def add_block(self, block: np.ndarray) -> List[int]:
+    def add_block(self, block: np.ndarray, accepted: Sequence[Sequence[int]]) -> List[int]:
         """Test the rows of the (m, n) integer array ``block`` in order,
-        accepting each that is independent of the vectors accepted before
-        it; return the indices of the rows accepted.  ``block`` is int64,
-        or of ``dtype=object`` when its integers do not fit int64."""
+        accepting each independent of ``accepted`` (the rows this echelon
+        holds) and of the block's rows kept before it; return the indices
+        of the rows kept.  ``block`` is int64, or of ``dtype=object`` when
+        its integers do not fit int64."""
         res = (block % MODULUS).astype(np.int64, copy=False)
         rows, pivots, kept = self.rows, self.pivots.tolist(), []
         if rows is None:
@@ -136,7 +136,7 @@ class ModularEchelon:
             v = a[old + k]
             nonzero = () if self.exact_only else v.nonzero()[0]
             if not len(nonzero):
-                if self._exact_add(vec):
+                if self._exact_add([*accepted, *block[kept], vec]):
                     kept.append(k)
                 continue
             lead = nonzero[0]
@@ -146,18 +146,17 @@ class ModularEchelon:
             pivots.append(lead)
             echelon.append(old + k)
             kept.append(k)
-            self.accepted.append(vec)
         self.rows, self.pivots = a[echelon], np.array(pivots, dtype=np.intp)
         return kept
 
-    def _exact_add(self, vec) -> bool:
-        """Accept ``vec`` iff the Gram matrix with the accepted vectors has
-        full rank; once one is accepted so, every later test comes here."""
-        vecs = [list(map(int, v)) for v in self.accepted] + [list(map(int, vec))]
+    def _exact_add(self, vecs) -> bool:
+        """Accept the last of ``vecs`` (the accepted vectors, then the one
+        tested) iff their Gram matrix has full rank; once one is accepted
+        so, every later test comes here."""
+        vecs = [list(map(int, v)) for v in vecs]
         gram = [[sum(map(mul, u, v)) for v in vecs] for u in vecs]
         if grid_inertia(gram, [[0] * len(vecs) for _ in vecs]).rank < len(vecs):
             return False
-        self.accepted.append(vec)
         self.exact_only = True
         return True
 
@@ -180,20 +179,35 @@ def _float_range(grid) -> Tuple[int, bool]:
 
 
 @functools.lru_cache(maxsize=None)
-def _coordinate_at(q: int) -> np.ndarray:
-    """Where the coordinates of :func:`_coordinates` lie in a matrix's Re
-    grid followed by its Im grid, both flattened."""
-    flat = np.arange(2 * q * q).reshape(2, q, q)
-    return np.concatenate((flat[0][np.triu_indices(q)], flat[1][np.triu_indices(q, 1)]))
+def _layout(q: int):
+    """The order of the q^2 real coordinates of a q x q Hermitian matrix,
+    the order one draw produces them in: per row, Re of the diagonal entry,
+    then Re and Im of each entry right of it.  Returns the bounds of one
+    draw ((n, d) pairs, -9 <= n < 10 and 1 <= d < 10); the scatter, the
+    coordinate index of Re and of Im at each (i, j) and the sign of Im
+    there; and its inverse, the gather from the Re grid followed by the Im
+    grid, both flattened."""
+    re_at = np.zeros((q, q), dtype=np.intp)
+    im_at = np.zeros((q, q), dtype=np.intp)
+    im_sign = np.zeros((q, q), dtype=np.int64)
+    gather = []
+    for i in range(q):
+        re_at[i, i] = len(gather)
+        gather.append(i * q + i)
+        for j in range(i + 1, q):
+            re_at[i, j] = re_at[j, i] = len(gather)
+            im_at[i, j] = im_at[j, i] = len(gather) + 1
+            im_sign[i, j], im_sign[j, i] = 1, -1
+            gather += [i * q + j, q * q + i * q + j]
+    bounds = np.array([-9, 1] * (q * q)), np.array([10, 10] * (q * q))
+    return bounds, re_at, im_at, im_sign, np.array(gather, dtype=np.intp)
 
 
-def _coordinates(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """(n, q^2) integer coordinates of n scaled Hermitian grids, from their
-    (n, q, q) Re and Im arrays, in the q^2-dimensional real space of
-    Hermitian matrices: Re on and above the diagonal, then Im above it
-    (dropping the denominators keeps (in)dependence)."""
-    n, q, _ = re.shape
-    return np.concatenate((re, im), axis=1).reshape(n, 2 * q * q)[:, _coordinate_at(q)]
+def _grids(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The Re and Im grids, (..., q, q), of coordinate rows (..., q^2) in
+    the order of :func:`_layout`, of the coordinates' dtype."""
+    _, re_at, im_at, im_sign, _ = _layout(math.isqrt(coords.shape[-1]))
+    return coords[..., re_at], coords[..., im_at] * im_sign
 
 
 class SubspaceBasis:
@@ -202,15 +216,16 @@ class SubspaceBasis:
 
     The matrices are held as integer arrays only: each one's common
     denominator, ``den`` (dim,), not always the least (a drawn matrix's is
-    2520), and its numerators over it, ``re`` and ``im`` (dim, q, q), int64
-    when every integer lies below 2^53 (see :func:`_float_range`) and of
-    ``dtype=object`` (Python ints) otherwise.  :meth:`float_image` divides
-    them and :meth:`element` is one exact product with them; the tuple of
-    ``HermitianMatrix`` in :attr:`basis` is built on first read.  A basis
-    holds the ``ModularEchelon`` of its coordinates; :meth:`_extended`
-    tests new rows against it, and builds every basis."""
+    2520), and its numerators over it, ``coords`` (dim, q^2), its real
+    coordinates in the order of :func:`_layout`; int64 when every integer
+    lies below 2^53 (see :func:`_float_range`) and of ``dtype=object``
+    (Python ints) otherwise.  :meth:`float_image` scatters them to grids
+    and divides, and :meth:`element` is one exact product with them; the
+    tuple of ``HermitianMatrix`` in :attr:`basis` is built on first read.
+    A basis holds the ``ModularEchelon`` of its coordinates;
+    :meth:`_extended` tests new rows against it, and builds every basis."""
 
-    __slots__ = ("q", "_den", "_re", "_im", "_exps", "_basis", "_echelon")
+    __slots__ = ("q", "_den", "_coords", "_exps", "_basis", "_echelon")
 
     def __init__(self, q: int, basis: Sequence[HermitianMatrix]):
         if q < 1:
@@ -223,30 +238,29 @@ class SubspaceBasis:
         ranges = [_float_range(b.grid) for b in basis]
         dtype = np.int64 if all(f for _, f in ranges) else object
         den = np.array([b.den for b in basis], dtype=dtype)
-        re = np.array([b.re for b in basis], dtype=dtype).reshape(-1, q, q)
-        im = np.array([b.im for b in basis], dtype=dtype).reshape(-1, q, q)
-        self._set(q, den[:0], re[:0], im[:0], (), None, ModularEchelon())
-        full = self._extended(den, re, im)
+        grids = np.array([(b.re, b.im) for b in basis], dtype=dtype).reshape(-1, 2 * q * q)
+        coords = grids[:, _layout(q)[-1]]
+        self._set(q, den[:0], coords[:0], (), None, ModularEchelon())
+        full = self._extended(den, coords)
         if full.dim < len(basis):  # full keeps the matrices before the first dependent one
             k = next((i for i, (a, b) in enumerate(zip(full.basis, basis)) if a != b), full.dim)
             raise ValueError(f"basis matrix {k} is linearly dependent")
-        self._set(q, full._den, full._re, full._im, tuple(e for e, _ in ranges), basis, full._echelon)
+        self._set(q, full._den, full._coords, tuple(e for e, _ in ranges), basis, full._echelon)
 
-    def _extended(self, den, re, im) -> "SubspaceBasis":
-        """This basis followed by each candidate row (``den`` (m,), ``re``
-        and ``im`` (m, q, q)) independent of it and of the rows kept before
+    def _extended(self, den, coords) -> "SubspaceBasis":
+        """This basis followed by each candidate row (``den`` (m,) and
+        ``coords`` (m, q^2)) independent of it and of the rows kept before
         it, as a copy of its echelon finds.  A kept row's exponent is 0, as
         a drawn row's is (see :func:`_float_range`)."""
         echelon = self._echelon.copy()
-        kept = echelon.add_block(_coordinates(re, im))
-        arrays = (self._den, den[kept]), (self._re, re[kept]), (self._im, im[kept])
+        kept = echelon.add_block(coords, self._coords)
+        arrays = (self._den, den[kept]), (self._coords, coords[kept])
         new = object.__new__(SubspaceBasis)
-        exps = self._exps + (0,) * len(kept)
-        new._set(self.q, *map(np.concatenate, arrays), exps, None, echelon)
+        new._set(self.q, *map(np.concatenate, arrays), self._exps + (0,) * len(kept), None, echelon)
         return new
 
-    def _set(self, q, den, re, im, exps, basis, echelon):
-        for name, value in zip(self.__slots__, (q, den, re, im, exps, basis, echelon)):
+    def _set(self, q, den, coords, exps, basis, echelon):
+        for name, value in zip(self.__slots__, (q, den, coords, exps, basis, echelon)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -255,7 +269,8 @@ class SubspaceBasis:
     @property
     def basis(self) -> Tuple[HermitianMatrix, ...]:
         if self._basis is None:
-            grids = zip(self._den.tolist(), self._re.tolist(), self._im.tolist())
+            re, im = _grids(self._coords)
+            grids = zip(self._den.tolist(), re.tolist(), im.tolist())
             basis = tuple(HermitianMatrix.from_scaled(*g) for g in grids)
             object.__setattr__(self, "_basis", basis)
         return self._basis
@@ -265,44 +280,45 @@ class SubspaceBasis:
         return len(self._den)
 
     def element(self, coeffs: Sequence[Fraction]) -> HermitianMatrix:
-        """Exact linear combination sum_i coeffs[i] * basis[i]: the Re and
-        Im numerator arrays, each in one product with integer scales over
-        den = lcm_i(denominator(coeffs[i]) * den_i), then reduced to lowest
-        terms by ``HermitianMatrix.from_scaled``.
+        """Exact linear combination sum_i coeffs[i] * basis[i]: the
+        coordinates in one product with integer scales over
+        den = lcm_i(denominator(coeffs[i]) * den_i), scattered to grids and
+        reduced to lowest terms by ``HermitianMatrix.from_scaled``.
 
-        The product is in int64 when the arrays are and sum_i |scale_i|
-        times their largest |numerator| lies below 2^63, which bounds every
-        partial sum; otherwise it is in Python ints (``dtype=object``)."""
+        The product is in int64 when the coordinates are and
+        sum_i |scale_i| times their largest magnitude lies below 2^63,
+        which bounds every partial sum; otherwise it is in Python ints
+        (``dtype=object``)."""
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count must match dimension")
         fracs = list(map(exact_rational, coeffs))
         dens = [f.denominator * d for f, d in zip(fracs, self._den.tolist())]
         den = math.lcm(*dens)
         scales = [f.numerator * (den // d) for f, d in zip(fracs, dens)]
-        arrays, dtype = (self._re, self._im), object
+        coords, dtype = self._coords, object
         total = sum(map(abs, scales))
-        if self._re.dtype == np.int64 and total < 1 << 63:
-            top = max(1, *(int(np.abs(a).max(initial=0)) for a in arrays))
-            if total * top < 1 << 63:
+        if coords.dtype == np.int64 and total < 1 << 63:
+            if total * max(1, int(np.abs(coords).max(initial=0))) < 1 << 63:
                 dtype = np.int64
-        scales = np.array(scales, dtype=dtype)
-        re, im = (np.tensordot(scales, a.astype(dtype, copy=False), 1).tolist() for a in arrays)
-        return HermitianMatrix.from_scaled(den, re, im)
+        product = np.matmul(np.array(scales, dtype=dtype), coords.astype(dtype, copy=False))
+        re, im = _grids(product)
+        return HermitianMatrix.from_scaled(den, re.tolist(), im.tolist())
 
     def float_image(self) -> np.ndarray:
         """(dim, q, q) complex128 image of the basis, matrix i scaled by
         2^-e_i (see :func:`_float_range`); an unscaled entry equals
         ``complex(entry)``.
 
-        One division of the numerator arrays by the denominators gives it:
-        in float64 for int64 arrays, whose integers lie below 2^53 and so
-        convert exactly, and as Python int true division for object arrays;
-        both round each quotient correctly."""
-        den, re, im = self._den, self._re, self._im
+        The integer coordinates are scattered to grids, then one division
+        by the denominators gives it: in float64 for int64 arrays, whose
+        integers lie below 2^53 and so convert exactly, and as Python int
+        true division for object arrays; both round each quotient
+        correctly.  (Scattering first keeps the Im diagonal's 0 a +0.0.)"""
+        den, coords = self._den, self._coords
         if any(self._exps):  # object arrays: multiply by 2^|e_i| on one side
             den = den * np.array([1 << max(e, 0) for e in self._exps], dtype=object)
-            up = np.array([1 << max(-e, 0) for e in self._exps], dtype=object)[:, None, None]
-            re, im = re * up, im * up
+            coords = coords * np.array([1 << max(-e, 0) for e in self._exps], dtype=object)[:, None]
+        re, im = _grids(coords)
         image = np.empty(re.shape, dtype=np.complex128)
         image.real = re / den[:, None, None]
         image.imag = im / den[:, None, None]
@@ -332,42 +348,20 @@ def _empty_basis(q: int) -> SubspaceBasis:
     return SubspaceBasis(q, ())
 
 
-@functools.lru_cache(maxsize=None)
-def _draw_layout(q: int):
-    """The bounds of one candidate draw, (n, d) pairs with -9 <= n < 10 and
-    1 <= d < 10, q^2 of them, and where its q^2 values n/d land: the draw
-    index of Re and of Im at each (i, j), and the sign of Im there."""
-    re_at = np.zeros((q, q), dtype=np.intp)
-    im_at = np.zeros((q, q), dtype=np.intp)
-    im_sign = np.zeros((q, q), dtype=np.int64)
-    at = 0
-    for i in range(q):
-        re_at[i, i] = at
-        for j in range(i + 1, q):
-            re_at[i, j] = re_at[j, i] = at + 1
-            im_at[i, j] = im_at[j, i] = at + 2
-            im_sign[i, j], im_sign[j, i] = 1, -1
-            at += 2
-        at += 1
-    bounds = np.array([-9, 1] * (q * q)), np.array([10, 10] * (q * q))
-    return bounds, re_at, im_at, im_sign
-
-
 def _draw_block(q: int, rng: np.random.Generator, count: int):
     """``count`` random Hermitian matrices with entries n/d, |n| <= 9,
     1 <= d <= 9, as int64 arrays: each matrix's denominator, always 2520
     (not always the least; the scale it puts on the coordinates is a unit
     mod the prime ``MODULUS``, so the echelon keeps the same candidates),
-    and its (q, q) Re and Im numerators over it.  Each matrix takes 2q^2
-    integers: per row, the diagonal's (n, d), then (n, d) of Re and of Im
-    of each entry right of it (the order of one scalar draw per integer).
-    One call draws all of them with the bounds tiled; that gives the same
-    integers, and leaves the generator in the same state, as ``count``
-    draws of one matrix each."""
-    (low, high), re_at, im_at, im_sign = _draw_layout(q)
+    and its q^2 coordinates over it, n * (2520 / d).  Each matrix takes
+    2q^2 integers, one (n, d) per coordinate in the order of
+    :func:`_layout` (the order of one scalar draw per integer).  One call
+    draws all of them with the bounds tiled; that gives the same integers,
+    and leaves the generator in the same state, as ``count`` draws of one
+    matrix each."""
+    (low, high), *_ = _layout(q)
     draws = rng.integers(np.tile(low, count), np.tile(high, count)).reshape(count, -1)
-    vals = draws[:, 0::2] * (_DRAW_DEN // draws[:, 1::2])
-    return np.full(count, _DRAW_DEN, dtype=np.int64), vals[:, re_at], vals[:, im_at] * im_sign
+    return np.full(count, _DRAW_DEN, dtype=np.int64), draws[:, 0::2] * (_DRAW_DEN // draws[:, 1::2])
 
 
 def random_subspace(q: int, dim: int, seed: int) -> SubspaceBasis:

@@ -406,9 +406,10 @@ def fraction_rank(rows):
     return rank
 
 
-def add_one(ech, vec):
-    """Test one vector as a one-row block of Python ints (``dtype=object``)."""
-    return ech.add_block(np.array([vec], dtype=object)) == [0]
+def add_one(ech, accepted, vec):
+    """Test one vector as a one-row block of Python ints (``dtype=object``)
+    against an echelon built from the vectors ``accepted``."""
+    return ech.add_block(np.array([vec], dtype=object), accepted) == [0]
 
 
 class TestIndependence:
@@ -419,12 +420,15 @@ class TestIndependence:
         for _ in range(12):
             v = [rng.randint(-2, 2) for _ in range(6)]
             snapshot = ech.copy()
-            added = add_one(ech, v)
+            added = add_one(ech, kept, v)
             assert added == (fraction_rank(kept + [v]) > len(kept))
             if added:
                 kept.append(v)
-                assert len(snapshot.accepted) == len(kept) - 1
-        assert len(ech.accepted) == fraction_rank(kept) == len(kept)
+                # the copy is as ech was: it accepts v again
+                assert add_one(snapshot, kept[:-1], v)
+        # entries of |v| <= 2 in 6 coordinates: every minor is below p, so
+        # each vector is accepted mod p, one echelon row each
+        assert not ech.exact_only and len(ech.rows) == fraction_rank(kept) == len(kept)
 
     def test_dependent_mod_p_but_independent_over_q_is_accepted(self):
         # e_1 and e_1 + p*e_2 coincide modulo p but are independent over Q.
@@ -476,19 +480,20 @@ class TestIndependence:
                 v[rng.randrange(n)] += rng.choice([-2, -1, 1, 3]) * MODULUS
             else:
                 v = [rng.randint(-top, top) for _ in range(n)]
-            added = add_one(ech, v)
+            added = add_one(ech, kept, v)
             assert added == (fraction_rank(kept + [v]) > len(kept))
             if added:
                 kept.append(v)
             vecs.append(v)
             flags.append(added)
-        assert len(ech.accepted) == fraction_rank(kept) == len(kept)
+        assert fraction_rank(kept) == len(kept)
         # the block entry point accepts the same rows, wherever the blocks are cut
         blocks, start = ModularEchelon(), 0
         while start < len(vecs):
             stop = rng.randint(start + 1, len(vecs))
             block = np.array(vecs[start:stop], dtype=np.int64 if top == 4 else object)
-            kept_rows = blocks.add_block(block)
+            accepted = [v for v, added in zip(vecs[:start], flags) if added]
+            kept_rows = blocks.add_block(block, accepted)
             assert [k in kept_rows for k in range(stop - start)] == flags[start:stop]
             start = stop
         _assert_same_echelon(blocks, ech)
@@ -505,24 +510,27 @@ class TestIndependence:
             [1, 2, 0, 0, MODULUS, 3],  # block[4] + 3 block[5]: dependent over Q
         ]
         ech, ref = ModularEchelon(), ModularEchelon()
-        assert ech.add_block(np.array(first, dtype=np.int64)) == [0, 1]
-        assert ech.add_block(np.array(block, dtype=np.int64)) == [1, 2, 4, 5]
-        flags = [add_one(ref, v) for v in first + block]
+        assert ech.add_block(np.array(first, dtype=np.int64), []) == [0, 1]
+        assert ech.add_block(np.array(block, dtype=np.int64), first) == [1, 2, 4, 5]
+        kept, flags = [], []
+        for v in first + block:
+            flags.append(add_one(ref, kept, v))
+            kept += [v] * flags[-1]
         assert flags == [True, True, False, True, True, False, True, True, False]
-        kept = [v for v, added in zip(first + block, flags) if added]
         assert ech.exact_only and fraction_rank(kept) == len(kept) == 6
         _assert_same_echelon(ech, ref)
         # while exact, a block is tested row by row on the Gram matrix
-        assert ech.add_block(np.eye(6, dtype=np.int64)) == []
+        assert ech.add_block(np.eye(6, dtype=np.int64), kept) == []
 
     def test_add_block_leaves_a_copy_untouched(self):
         ech = ModularEchelon()
-        ech.add_block(np.array([[1, 0, 2], [0, 1, 1]], dtype=np.int64))
+        first = [[1, 0, 2], [0, 1, 1]]
+        ech.add_block(np.array(first, dtype=np.int64), [])
         snapshot = ech.copy()
         rows, pivots = snapshot.rows.copy(), snapshot.pivots.copy()
-        assert ech.add_block(np.array([[0, 0, 5]], dtype=np.int64)) == [0]
+        assert ech.add_block(np.array([[0, 0, 5]], dtype=np.int64), first) == [0]
         assert (snapshot.rows == rows).all() and (snapshot.pivots == pivots).all()
-        assert len(snapshot.accepted) == 2 and len(ech.accepted) == 3
+        assert len(snapshot.rows) == 2 and len(ech.rows) == 3
 
     def test_mod_dot_does_not_overflow_int64(self):
         # one chunk of _DOT_TERMS products of (p - 1)^2 is the most an int64
@@ -543,9 +551,9 @@ class TestIndependence:
         vecs = [[MODULUS - 1 if k != i else 2 * MODULUS - 2 + i for k in range(n)]
                 for i in range(n)]
         ech = ModularEchelon()
-        assert [add_one(ech, v) for v in vecs] == [True] * n
+        assert [add_one(ech, vecs[:i], v) for i, v in enumerate(vecs)] == [True] * n
         assert not ech.exact_only
-        assert not add_one(ech, [sum(v[k] for v in vecs) for k in range(n)])
+        assert not add_one(ech, vecs, [sum(v[k] for v in vecs) for k in range(n)])
 
     @pytest.mark.parametrize(
         "q,dim,seed",
@@ -553,7 +561,8 @@ class TestIndependence:
     )
     def test_random_subspace_matches_the_pure_python_echelon(self, q, dim, seed):
         L = random_subspace(q, dim, seed)
-        assert (L._den.tolist(), L._re.tolist(), L._im.tolist()) == _reference_grids(q, dim, seed)
+        re, im = search._grids(L._coords)
+        assert (L._den.tolist(), re.tolist(), im.tolist()) == _reference_grids(q, dim, seed)
 
 
 def _matrix(rng, q, top, scale):
@@ -572,6 +581,18 @@ def _real_coordinates(X):
     q = X.q
     return ([Fraction(X.re[i][j], X.den) for i in range(q) for j in range(i, q)]
             + [Fraction(X.im[i][j], X.den) for i in range(q) for j in range(i + 1, q)])
+
+
+def _draw_order(X):
+    """X's numerators over X.den in the coordinate order of a draw: per
+    row, Re of the diagonal entry, then Re and Im of each entry right of
+    it."""
+    coords = []
+    for i in range(X.q):
+        coords.append(X.re[i][i])
+        for j in range(i + 1, X.q):
+            coords += [X.re[i][j], X.im[i][j]]
+    return coords
 
 
 def _independent_prefix(start, candidates):
@@ -598,7 +619,7 @@ class TestExtended:
         scale = 2**60 if big else 1
         basis = _independent_prefix([], [_matrix(rng, q, 2, scale) for _ in range(q * q)])
         L = SubspaceBasis(q, basis)
-        assert L._re.dtype == (object if big and basis else np.int64)
+        assert L._coords.dtype == (object if big and basis else np.int64)
         candidates = [_matrix(rng, q, 2, scale) for _ in range(rng.randint(1, 4))]
         if basis:  # a combination of basis rows, and a basis row
             combination = L.element([rng.randint(-2, 2) for _ in basis])
@@ -607,14 +628,36 @@ class TestExtended:
         candidates.append(rng.choice(candidates))  # a repeated candidate
         dtype = object if big else np.int64
         den = np.array([c.den for c in candidates], dtype=dtype)
-        re, im = (np.array([getattr(c, part) for c in candidates], dtype=dtype) for part in ("re", "im"))
+        coords = np.array([_draw_order(c) for c in candidates], dtype=dtype)
         want = tuple(_independent_prefix(basis, candidates))
-        grown = L._extended(den, re, im)
+        grown = L._extended(den, coords)
         assert grown.basis == want and grown._exps == (0,) * len(want)
         # L and its echelon are as they were: extending it again gives the same
-        assert L.dim == len(basis) and L._extended(den, re, im).basis == want
+        assert L.dim == len(basis) and L._extended(den, coords).basis == want
         # and the grown basis tests a further candidate against all its rows
-        assert grown._extended(den, re, im).dim == len(want)
+        assert grown._extended(den, coords).dim == len(want)
+
+    def test_the_exact_test_reads_the_basis_rows_across_calls(self):
+        # B = A + p E is A mod p but independent of it over Q, so only the
+        # exact Gram test accepts it; each later call must test against A
+        # and B, the rows of the basis it extends, not only its own block
+        A = HermitianMatrix([[1, (2, -1)], [(2, 1), 3]])
+        B = HermitianMatrix([[1, (2, -1)], [(2, 1), 3 + MODULUS]])
+        C = HermitianMatrix([[0, (0, 1)], [(0, -1), 0]])
+        L = SubspaceBasis(2, [A])
+
+        def extended(basis, X):
+            return basis._extended(np.array([X.den]), np.array([_draw_order(X)]))
+
+        grown = extended(L, B)
+        assert grown.basis == (A, B) and grown._echelon.exact_only
+        assert not L._echelon.exact_only and L.dim == 1
+        A_plus_B = HermitianMatrix([[2, (4, -2)], [(4, 2), 6 + MODULUS]])
+        for X in (A_plus_B, A.scale(2), C):
+            want = _independent_prefix([A, B], [X])
+            assert extended(grown, X).basis == tuple(want)
+            assert len(want) == fraction_rank([_real_coordinates(m) for m in want])
+            assert len(want) == (3 if X is C else 2)
 
     def test_a_scaled_basis_keeps_its_exponents(self):
         # the constructor's rows keep their float-image exponents; rows
@@ -622,14 +665,13 @@ class TestExtended:
         big = HermitianMatrix.diagonal([Fraction(2) ** 1100, 0])
         L = SubspaceBasis(2, [big])
         assert L._exps != (0,)
-        den, re, im = search._draw_block(2, search._stream(1, search._PURPOSE_BASIS), 2)
-        grown = L._extended(den, re, im)
+        den, coords = search._draw_block(2, search._stream(1, search._PURPOSE_BASIS), 2)
+        grown = L._extended(den, coords)
         assert grown._exps == L._exps + (0,) * (grown.dim - 1) and grown.dim == 3
 
 
 def _assert_same_echelon(a, b):
     assert a.exact_only == b.exact_only
-    assert [list(map(int, v)) for v in a.accepted] == [list(map(int, v)) for v in b.accepted]
     assert a.pivots.tolist() == b.pivots.tolist()
     assert a.rows.tolist() == b.rows.tolist()
 
@@ -668,11 +710,20 @@ class _ReferenceEchelon:
 
 def _reference_grids(q, dim, seed):
     """The denominators, Re and Im grids of the first ``dim`` drawn
-    candidates independent of those before them, drawn one at a time."""
+    candidates independent of those before them, drawn one at a time; the
+    drawn coordinates are placed in the grids one by one, in draw order."""
     rng = search._stream(seed, search._PURPOSE_BASIS)
     ech, grids = _ReferenceEchelon(), ([], [], [])
     while len(grids[0]) < dim:
-        den, re, im = (part[0].tolist() for part in search._draw_block(q, rng, 1))
+        den, drawn = (part[0].tolist() for part in search._draw_block(q, rng, 1))
+        drawn, re, im = iter(drawn), [[0] * q for _ in range(q)], [[0] * q for _ in range(q)]
+        for i in range(q):
+            re[i][i] = next(drawn)
+            for j in range(i + 1, q):
+                re[i][j] = re[j][i] = next(drawn)
+                im[i][j] = next(drawn)
+                im[j][i] = -im[i][j]
+        # the diagonal first: another column order than the draw's
         coords = [re[i][i] for i in range(q)]
         coords += [v for i in range(q) for j in range(i + 1, q) for v in (re[i][j], im[i][j])]
         if ech.try_add(coords):

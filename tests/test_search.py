@@ -42,8 +42,10 @@ FAST = SearchConfig(seed=11, samples=60)
 
 
 def integers(L):
-    """A basis' integer arrays as nested lists, equal across dtypes."""
-    return L._den.tolist(), L._re.tolist(), L._im.tolist()
+    """A basis' denominators and its Re and Im numerator grids as nested
+    lists, equal across dtypes."""
+    re, im = search._grids(L._coords)
+    return L._den.tolist(), re.tolist(), im.tolist()
 
 
 class TestSubspaceBasis:
@@ -100,11 +102,10 @@ class TestSubspaceBasis:
     def test_grid_built_basis_matches_its_matrices(self, q, dim, seed):
         L = random_subspace(q, dim, seed)
         M = SubspaceBasis(q, L.basis)  # the checked constructor, from matrices
-        assert M.basis == L.basis and M._re.dtype == L._re.dtype == np.int64
+        assert M.basis == L.basis and M._coords.dtype == L._coords.dtype == np.int64
         # the drawn arrays are over 2520, M's in lowest terms: the same matrices
         assert L._den.tolist() == [2520] * dim
-        for a, b in ((L._re, M._re), (L._im, M._im)):
-            assert (a * M._den[:, None, None] == b * L._den[:, None, None]).all()
+        assert (L._coords * M._den[:, None] == M._coords * L._den[:, None]).all()
         image = L.float_image()
         assert M.float_image().tobytes() == image.tobytes()
         for k, b in enumerate(L.basis):
@@ -178,7 +179,7 @@ class TestElement:
     def test_object_bases_match_the_fraction_sum(self, scales):
         gens = gamma_matrices(4) + [HermitianMatrix.diagonal([1, 1, 1, -1])]
         L = SubspaceBasis(4, [g.scale(scales[k % len(scales)]) for k, g in enumerate(gens)])
-        assert L._re.dtype == object
+        assert L._coords.dtype == object
         assert any(L._exps) == any(abs(s) > 2**1000 or abs(s) < 2**-1000 for s in scales)
         for coeffs in _coefficient_rows(L.dim, np.random.default_rng(7)):
             for row in (coeffs, L._unscale(coeffs)):
@@ -190,14 +191,13 @@ class TestElement:
         # 2^63 - 2^40 fits int64, 2^63 would wrap
         top = 1 << 40
         L = SubspaceBasis(2, [HermitianMatrix.diagonal([top, 1]), HermitianMatrix.diagonal([top, -1])])
-        assert L._re.dtype == np.int64
-        products, tensordot = [], search.np.tensordot
-        monkeypatch.setattr(search.np, "tensordot",
-                            lambda a, b, axes: products.append(b.dtype) or tensordot(a, b, axes))
+        assert L._coords.dtype == np.int64
+        products, matmul = [], search.np.matmul
+        monkeypatch.setattr(search.np, "matmul", lambda a, b: products.append(b.dtype) or matmul(a, b))
         for coeffs in ([Fraction(total - 5), Fraction(5)], [Fraction(-total + 1, 2), Fraction(1, 2)]):
             products.clear()
             element = L.element(coeffs)
-            assert products == [dtype] * 2
+            assert products == [dtype]
             assert element == _reference_element(L, coeffs)
 
 
@@ -239,7 +239,8 @@ class TestDrawStream:
         b = search._stream(seed, search._PURPOSE_BASIS)
         for _ in range(3):
             ref = _scalar_random_hermitian(q, b)
-            den, re, im = search._draw_block(q, a, 1)
+            den, coords = search._draw_block(q, a, 1)
+            re, im = search._grids(coords)
             # over 2520 = lcm(1..9): the least common denominator, scaled up
             ref_den, ref_re, ref_im = scaled_gaussian_grid(ref.entries)
             up = 2520 // ref_den
@@ -283,33 +284,58 @@ class TestBlockDraw:
             calls.append(None)
             return len(calls) % 3 == 1
 
-        def every_third_rejected(self, block):
+        def every_third_rejected(self, block, accepted):
             rows = [r for r in range(len(block)) if not rejected()]
-            return [rows[k] for k in add_block(self, block[rows])]
+            return [rows[k] for k in add_block(self, block[rows], accepted)]
 
         monkeypatch.setattr(search.ModularEchelon, "add_block", every_third_rejected)
         rng = search._stream(5, search._PURPOSE_BASIS)
-        ech, want = search.ModularEchelon(), ([], [], [])
+        ech, want = search.ModularEchelon(), ([], [])
         while len(want[0]) < dim:
-            den, re, im = search._draw_block(q, rng, 1)
-            if ech.add_block(search._coordinates(re, im)):
-                for part, row in zip(want, (den, re, im)):
+            den, coords = search._draw_block(q, rng, 1)
+            if ech.add_block(coords, want[1]):
+                for part, row in zip(want, (den, coords)):
                     part += row.tolist()
         drawn = len(calls)
         calls.clear()
-        assert integers(random_subspace(q, dim, 5)) == want
+        L = random_subspace(q, dim, 5)
+        assert (L._den.tolist(), L._coords.tolist()) == want
         assert len(calls) == drawn
 
     @pytest.mark.parametrize("q", range(1, 10))
-    def test_coordinates_are_a_column_gather_of_the_draw(self, q):
-        # Re on and above the diagonal, then Im above it, row by row
-        _, re, im = search._draw_block(q, search._stream(3, search._PURPOSE_BASIS), 5)
-        want = [
-            [r[i][j] for i in range(q) for j in range(i, q)]
-            + [m[i][j] for i in range(q) for j in range(i + 1, q)]
-            for r, m in zip(re.tolist(), im.tolist())
-        ]
-        assert search._coordinates(re, im).tolist() == want
+    def test_coordinates_are_the_draws_values_in_draw_order(self, q):
+        # one (n, d) pair per coordinate, each held as n * (2520 / d): per
+        # row, the diagonal's Re, then Re and Im of each entry right of it
+        a = search._stream(3, search._PURPOSE_BASIS)
+        b = search._stream(3, search._PURPOSE_BASIS)
+        _, coords = search._draw_block(q, a, 5)
+        want = []
+        for _ in range(5):
+            pairs = [(int(b.integers(-9, 10)), int(b.integers(1, 10))) for _ in range(q * q)]
+            want.append([n * (2520 // d) for n, d in pairs])
+        assert coords.tolist() == want
+        assert a.integers(1 << 62) == b.integers(1 << 62)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 9])
+    def test_grids_and_the_gather_are_inverse(self, q):
+        # a drawn int64 block: scattered to grids and gathered back, the
+        # same coordinates
+        gather = search._layout(q)[-1]
+        _, coords = search._draw_block(q, search._stream(q, search._PURPOSE_BASIS), 6)
+        re, im = search._grids(coords)
+        assert re.dtype == im.dtype == np.int64
+        flat = np.concatenate((re, im), axis=1).reshape(6, 2 * q * q)
+        assert flat[:, gather].tolist() == coords.tolist()
+        # a basis beyond 2^63 (dtype=object): its matrices' grids, gathered
+        # by the constructor and scattered back, are the same grids
+        big = [X.scale(Fraction(3**50, 7)) for X in random_subspace(q, min(4, q * q), q).basis]
+        L = SubspaceBasis(q, big)
+        assert L._coords.dtype == object and max(map(abs, L._coords.ravel())) >= 2**63
+        re, im = search._grids(L._coords)
+        assert re.tolist() == [list(map(list, X.re)) for X in big]
+        assert im.tolist() == [list(map(list, X.im)) for X in big]
+        flat = np.concatenate((re, im), axis=1).reshape(len(big), 2 * q * q)
+        assert flat[:, gather].tolist() == L._coords.tolist()
 
 
 class TestSeeds:
@@ -692,7 +718,7 @@ class TestFloatRange:
         ]
         # int64 arrays, divided in float64, only while every integer converts exactly
         f64 = num < 2**53 and den < 2**53
-        assert L._re.dtype == (np.int64 if f64 else object) and L._exps == (0, 0)
+        assert L._coords.dtype == (np.int64 if f64 else object) and L._exps == (0, 0)
         want = np.array([[[complex(e) for e in row] for row in b.entries] for b in L.basis])
         assert L.float_image().tobytes() == want.tobytes()
 
@@ -703,16 +729,35 @@ class TestFloatRange:
         assert np.float64(num) / np.float64(den) != num / den
         X = HermitianMatrix.from_scaled(den, [[num, 1], [1, 0]], [[0, 0], [0, 0]])
         L = SubspaceBasis(2, [X])
-        assert L._re.dtype == object and L.float_image()[0, 0, 0] == num // den
+        assert L._coords.dtype == object and L.float_image()[0, 0, 0] == num // den
 
     def test_drawn_grids_take_the_float64_division(self):
         drawn = [random_subspace(q, q * q, seed=3) for q in (1, 2, 5, 9)]
         drawn += [random_subspace(17, 225, seed=3), grow_subspace(5, 2, FAST).basis]
         for L in drawn:
-            assert L._re.dtype == L._im.dtype == L._den.dtype == np.int64
+            assert L._coords.dtype == L._den.dtype == np.int64
             assert all(search._float_range(b.grid)[1] for b in L.basis)
             want = [[[complex(e) for e in row] for row in b.entries] for b in L.basis]
             assert L.float_image().tobytes() == np.array(want, dtype=np.complex128).tobytes()
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_float_image_divides_the_scattered_integer_grids(self, scaled):
+        # the integer coordinates are scattered to grids, then divided: the
+        # Im diagonal is 0 / den = +0.0 also where the Re diagonal is
+        # negative (dividing first, then multiplying by the Im sign 0, would
+        # give -0.0 there); == with complex(entry) cannot see the sign of 0
+        L = random_subspace(5, 9, 2)
+        if scaled:
+            L = SubspaceBasis(5, [X.scale(Fraction(2) ** (1100 * (-1) ** k)) for k, X in enumerate(L.basis)])
+            assert all(L._exps) and L._coords.dtype == object
+        assert (L._coords[:, 0] < 0).any()
+        want = []
+        for X, e in zip(L.basis, L._exps):
+            d, up = X.den << max(e, 0), 1 << max(-e, 0)
+            want.append([[complex(r * up / d, m * up / d) for r, m in zip(*rows)] for rows in zip(X.re, X.im)])
+        image = L.float_image()
+        assert image.tobytes() == np.array(want, dtype=np.complex128).tobytes()
+        assert not np.signbit(np.diagonal(image.imag, axis1=1, axis2=2)).any()
 
     def test_empty_basis_image(self):
         for L in (SubspaceBasis(3, []), grow_subspace(3, 0, FAST).basis):
