@@ -74,65 +74,67 @@ def batch_stats(basis: np.ndarray, coeffs: np.ndarray, tol: float):
     return n_plus, n_minus, q - n_plus - n_minus, f.astype(np.float64)
 
 
-def least_squares_map(basis: np.ndarray) -> np.ndarray:
-    """(d, q^2) complex P: ``(P @ Y.ravel()).real`` are the real c that
-    minimise ||sum_i c_i B_i - Y||_F for a Hermitian Y.  P = R^-1 Q^T from
-    one QR of the real (2q^2, d) image, by back substitution (a LAPACK
-    solve would add its code pages to the resident size).  A matrix whose
-    float image lies in the span of those before it can leave an exactly
-    zero pivot: it is dropped (coefficient 0) and the QR redone."""
+def orthonormal_span(basis: np.ndarray):
+    """(Q, R, keep) of one QR, A = QR, of the real (2q^2, d) image A of the
+    C-contiguous (d, q, q) ``basis``, a view with Re and Im side by side:
+    ``(Q @ z).view(np.complex128)`` is the element with coordinates z on Q,
+    and ``y.view(np.float64).ravel() @ Q`` projects a Hermitian y onto Q.  A
+    matrix whose float image lies in the span of those before it can leave
+    an exactly zero pivot: it leaves ``keep``, the QR is redone, R is Q^T A."""
     d, q, _ = basis.shape
-    image, keep = np.concatenate((basis.real, basis.imag), axis=1).reshape(d, -1).T, np.arange(d)
-    qm, r = np.linalg.qr(image)
+    image, keep = basis.view(np.float64).reshape(d, 2 * q * q).T, np.arange(d)
+    span, r = np.linalg.qr(image)
     while not r.diagonal().all():
         keep = np.delete(keep, np.flatnonzero(r.diagonal() == 0)[0])
-        qm, r = np.linalg.qr(image[:, keep])
-    rows, p = qm.T.copy(), np.zeros((d, 2 * q * q))  # rows becomes R^-1 Q^T, bottom up
+        span, r = np.linalg.qr(image[:, keep])
+    return span, (r if len(keep) == d else span.T @ image), keep
+
+
+def span_coefficients(r: np.ndarray, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Coefficients c of Q z, for (Q, R, keep) of :func:`orthonormal_span`:
+    R[:, keep] c[keep] = z by back substitution, c 0 for a dropped matrix."""
+    c = np.zeros(r.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny pivot may overflow
-        for k in range(len(keep) - 1, -1, -1):
-            rows[k] = (rows[k] - r[k, k + 1 :] @ rows[k + 1 :]) / r[k, k]
-    p[keep] = rows
-    return p[:, : q * q] - 1j * p[:, q * q :]
+        for k, j in reversed(list(enumerate(keep.tolist()))):
+            c[j] = (z[k] - r[k, j + 1 :] @ c[j + 1 :]) / r[k, j]
+    return c
 
 
 MARGIN_DELTA = 0.02  # eigenvalues 2..q are raised to this share of max|lambda|
 STALL_ITERATIONS, MIN_IMPROVEMENT, MAX_ITERATIONS = 15, 1e-6, 200
 
 
-def alternating_projection(basis: np.ndarray, lsq: np.ndarray, c0: np.ndarray, margin: float):
-    """Alternating projection from the element with coefficients ``c0``
-    between the span of ``basis`` and the matrices whose eigenvalues 2..q
-    are at least ``MARGIN_DELTA`` max|lambda|, on X or -X, whichever has
-    the larger objective f = lambda_2 / max|lambda| at the start.
-
-    An iteration is one ``eigh``: a hit once f >= margin, else the
-    eigenvalues over max|lambda|, all but the least raised to
-    ``MARGIN_DELTA``, make a matrix that ``lsq`` carries back to the span.
-    A start also ends when ``STALL_ITERATIONS`` iterations do not raise its
-    best f by ``MIN_IMPROVEMENT``, at ``MAX_ITERATIONS``, or at a zero or
-    non-finite element.  Returns (c, f: the hit's or best, iterations, hit)."""
-    d, q, _ = basis.shape
-    flat = basis.reshape(d, q * q)
+def alternating_projection(span: np.ndarray, z0: np.ndarray, margin: float):
+    """Alternating projection from coordinates ``z0`` on the orthonormal columns
+    Q = ``span`` between their span and the matrices whose eigenvalues 2..q are
+    at least ``MARGIN_DELTA`` max|lambda|, on X or -X, whichever has the larger
+    f = lambda_2 / max|lambda| at the start.  An iteration is one ``eigh``: a
+    hit once f >= margin, else the eigenvalues over max|lambda|, all but the
+    least raised to ``MARGIN_DELTA``, make a matrix that Q projects back.  A
+    start also ends after ``STALL_ITERATIONS`` iterations without raising its
+    best f by ``MIN_IMPROVEMENT``, at ``MAX_ITERATIONS`` or at a zero or
+    non-finite element.  Returns (z, f: the hit's or best, iterations, hit)."""
+    q = math.isqrt(len(span) // 2)
     k = min(1, q - 1)  # lambda_2, or lambda_1 at q = 1
-    c, iterations, best, stalled = np.array(c0, dtype=np.float64), 0, -math.inf, 0
+    z, iterations, best, stalled = np.array(z0, dtype=np.float64), 0, -math.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite element ends the start
         while iterations < MAX_ITERATIONS and stalled < STALL_ITERATIONS:
-            x = (c @ flat).reshape(q, q)
+            x = (span @ z).view(np.complex128).reshape(q, q)
             if not (np.isfinite(x).all() and x.any()):
                 break
             w, v = np.linalg.eigh(x)
             iterations += 1
             scale = max(-w[0], w[-1])
             if iterations == 1 and -w[-1 - k] > w[k]:  # -X is the closer side
-                c, w, v = -c, -w[::-1], v[:, ::-1]
+                z, w, v = -z, -w[::-1], v[:, ::-1]
             f = float(w[k] / scale)
             if f >= margin:
-                return c, f, iterations, True
+                return z, f, iterations, True
             best, stalled = (f, 0) if f >= best + MIN_IMPROVEMENT else (best, stalled + 1)
             w = w / scale
             w[1:] = np.maximum(w[1:], MARGIN_DELTA)
-            c = (lsq @ ((v * w) @ v.conj().T).ravel()).real
-    return c, best, iterations, False
+            z = ((v * w) @ v.conj().T).view(np.float64).ravel() @ span
+    return z, best, iterations, False
 
 
 coordinate_descent = alternating_projection  # the name perfbench's tracer wraps

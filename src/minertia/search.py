@@ -66,7 +66,7 @@ class SearchConfig:
             raise ValueError("workers must be >= 1")
 
 
-FLOAT_TOLERANCE = 1e-9  # a sample with an eigenvalue within this * max|lambda| of 0 is decided exactly
+FLOAT_TOLERANCE = 1e-9  # a sample with some |lambda| <= this * max|lambda| is decided exactly
 PROJECTION_STARTS = 12  # projection runs from at most this many best samples
 CERTIFY_MARGIN = 1e-4  # a projection start hits once its objective reaches this
 GROW_ATTEMPTS_PER_DIM = 8  # candidates grow_subspace tries for each slot
@@ -457,7 +457,7 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
     most promising samples.
 
     Starts run one at a time, best sampled objective first, on one
-    least-squares map made when the phase begins; each hit is certified at
+    orthonormal span made when the phase begins; each hit is certified at
     once, the first that certifies is the witness and no later start runs.
     ``samples_used`` counts the samples plus the iterations that ran."""
     basisf = L.float_image()
@@ -485,14 +485,12 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
             break
 
     if witness is None:
-        lsq = kernels.least_squares_map(basisf)
-        for idx in np.argsort(-f, kind="stable")[:PROJECTION_STARTS]:
-            c, _, iterations, hit = kernels.alternating_projection(
-                basisf, lsq, coeffs[idx], CERTIFY_MARGIN
-            )
+        span, r, keep = kernels.orthonormal_span(basisf)
+        for c0 in coeffs[np.argsort(-f, kind="stable")[:PROJECTION_STARTS]]:
+            z, _, iterations, hit = kernels.alternating_projection(span, r @ c0, CERTIFY_MARGIN)
             samples_used += iterations
             if hit:
-                witness = _certify(L, c)
+                witness = _certify(L, kernels.span_coefficients(r, keep, z))
                 if witness is not None:
                     break
 

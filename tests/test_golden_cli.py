@@ -21,10 +21,11 @@ subcommand's (``-h inertia``, ``inert``, ``inertia --mat -``, a left-over
 argument, ``--`` before ``--matrix``), and runs that once wrote a Python
 warning to stderr (``grow`` past the dimension limit, and ``search`` with
 a tolerance whose threshold overflowed, now a usage error: the flag is
-gone), ``search`` at q = 9, dim 49 and q = 17, dim 225, and ``search`` and
-``grow`` at q <= 0.  Any change to the exact core or
-the CLI must reproduce it byte for byte, and every JSON report in it must
-read back through its class's ``from_json`` to the same document.
+gone), ``search`` at q = 9, dim 49 and q = 17, dim 225, ``search`` and
+``grow`` at q <= 0, and ``search`` at q = 33, dim 961.  Any change to the
+exact core or the CLI must reproduce it byte for byte, and every JSON
+report in it must read back through its class's ``from_json`` to the same
+document.
 
 List the cases whose output would change (argv and the changed JSON
 keys, or ``code`` / ``stderr`` / ``stdout`` when those are not JSON
@@ -294,6 +295,9 @@ _LATE_ARGVS = [
     ["grow", "--q", "0", "--target", "0", "--seed", "1"],
 ]
 
+# after those: the paper's k = 5 case, q = 33 at dim 961 = 33^2 - (4 * 33 - 3) + 1
+_K5_ARGVS = [["search", "--q", "33", "--dim", "961", "--seed", "1"]]
+
 
 def write_corpus(path=CORPUS):
     matrices = _build_matrices()
@@ -306,7 +310,7 @@ def write_corpus(path=CORPUS):
     for argvs, text in _edge_inputs() + _cone_block_inputs() + _dispatch_inputs():
         for argv in argvs:
             cases.append({"argv": argv, "matrix": None, "stdin": text, **run_cli(argv, text)})
-    for argv in _WARNING_ARGVS + _LATE_ARGVS:
+    for argv in _WARNING_ARGVS + _LATE_ARGVS + _K5_ARGVS:
         cases.append({"argv": argv, "matrix": None, **run_cli(argv)})
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"matrices": matrices, "cases": cases}, indent=1) + "\n")
@@ -405,7 +409,7 @@ def test_report_reads_back_to_the_same_document(case):
         assert cls.from_json(record).to_json() == record
 
 
-@pytest.mark.parametrize("argv", _LATE_ARGVS[:2], ids=lambda argv: " ".join(argv))
+@pytest.mark.parametrize("argv", _LATE_ARGVS[:2] + _K5_ARGVS, ids=lambda argv: " ".join(argv))
 def test_witness_past_the_limit_agrees_with_the_sign_variation_oracle(argv):
     # reading the witness checks it by elimination; Descartes' rule on the
     # characteristic polynomial shares no step with that

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,18 +85,112 @@ class TestAgainstTheReferenceKernels:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+def _real_image(basis):
+    """The (2q^2, d) real image, Re and Im of each entry side by side."""
+    return np.stack((basis.real, basis.imag), axis=-1).reshape(len(basis), -1).T
+
+
 def _project(basis, c0, margin=CERTIFY_MARGIN):
-    return kernels.alternating_projection(basis, kernels.least_squares_map(basis), c0, margin)
+    """The projection from basis coefficients c0, with the hit's or last
+    coordinates carried back: (c, f, iterations, hit, z0, z)."""
+    span, r, keep = kernels.orthonormal_span(basis)
+    z0 = r @ c0
+    z, f, iterations, hit = kernels.alternating_projection(span, z0, margin)
+    return kernels.span_coefficients(r, keep, z), f, iterations, hit, z0, z
 
 
-class TestLeastSquaresMap:
+def _zero_pivot_basis():
+    # diag(1, 0, 0, 0) and diag(1, 2^-1100, 0, 0) are independent, but both
+    # float images are diag(1, 0, 0, 0): their QR has an exactly zero pivot
+    e = HermitianMatrix.diagonal([1, 0, 0, 0])
+    twin = e.add(HermitianMatrix.diagonal([0, 1, 0, 0]).scale(Fraction(1, 2**1100)))
+    return SubspaceBasis(4, [e, twin] + gamma_matrices(4)).float_image()
+
+
+# the least-squares map and the projection in basis coefficients as they
+# were before the projection moved to the QR's coordinates
+def _reference_least_squares_map(basis):
+    d, q, _ = basis.shape
+    image, keep = np.concatenate((basis.real, basis.imag), axis=1).reshape(d, -1).T, np.arange(d)
+    qm, r = np.linalg.qr(image)
+    while not r.diagonal().all():
+        keep = np.delete(keep, np.flatnonzero(r.diagonal() == 0)[0])
+        qm, r = np.linalg.qr(image[:, keep])
+    rows, p = qm.T.copy(), np.zeros((d, 2 * q * q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(keep) - 1, -1, -1):
+            rows[k] = (rows[k] - r[k, k + 1 :] @ rows[k + 1 :]) / r[k, k]
+    p[keep] = rows
+    return p[:, : q * q] - 1j * p[:, q * q :]
+
+
+def _reference_projection(basis, c0, margin):
+    d, q, _ = basis.shape
+    lsq, flat, k = _reference_least_squares_map(basis), basis.reshape(d, q * q), min(1, q - 1)
+    c, iterations, best, stalled = np.array(c0, dtype=np.float64), 0, -np.inf, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while iterations < kernels.MAX_ITERATIONS and stalled < kernels.STALL_ITERATIONS:
+            x = (c @ flat).reshape(q, q)
+            if not (np.isfinite(x).all() and x.any()):
+                break
+            w, v = np.linalg.eigh(x)
+            iterations += 1
+            scale = max(-w[0], w[-1])
+            if iterations == 1 and -w[-1 - k] > w[k]:
+                c, w, v = -c, -w[::-1], v[:, ::-1]
+            f = float(w[k] / scale)
+            if f >= margin:
+                return c, f, iterations, True
+            best, stalled = (f, 0) if f >= best + kernels.MIN_IMPROVEMENT else (best, stalled + 1)
+            w = w / scale
+            w[1:] = np.maximum(w[1:], kernels.MARGIN_DELTA)
+            c = (lsq @ ((v * w) @ v.conj().T).ravel()).real
+    return c, best, iterations, False
+
+
+class TestAgainstTheReferenceProjection:
+    def _agree(self, basis, starts, dropped=False):
+        d, q, _ = basis.shape
+        flat = basis.reshape(d, q * q)
+        later = 0
+        for c0 in starts:
+            c, f, iterations, hit, _, _ = _project(basis, c0)
+            want = _reference_projection(basis, c0, CERTIFY_MARGIN)
+            assert (iterations, hit) == want[2:]
+            assert f == pytest.approx(want[1], rel=1e-9, abs=1e-12)
+            # the same float element; at iteration 1 the reference's c is
+            # the start itself, which may weigh a dropped matrix
+            scale = np.linalg.norm(want[0] @ flat)
+            assert np.linalg.norm(c @ flat - want[0] @ flat) <= 1e-9 * scale
+            if iterations > 1 or not dropped:
+                later += 1
+                assert np.linalg.norm(c - want[0]) <= 1e-9 * np.linalg.norm(want[0])
+        return later
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
+    def test_same_iterations_hits_and_coefficients_on_random_bases(self, nprng, q):
+        for d in sorted({1, (q * q + 1) // 2, q * q}):
+            basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
+            self._agree(basis, nprng.standard_normal((6, d)))
+
+    def test_same_iterations_hits_and_coefficients_past_a_dropped_pivot(self, nprng):
+        basis = _zero_pivot_basis()
+        assert kernels.orthonormal_span(basis)[2].tolist() == [0, 2, 3, 4, 5, 6]
+        assert self._agree(basis, nprng.standard_normal((24, len(basis))), dropped=True) > 0
+
+
+class TestOrthonormalSpan:
     @pytest.mark.parametrize("q,d", [(1, 1), (2, 3), (4, 9), (5, 9), (6, 30)])
     def test_matches_lstsq_on_the_real_image(self, nprng, q, d):
         basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
         y = random_hermitian_f(nprng, q)
-        image = np.concatenate((basis.real.reshape(d, -1), basis.imag.reshape(d, -1)), axis=1).T
-        want = np.linalg.lstsq(image, np.concatenate((y.real.ravel(), y.imag.ravel())), rcond=None)[0]
-        got = (kernels.least_squares_map(basis) @ y.ravel()).real
+        image = _real_image(basis)
+        want = np.linalg.lstsq(image, _real_image(y[None])[:, 0], rcond=None)[0]
+        span, r, keep = kernels.orthonormal_span(basis)
+        assert keep.tolist() == list(range(d))
+        assert np.allclose(span.T @ span, np.eye(d), atol=1e-12)
+        assert np.allclose(span @ r, image, rtol=1e-12, atol=1e-12)
+        got = kernels.span_coefficients(r, keep, y.view(np.float64).ravel() @ span)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_an_exactly_zero_pivot_drops_its_column(self):
@@ -108,15 +203,17 @@ class TestLeastSquaresMap:
             HermitianMatrix([[0, 1], [1, 0]]),
         ]).float_image()
         assert np.array_equal(basis[0], basis[1])
-        image = np.concatenate((basis.real.reshape(3, -1), basis.imag.reshape(3, -1)), axis=1).T
-        r = np.linalg.qr(image)[1]
+        r = np.linalg.qr(_real_image(basis))[1]
         assert 0 in r.diagonal()
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(r, np.eye(3))
-        lsq = kernels.least_squares_map(basis)
-        assert np.isfinite(lsq).all() and not lsq[1].any()
-        y = np.array([[2.0, 3.0], [3.0, 0.0]])
-        assert np.allclose((lsq @ y.ravel()).real, [2.0, 0.0, 3.0])
+        span, r, keep = kernels.orthonormal_span(basis)
+        assert keep.tolist() == [0, 2] and np.isfinite(r).all()
+        # R holds the dropped matrix's coordinates too: those of diag(1, 0)
+        assert np.array_equal(r[:, 1], r[:, 0]) and r.shape == (2, 3)
+        y = np.array([[2.0, 3.0], [3.0, 0.0]], dtype=np.complex128)
+        c = kernels.span_coefficients(r, keep, y.view(np.float64).ravel() @ span)
+        assert c[1] == 0 and np.allclose(c, [2.0, 0.0, 3.0])
 
 
 class TestAlternatingProjection:
@@ -127,10 +224,14 @@ class TestAlternatingProjection:
         flip = np.diag([-1.0] + [1.0] * (q - 1))
         basis = np.stack([np.eye(q), random_hermitian_f(nprng, q) / 20, flip]).astype(complex)
         for c0 in (np.array([sign, 1.0, 0.0]), np.array([0.0, 0.0, sign])):
-            c, f, iterations, hit = _project(basis, c0)
+            c, f, iterations, hit, z0, z = _project(basis, c0)
             assert (iterations, hit) == (1, True)
             # the start's element, or its negative when that side is closer
-            assert np.array_equal(c, c0) or np.array_equal(c, -c0)
+            assert np.array_equal(z, z0) or np.array_equal(z, -z0)
+            # at q = 1 the three matrices are parallel, and c weighs the first alone
+            flat = basis.reshape(3, -1)
+            got, want = (c, c0) if q > 1 else (c @ flat, c0 @ flat)
+            assert any(np.allclose(got, s * want, rtol=1e-12, atol=0) for s in (1, -1))
             ev = np.linalg.eigvalsh(np.tensordot(c, basis, axes=(0, 0)))
             assert f == pytest.approx(ev[min(1, q - 1)] / np.abs(ev).max(), rel=1e-12)
             assert f >= CERTIFY_MARGIN
@@ -140,21 +241,24 @@ class TestAlternatingProjection:
         # every nonzero element has eigenvalues +-|a|, q/2 times each: the
         # objective stays -1, and no start reaches the iteration cap
         basis = SubspaceBasis(q, gamma_matrices(q)[:dim]).float_image()
-        lsq = kernels.least_squares_map(basis)
+        span, r, _ = kernels.orthonormal_span(basis)
         for c0 in nprng.standard_normal((12, dim)):
-            c, f, iterations, hit = kernels.alternating_projection(basis, lsq, c0, CERTIFY_MARGIN)
+            z, f, iterations, hit = kernels.alternating_projection(span, r @ c0, CERTIFY_MARGIN)
             assert not hit and abs(f + 1) < 1e-9
             assert iterations == kernels.STALL_ITERATIONS + 1 < kernels.MAX_ITERATIONS
 
     @pytest.mark.parametrize("q,d", [(3, 2), (4, 3), (5, 6), (6, 10)])
     def test_reruns_are_bit_identical(self, nprng, q, d):
         basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
-        lsq = kernels.least_squares_map(basis)
-        assert lsq.tobytes() == kernels.least_squares_map(basis).tobytes()
+        span, r, keep = kernels.orthonormal_span(basis)
+        again = kernels.orthonormal_span(basis)
+        assert [a.tobytes() for a in (span, r, keep)] == [a.tobytes() for a in again]
         for c0 in nprng.standard_normal((6, d)):
-            first = kernels.alternating_projection(basis, lsq, c0, CERTIFY_MARGIN)
-            again = kernels.alternating_projection(basis, lsq, c0, CERTIFY_MARGIN)
+            first = kernels.alternating_projection(span, r @ c0, CERTIFY_MARGIN)
+            again = kernels.alternating_projection(span, r @ c0, CERTIFY_MARGIN)
             assert first[0].tobytes() == again[0].tobytes() and first[1:] == again[1:]
+            c = kernels.span_coefficients(r, keep, first[0])
+            assert c.tobytes() == kernels.span_coefficients(r, keep, again[0]).tobytes()
 
     def test_perfbench_traces_the_phase_by_its_old_name(self):
         assert kernels.coordinate_descent is kernels.alternating_projection

@@ -469,28 +469,30 @@ def _cli_search(*argv):
 class TestProjectionPhase:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_phase_stops_at_the_first_certified_start(self, monkeypatch, workers):
-        real, real_map = kernels.alternating_projection, kernels.least_squares_map
-        runs, maps = [], []
+        real, real_span = kernels.alternating_projection, kernels.orthonormal_span
+        runs, spans = [], []
 
         def counted(*args):
             runs.append(real(*args))
             return runs[-1]
 
         monkeypatch.setattr(kernels, "alternating_projection", counted)
-        monkeypatch.setattr(kernels, "least_squares_map", lambda b: maps.append(b) or real_map(b))
+        monkeypatch.setattr(kernels, "orthonormal_span", lambda b: spans.append(real_span(b)) or spans[-1])
         doc = _cli_search("--q", "5", "--dim", "9", "--seed", "1", "--workers", str(workers))
         L, cfg = random_subspace(5, 9, 1), SearchConfig(seed=1, workers=workers)
+        span, r, keep = real_span(L.float_image())
 
         def certify(result):
-            c, _, _, hit = result
-            return search._certify(L, c) if hit else None
+            z, _, _, hit = result
+            return search._certify(L, kernels.span_coefficients(r, keep, z)) if hit else None
 
         # every start before the last fails to certify; the last gives the
-        # witness, and the least-squares map is made once for all of them
-        assert 0 < len(runs) < search.PROJECTION_STARTS and len(maps) == 1
-        assert [certify(r) for r in runs[:-1]] == [None] * (len(runs) - 1)
+        # witness, and the orthonormal span is made once for all of them
+        assert 0 < len(runs) < search.PROJECTION_STARTS and len(spans) == 1
+        assert [a.tobytes() for a in spans[0]] == [a.tobytes() for a in (span, r, keep)]
+        assert [certify(run) for run in runs[:-1]] == [None] * (len(runs) - 1)
         assert certify(runs[-1]).to_json() == doc["witness"]
-        assert doc["samples_used"] == cfg.samples + sum(r[2] for r in runs)
+        assert doc["samples_used"] == cfg.samples + sum(run[2] for run in runs)
 
         # the eager schedule (all starts, then the first that certifies in
         # rank order) picks the same witness
@@ -499,16 +501,15 @@ class TestProjectionPhase:
         coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
         f = kernels.batch_stats(basisf, coeffs, search.FLOAT_TOLERANCE)[3]
         order = np.argsort(-f, kind="stable")[: search.PROJECTION_STARTS]
-        lsq = real_map(basisf)
-        eager = [real(basisf, lsq, coeffs[i], search.CERTIFY_MARGIN) for i in order]
+        eager = [real(span, r @ coeffs[i], search.CERTIFY_MARGIN) for i in order]
         first = next(w for w in map(certify, eager) if w is not None)
         assert first.to_json() == doc["witness"]
 
-    def test_no_least_squares_map_when_a_sample_certifies(self, monkeypatch):
-        maps = []
-        monkeypatch.setattr(kernels, "least_squares_map", maps.append)
+    def test_no_orthonormal_span_when_a_sample_certifies(self, monkeypatch):
+        spans = []
+        monkeypatch.setattr(kernels, "orthonormal_span", spans.append)
         rep = run_search(random_subspace(5, 9, 2), SearchConfig(seed=2))
-        assert rep.witness is not None and rep.samples_used == 128 and maps == []
+        assert rep.witness is not None and rep.samples_used == 128 and spans == []
 
     @pytest.mark.parametrize("q,dim", [(4, 3), (4, 5), (8, 5)])
     def test_witness_free_subspace_runs_every_start_to_stagnation(self, q, dim):
@@ -554,10 +555,17 @@ class TestPhaseRobustness:
         for dim in sorted({1, q * q}):
             L = random_subspace(q, dim, seed=q)
             assert self._check(L, SearchConfig(seed=q, samples=samples)).witness is not None
-            basis = L.float_image()
-            lsq = kernels.least_squares_map(basis)
+            span, r, _ = kernels.orthonormal_span(L.float_image())
             for c0 in np.eye(dim):
-                assert kernels.alternating_projection(basis, lsq, c0, search.CERTIFY_MARGIN)[3]
+                assert kernels.alternating_projection(span, r @ c0, search.CERTIFY_MARGIN)[3]
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_empty_basis(self, q):
+        # every sample is the zero element, escalated and left out of the
+        # histogram; the phase runs on a span of no columns
+        rep = self._check(SubspaceBasis(q, []), SearchConfig(seed=1, samples=3))
+        assert rep.witness is None and rep.samples_used == 3
+        assert rep.histogram == {} and rep.escalations == 3
 
     @pytest.mark.parametrize("q,dim", [(4, 6), (5, 9), (6, 6)])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -579,10 +587,10 @@ class TestPhaseRobustness:
         L = SubspaceBasis(4, [g.scale(scales[k % len(scales)]) for k, g in enumerate(gens)])
         for seed in (1, 2, 3):
             self._check(L, SearchConfig(seed=seed, samples=1))
-        basis = L.float_image()
-        lsq = kernels.least_squares_map(basis)
+        span, r, keep = kernels.orthonormal_span(L.float_image())
         for c0 in np.eye(L.dim):
-            kernels.alternating_projection(basis, lsq, c0, search.CERTIFY_MARGIN)
+            z = kernels.alternating_projection(span, r @ c0, search.CERTIFY_MARGIN)[0]
+            kernels.span_coefficients(r, keep, z)
 
 
 def _perfbench_tracing():
@@ -757,6 +765,7 @@ class TestFloatRange:
             want.append([[complex(r * up / d, m * up / d) for r, m in zip(*rows)] for rows in zip(X.re, X.im)])
         image = L.float_image()
         assert image.tobytes() == np.array(want, dtype=np.complex128).tobytes()
+        assert image.flags.c_contiguous  # orthonormal_span reads a real view of it
         assert not np.signbit(np.diagonal(image.imag, axis1=1, axis2=2)).any()
 
     def test_empty_basis_image(self):
