@@ -349,8 +349,9 @@ def congruence_transform(X: HermitianMatrix, P: Sequence[Sequence]) -> Hermitian
 
 
 def _berkowitz(re: list, im: list) -> list:
-    """Coefficients [1, c_1, ..., c_q] of det(yI - B) = sum c_k y^(q-k) for a
-    Hermitian Gaussian-integer matrix B = re + i*im, division free.
+    """Coefficients [c_q, ..., c_1, 1] of det(yI - B) = sum c_k y^(q-k), in
+    ascending degree, for a Hermitian Gaussian-integer matrix B = re + i*im,
+    division free.
 
     Berkowitz's recursion borders the leading principal block A (m x m)
     with corner a, row R and column C: the new polynomial is the Toeplitz
@@ -393,8 +394,10 @@ def _berkowitz(re: list, im: list) -> list:
             if s & 1 and sum(map(mul, x[0::2], y[1::2])) != sum(map(mul, x[1::2], y[0::2])):
                 raise InconsistencyError("non-real Berkowitz coefficient")
             col.append(-sum(map(mul, x, y)))
-        # Toeplitz product: new[i] = sum_j col[i - j] * poly[j], 0 <= j <= min(i, deg)
-        poly = [sum(map(mul, col[i::-1], poly)) for i in range(len(poly) + 1)]
+        # Toeplitz product in ascending degree: new[k] = col . ([0] + poly)[k:],
+        # each sum ending with its shorter operand
+        padded = [0, *poly]
+        poly = [sum(map(mul, col, padded[k:])) for k in range(m + 2)]
     return poly
 
 
@@ -403,7 +406,7 @@ def char_poly(X: HermitianMatrix) -> RationalPolynomial:
 
     Berkowitz's division-free algorithm (see :func:`_berkowitz`, which
     rechecks conjugate symmetry) runs on the integer matrix den*X; the
-    coefficient of x^(q-k) is then divided by den^k.
+    coefficient of x^k is then divided by den^(q-k).
     """
     poly = _berkowitz(X.re, X.im)
-    return RationalPolynomial([Fraction(c, X.den**k) for k, c in enumerate(poly)][::-1])
+    return RationalPolynomial([Fraction(c, X.den ** (X.q - k)) for k, c in enumerate(poly)])

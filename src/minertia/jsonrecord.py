@@ -13,8 +13,10 @@ from the fields and their types.  ``from_json`` accepts exactly what
 ``to_json`` writes: integers are JSON integers (never bools or floats),
 bools are JSON booleans, rationals are ``"p/q"`` strings, and a document
 that is not an object, lacks a key whose field has no default, or holds a
-value of the wrong type raises ``ValueError`` naming the key.  Unknown
-keys are ignored.
+value of the wrong type raises ``ValueError`` naming the key.  So does one
+that lacks a derived key (a property written after the fields) or holds
+another value there than the fields derive, by JSON type or by value:
+``true`` is not ``1``.  Unknown keys are ignored.
 
 Supported field types: ``int``, ``bool``, ``str``, ``Fraction``, ``Enum``
 subclasses (by value), ``Optional[T]``, ``Tuple[T, ...]`` (a JSON list),
@@ -206,8 +208,9 @@ def json_record(cls=None, *, keys=(), derived=(), custom=(), check=None):
     here.
 
     ``keys`` maps a field name to its JSON key when they differ.
-    ``derived`` names properties written after the fields and ignored on
-    reading.  ``custom`` maps a field name to ``(write(value),
+    ``derived`` names properties written after the fields; on reading,
+    each must be present and equal, in type and value, the property of the
+    record read.  ``custom`` maps a field name to ``(write(value),
     read(value, doc))`` for a field whose JSON shape depends on the rest
     of the document.  ``check(record)`` vets each record ``from_json``
     reads and returns what is wrong with it, or None: a load-only step for
@@ -248,6 +251,12 @@ def json_record(cls=None, *, keys=(), derived=(), custom=(), check=None):
                 else:
                     values.append(read(value, obj if what is None else what))
             made = klass(*values)
+            for name in derived_:
+                value, want = obj.get(name, MISSING), getattr(made, name)
+                if value is MISSING:
+                    raise ValueError(f"{cls.__name__} JSON lacks the key {name!r}")
+                if type(value) is not type(want) or value != want:
+                    raise ValueError(f"{cls.__name__} {name!r} is {value!r}, not {want!r}")
             if check and (fault := check(made)):
                 raise ValueError(f"{cls.__name__} JSON is inconsistent: {fault}")
             return made

@@ -79,15 +79,20 @@ def orthonormal_span(basis: np.ndarray):
     C-contiguous (d, q, q) ``basis``, a view with Re and Im side by side:
     ``(Q @ z).view(np.complex128)`` is the element with coordinates z on Q,
     and ``y.view(np.float64).ravel() @ Q`` projects a Hermitian y onto Q.  A
-    matrix whose float image lies in the span of those before it can leave
-    an exactly zero pivot: it leaves ``keep``, the QR is redone, R is Q^T A."""
+    matrix whose float image lies in the span of those before it up to
+    rounding leaves a pivot |R_kk| of at most max(2q^2, d) eps times its
+    column's norm ||A e_k|| = ||R e_k||: every such matrix leaves ``keep``
+    at once, one more QR spans the rest, and R is Q^T A."""
     d, q, _ = basis.shape
-    image, keep = basis.view(np.float64).reshape(d, 2 * q * q).T, np.arange(d)
+    image = basis.view(np.float64).reshape(d, 2 * q * q).T
     span, r = np.linalg.qr(image)
-    while not r.diagonal().all():
-        keep = np.delete(keep, np.flatnonzero(r.diagonal() == 0)[0])
-        span, r = np.linalg.qr(image[:, keep])
-    return span, (r if len(keep) == d else span.T @ image), keep
+    norms = np.hypot.reduce(r, axis=0)  # ||R e_k||, where a sum of squares could overflow
+    noise = max(2 * q * q, d) * np.finfo(np.float64).eps * norms
+    keep = np.flatnonzero(np.abs(r.diagonal()) > noise[: len(r)])  # d > 2q^2: the rest drop
+    if len(keep) == d:
+        return span, r, keep
+    span = np.linalg.qr(image[:, keep])[0]
+    return span, span.T @ image, keep
 
 
 def span_coefficients(r: np.ndarray, keep: np.ndarray, z: np.ndarray) -> np.ndarray:

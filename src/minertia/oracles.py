@@ -35,7 +35,7 @@ def descartes_inertia(X: HermitianMatrix) -> Inertia:
     multiplicity of the root 0 (trailing zero coefficients), n_plus the
     variations of p(x), n_minus those of p(-x).
     """
-    coeffs = _berkowitz(X.re, X.im)[::-1]  # ascending
+    coeffs = _berkowitz(X.re, X.im)
     n_zero = 0
     while coeffs and not coeffs[0]:
         coeffs.pop(0)

@@ -531,7 +531,7 @@ def _read_flat_basis(value, doc: dict) -> SubspaceBasis:
     return SubspaceBasis.from_json({"q": doc.get("q"), "basis": value})
 
 
-@json_record(custom={"basis": (_flat_basis, _read_flat_basis)})
+@json_record(custom={"basis": (_flat_basis, _read_flat_basis)}, derived=("certified", "warning"))
 class GrowReport:
     q: int
     target_dim: int
@@ -539,16 +539,32 @@ class GrowReport:
     seed: int
     basis: SubspaceBasis
     steps: Tuple[GrowStep, ...]
-    certified: bool  # always False: candidates only, never a proof
-    warning: Optional[str]
 
     def __post_init__(self):
         if self.achieved_dim != self.basis.dim:
             raise ValueError(
                 f"'achieved_dim' {self.achieved_dim} is not the basis dimension {self.basis.dim}"
             )
-        if self.certified is not False:
-            raise ValueError("'certified' is true, but growth yields candidates only")
+
+    @property
+    def certified(self) -> bool:
+        """Always False: growth yields candidates only, never a proof."""
+        return False
+
+    @property
+    def warning(self) -> Optional[str]:
+        """What a target above the dimension limit means, or None."""
+        try:
+            limit = dim_limit_min_inertia_ge2(self.q)
+        except HypothesisNotMetError:
+            return None  # no dimension limit applies to this q
+        if self.target_dim <= limit:
+            return None
+        return (
+            f"target {self.target_dim} exceeds the dimension limit {limit} for q={self.q}; "
+            "every subspace of larger dimension contains an element with m <= 1, "
+            "so a larger achieved dimension means the budget missed one"
+        )
 
 
 def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
@@ -558,18 +574,6 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
     ``warning`` says when the target exceeds the dimension limit."""
     if not 0 <= target_dim <= q * q:
         raise ValueError(f"target_dim must lie in [0, {q * q}]")
-    warning = None
-    try:
-        limit = dim_limit_min_inertia_ge2(q)
-        if target_dim > limit:
-            warning = (
-                f"target {target_dim} exceeds the dimension limit {limit} for q={q}; "
-                "every subspace of larger dimension contains an element with m <= 1, "
-                "so a larger achieved dimension means the budget missed one"
-            )
-    except HypothesisNotMetError:
-        warning = None  # no dimension limit applies to this q
-
     rng = _stream(cfg.seed, _PURPOSE_GROW)
     L = _empty_basis(q)
     steps: List[GrowStep] = []
@@ -599,6 +603,4 @@ def grow_subspace(q: int, target_dim: int, cfg: SearchConfig) -> GrowReport:
         seed=cfg.seed,
         basis=L,
         steps=tuple(steps),
-        certified=False,
-        warning=warning,
     )

@@ -113,7 +113,7 @@ def _high_multiplicity_shift(X: HermitianMatrix) -> Optional[Tuple[Fraction, Ine
             f"high-multiplicity detection requires q >= 5, got {q}"
         )
     block_re, block_im = ([list(row[:5]) for row in grid[:5]] for grid in (X.re, X.im))
-    g = _int_gcd_tower(_berkowitz(block_re, block_im)[::-1], 2)
+    g = _int_gcd_tower(_berkowitz(block_re, block_im), 2)
     e = len(g) - 1
     if e == 0:
         return None

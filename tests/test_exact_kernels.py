@@ -176,7 +176,7 @@ class TestInertiaAgainstOracle:
         Y = X.scale(Fraction(1, 3**40))
         assert Y.den % 3**40 == 0
         assert descartes_inertia(Y) == inertia(Y) == inertia(X)
-        signs = [(c > 0) - (c < 0) for c in char_poly(Y).coeffs[::-1]]
+        signs = [(c > 0) - (c < 0) for c in char_poly(Y).coeffs]
         assert signs == [(c > 0) - (c < 0) for c in _berkowitz(Y.re, Y.im)]
 
 

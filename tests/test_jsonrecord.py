@@ -59,7 +59,7 @@ VALID = {
     Witness: _SEARCH.witness.to_json(),
     SearchReport: _SEARCH.to_json(),
     GrowStep: _STEPS[0].to_json(),
-    GrowReport: GrowReport(2, 3, 2, 1, _BASIS, _STEPS, False, "a warning").to_json(),
+    GrowReport: GrowReport(2, 3, 2, 1, _BASIS, _STEPS).to_json(),
 }
 
 RECORDS = [
@@ -76,7 +76,7 @@ _ENTRY = BoundEntry("general_type", 13, True, "3q - 2, unconditional for general
 _WITNESS = Witness(
     (Fraction(1), Fraction(-1, 2)), HermitianMatrix.diagonal([1, Fraction(-1, 2)]), Inertia(1, 1, 0)
 )
-_GROW = GrowReport(2, 3, 1, 1, random_subspace(2, 1, 1), _STEPS[:1], False, None)
+_GROW = GrowReport(2, 3, 1, 1, random_subspace(2, 1, 1), _STEPS[:1])
 
 # one instance of every record, with the repr a frozen dataclass gave it
 REPRS = [
@@ -113,8 +113,7 @@ REPRS = [
      "histogram={2: 120, 3: 8}, workers=1, backend='numpy', escalations=0)"),
     (_STEPS[0], "GrowStep(target_slot=0, attempts=3, accepted=True, rejected_with_witness=2)"),
     (_GROW, f"GrowReport(q=2, target_dim=3, achieved_dim=1, seed=1, basis={_GROW.basis!r}, "
-     "steps=(GrowStep(target_slot=0, attempts=3, accepted=True, rejected_with_witness=2),), "
-     "certified=False, warning=None)"),
+     "steps=(GrowStep(target_slot=0, attempts=3, accepted=True, rejected_with_witness=2),))"),
 ]
 
 
@@ -313,16 +312,17 @@ class TestRejectsInconsistentValues:
 
     def test_grow_report_constructor_vets_too(self):
         with pytest.raises(ValueError, match="'achieved_dim' 1"):
-            GrowReport(2, 3, 1, 1, _BASIS, (), False, None)
-        with pytest.raises(ValueError, match="'certified' is true"):
-            GrowReport(2, 3, 2, 1, _BASIS, (), True, None)
+            GrowReport(2, 3, 1, 1, _BASIS, ())
+        # 'certified' and 'warning' are derived: no argument sets them
+        with pytest.raises(TypeError, match="unexpected keyword argument 'certified'"):
+            GrowReport(2, 3, 2, 1, _BASIS, (), certified=True)
 
     def test_grow_report_dimension_must_be_the_basis_dimension(self):
         with pytest.raises(ValueError, match="'achieved_dim' 7"):
             GrowReport.from_json(_with(GrowReport, achieved_dim=7, basis=[]))
 
     def test_grow_report_is_never_certified(self):
-        with pytest.raises(ValueError, match="'certified' is true"):
+        with pytest.raises(ValueError, match="'certified' is True, not False"):
             GrowReport.from_json(_with(GrowReport, certified=True))
 
     def test_witness_inertia_must_be_its_elements(self):
@@ -338,3 +338,53 @@ class TestRejectsInconsistentValues:
         doc = _with(Witness, element=element.to_json(), inertia=Inertia(2, 2, 0).to_json())
         with pytest.raises(ValueError, match="m <= 1"):
             Witness.from_json(doc)
+
+
+_WARNED = GrowReport(5, 9, 1, 1, random_subspace(5, 1, 1), _STEPS[:1])
+
+
+class TestDerivedKeysAreCheckedOnRead:
+    """A derived key must be present and hold what the fields derive, in
+    JSON type and in value."""
+
+    _INERTIA = {"n_plus": 1, "n_minus": 2, "n_zero": 0, "m": 1, "rank": 3}
+
+    @pytest.mark.parametrize("key", ["m", "rank"])
+    def test_missing_derived_key_is_named(self, key):
+        doc = {k: v for k, v in self._INERTIA.items() if k != key}
+        with pytest.raises(ValueError, match=f"Inertia JSON lacks the key '{key}'"):
+            Inertia.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "key,bad", [("m", 7), ("m", True), ("m", 1.0), ("m", None), ("rank", "x"), ("rank", "3")]
+    )
+    def test_wrong_derived_value_is_named(self, key, bad):
+        assert Inertia.from_json(self._INERTIA) == Inertia(1, 2, 0)
+        with pytest.raises(ValueError, match=f"Inertia '{key}' is {bad!r}, not "):
+            Inertia.from_json({**self._INERTIA, key: bad})
+
+    def test_the_first_wrong_derived_key_is_named(self):
+        with pytest.raises(ValueError, match="Inertia 'm' is 7, not 1"):
+            Inertia.from_json({"n_plus": 1, "n_minus": 2, "n_zero": 0, "m": 7, "rank": "x"})
+
+    def test_inside_a_search_reports_witness(self):
+        inertia = {**VALID[Witness]["inertia"]}
+        inertia["rank"] += 1
+        with pytest.raises(ValueError, match="Inertia 'rank' is"):
+            SearchReport.from_json(_with(SearchReport, witness=_with(Witness, inertia=inertia)))
+
+    def test_grow_report_warning_is_the_one_its_q_and_target_give(self):
+        doc = _WARNED.to_json()
+        assert doc["warning"].startswith("target 9 exceeds the dimension limit 8 for q=5")
+        assert GrowReport.from_json(doc).to_json() == doc
+        for bad in (None, doc["warning"] + ".", "a warning"):
+            with pytest.raises(ValueError, match="GrowReport 'warning' is"):
+                GrowReport.from_json({**doc, "warning": bad})
+        with pytest.raises(ValueError, match="GrowReport 'warning' is 'a warning', not None"):
+            GrowReport.from_json(_with(GrowReport, warning="a warning"))
+
+    @pytest.mark.parametrize("key", ["certified", "warning"])
+    def test_grow_report_missing_derived_key_is_named(self, key):
+        doc = {k: v for k, v in _WARNED.to_json().items() if k != key}
+        with pytest.raises(ValueError, match=f"GrowReport JSON lacks the key '{key}'"):
+            GrowReport.from_json(doc)

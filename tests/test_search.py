@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gamma_matrices
-from minertia import kernels, search
+from minertia import criteria, kernels, search
 from minertia.cli import main
+from minertia.criteria import check_witness
 from minertia.exactnum import GaussianRational, scaled_gaussian_grid
-from minertia.hermitian_core import HermitianMatrix, inertia
+from minertia.hermitian_core import HermitianMatrix, Inertia, inertia
 from minertia.search import (
     GrowReport,
     SearchConfig,
@@ -94,7 +95,7 @@ class TestSubspaceBasis:
         L = random_subspace(size, 1, seed=1)
         doc = L.to_json()
         if report:
-            doc = GrowReport(size, 1, 1, 1, L, (), False, None).to_json()
+            doc = GrowReport(size, 1, 1, 1, L, ()).to_json()
         with pytest.raises(ValueError, match="'q' must be an integer"):
             (GrowReport if report else SubspaceBasis).from_json({**doc, "q": bad_q})
 
@@ -405,14 +406,9 @@ class TestFalsifier:
 
     def test_witness_is_exactly_certified(self):
         L = random_subspace(5, 9, seed=7)
-        rep = run_search(L, SearchConfig(seed=7))
-        w = rep.witness
+        w = run_search(L, SearchConfig(seed=7)).witness
         assert w is not None
-        element = L.element(w.coefficients)
-        assert element == w.element
-        assert not element.is_zero()
-        assert inertia(element) == w.inertia
-        assert min(w.inertia.n_plus, w.inertia.n_minus) <= 1
+        check_witness(L, w)
 
     def test_report_determinism(self):
         L = random_subspace(5, 9, seed=13)
@@ -457,6 +453,74 @@ class TestFalsifier:
         rep = run_search(L, SearchConfig(seed=19))
         doc = json.loads(json.dumps(rep.to_json()))
         assert SearchReport.from_json(doc).to_json() == rep.to_json()
+
+
+class TestCheckWitness:
+    """``criteria.check_witness`` re-derives a witness from its subspace and
+    refuses each way one can be wrong with its own message."""
+
+    @pytest.fixture(scope="class")
+    def seed_1(self):
+        # search --q 5 --dim 9 --seed 1
+        L = random_subspace(5, 9, 1)
+        return L, run_search(L, SearchConfig(seed=1)).witness
+
+    def test_a_search_witness_passes_without_the_product_that_made_it(self, seed_1, monkeypatch):
+        def product(*args):
+            raise AssertionError("SubspaceBasis.element ran")
+
+        L, w = seed_1
+        monkeypatch.setattr(SubspaceBasis, "element", product)
+        check_witness(L, w)
+
+    def test_a_swapped_element(self, seed_1):
+        # a document whose element and inertia are swapped for another
+        # matrix's reads back: reading checks the element's inertia only
+        L, w = seed_1
+        swapped = HermitianMatrix.diagonal([1, -1, -1, -1, -1])
+        doc = {**w.to_json(), "element": swapped.to_json(), "inertia": inertia(swapped).to_json()}
+        with pytest.raises(AssertionError, match=r"^the element is not sum_i c_i B_i"):
+            check_witness(L, Witness.from_json(doc))
+
+    def test_a_changed_coefficient(self, seed_1):
+        L, w = seed_1
+        coeffs = (w.coefficients[0] + Fraction(1, 2**24),) + w.coefficients[1:]
+        with pytest.raises(AssertionError, match=r"^the element is not sum_i c_i B_i"):
+            check_witness(L, Witness(coeffs, w.element, w.inertia))
+
+    def test_a_missing_coefficient(self, seed_1):
+        L, w = seed_1
+        with pytest.raises(AssertionError, match="^8 coefficients for a basis of 9 matrices"):
+            check_witness(L, Witness(w.coefficients[1:], w.element, w.inertia))
+
+    def test_a_stated_inertia_that_elimination_does_not_give(self, seed_1):
+        L, w = seed_1
+        wrong = Inertia(0, 0, 5)
+        assert inertia(w.element) != wrong
+        msg = r"^elimination gives .*, not the stated Inertia\(n_plus=0, n_minus=0, n_zero=5\)$"
+        with pytest.raises(AssertionError, match=msg):
+            check_witness(L, Witness(w.coefficients, w.element, wrong))
+
+    def test_an_oracle_that_disagrees_with_elimination(self, seed_1, monkeypatch):
+        # elimination made to agree with a wrong inertia: the oracle refuses it
+        L, w = seed_1
+        wrong = Inertia(0, 0, 5)
+        monkeypatch.setattr(criteria, "inertia", lambda X: wrong)
+        msg = "^the sign-variation oracle gives .*, not the stated"
+        with pytest.raises(AssertionError, match=msg):
+            check_witness(L, Witness(w.coefficients, w.element, wrong))
+
+    def test_a_zero_element(self, seed_1):
+        L, _ = seed_1
+        zero = Witness((Fraction(0),) * 9, HermitianMatrix.zero(5), Inertia(0, 0, 5))
+        with pytest.raises(AssertionError, match="^the element is zero"):
+            check_witness(L, zero)
+
+    def test_minimal_inertia_above_1(self):
+        X = HermitianMatrix.diagonal([1, 1, -1, -1, 0])
+        L = SubspaceBasis(5, [X])
+        with pytest.raises(AssertionError, match=r"^the inertia .* has m = 2 > 1"):
+            check_witness(L, Witness((Fraction(1),), X, inertia(X)))
 
 
 def _cli_search(*argv):
@@ -525,21 +589,26 @@ class TestPhaseRobustness:
     def _check(L, cfg):
         rep = run_search(L, cfg)
         if rep.witness is not None:
-            w = rep.witness
-            assert L.element(w.coefficients) == w.element
-            assert inertia(w.element) == w.inertia and w.inertia.m <= 1
+            check_witness(L, rep.witness)
         return rep
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_two_identical_float_columns(self, seed):
-        # X and X + 2^-80 D are independent, but their float images are equal
+    def test_two_identical_float_columns(self, monkeypatch, seed):
+        # X and X + 2^-80 D are independent, but their float images are equal:
+        # the twin's QR column is rounding noise, so it leaves the span, and
+        # no start hits along it (a hit there pays an exact certification of
+        # coefficients near 1e15, which is refused)
         x = HermitianMatrix.diagonal([1, 1, -1, -1])
         twin = x.add(HermitianMatrix.diagonal([1, -1, 1, -1]).scale(Fraction(1, 2**80)))
         L = SubspaceBasis(4, [x, twin] + gamma_matrices(4)[:3])
         image = L.float_image()
         assert np.array_equal(image[0], image[1])
+        assert kernels.orthonormal_span(image)[2].tolist() == [0, 2, 3, 4]
+        calls, certify = [], search._certify
+        monkeypatch.setattr(search, "_certify", lambda *a: calls.append(a) or certify(*a))
         rep = self._check(L, SearchConfig(seed=seed, samples=4))
         assert rep.samples_used > 4  # the phase ran
+        assert calls == []
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_an_exactly_zero_pivot(self, seed):
@@ -697,11 +766,9 @@ class TestFloatRange:
         L = SubspaceBasis(2, [HermitianMatrix.diagonal(values)])
         image = L.float_image()
         assert np.isfinite(image).all() and np.abs(image).max() > 0
-        rep = run_search(L, SearchConfig(seed=1, samples=10))
-        w = rep.witness
+        w = run_search(L, SearchConfig(seed=1, samples=10)).witness
         assert w is not None
-        assert L.element(w.coefficients) == w.element
-        assert inertia(w.element) == w.inertia and w.inertia.m <= 1
+        check_witness(L, w)
 
     @pytest.mark.parametrize("k,scaled", [(1000, False), (1001, True), (-1000, False), (-1001, True)])
     def test_only_out_of_range_images_are_scaled(self, k, scaled):
@@ -784,9 +851,7 @@ class TestFloatRange:
         assert np.isfinite(L.float_image()).all()
         rep = run_search(L, SearchConfig(seed=seed, samples=20))
         if rep.witness is not None:
-            w = rep.witness
-            assert L.element(w.coefficients) == w.element
-            assert inertia(w.element) == w.inertia and w.inertia.m <= 1
+            check_witness(L, rep.witness)
 
 
 def _dyadic_coefficients(L, w):
