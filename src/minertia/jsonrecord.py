@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .exactnum import format_rational, parse_rational
 
-_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")  # one spelling per integer: no "-0"
 
 MISSING = object()  # the default of a field that has none
 

@@ -48,19 +48,18 @@ np = _lazy_import("numpy")
 BACKEND = "numpy"
 
 
-def batch_stats(basis: np.ndarray, coeffs: np.ndarray, tol: float):
-    """Per-sample sign counts and objective for elements sum_i c_i B_i.
+def batch_stats(span: np.ndarray, coords: np.ndarray, tol: float):
+    """Per-sample sign counts and objective for the elements Q z of the
+    coordinate rows z of ``coords`` (n, r) on the orthonormal columns Q =
+    ``span`` (2q^2, r) of :func:`orthonormal_span`.
 
-    basis: (d, q, q) complex128; coeffs: (n, d) float64.
     Returns int64 arrays (n_plus, n_minus, n_uncertain) and float64 f, the
     objective max(lambda_2, -lambda_{q-1}) / max|lambda| of each sorted
     eigenvalue row: f >= 0 exactly when at most one eigenvalue of some sign
     remains; f is 1 at q = 1 and -inf for the zero matrix.
     """
-    d, q, _ = basis.shape
-    n = coeffs.shape[0]
-    flat = basis.reshape(d, q * q)
-    xs = (coeffs @ flat).reshape(n, q, q)
+    q = math.isqrt(len(span) // 2)
+    xs = (coords @ span.T).view(np.complex128).reshape(-1, q, q)
     ev = np.linalg.eigvalsh(xs)
     scale = np.maximum(-ev[:, 0], ev[:, -1])  # max |lambda| of a sorted row
     # a threshold that overflows is inf: every eigenvalue of its row is uncertain
@@ -75,33 +74,34 @@ def batch_stats(basis: np.ndarray, coeffs: np.ndarray, tol: float):
 
 
 def orthonormal_span(basis: np.ndarray):
-    """(Q, R, keep) of one QR, A = QR, of the real (2q^2, d) image A of the
-    C-contiguous (d, q, q) ``basis``, a view with Re and Im side by side:
-    ``(Q @ z).view(np.complex128)`` is the element with coordinates z on Q,
-    and ``y.view(np.float64).ravel() @ Q`` projects a Hermitian y onto Q.  A
-    matrix whose float image lies in the span of those before it up to
-    rounding leaves a pivot |R_kk| of at most max(2q^2, d) eps times its
-    column's norm ||A e_k|| = ||R e_k||: every such matrix leaves ``keep``
-    at once, one more QR spans the rest, and R is Q^T A."""
+    """(Q, R, keep) of one QR, A[:, keep] = QR, of the real (2q^2, d) image A
+    of the C-contiguous (d, q, q) ``basis``, a view with Re and Im side by
+    side: ``(Q @ z).view(np.complex128)`` is the element with coordinates z
+    on Q, of Frobenius norm ||z||, and ``y.view(np.float64).ravel() @ Q``
+    projects a Hermitian y onto Q.  A matrix whose float image lies in the
+    span of those before it up to rounding leaves a pivot |R_kk| of at most
+    max(2q^2, d) eps times its column's norm ||A e_k|| = ||R e_k||: every
+    such matrix leaves ``keep`` at once, and one more QR spans the rest."""
     d, q, _ = basis.shape
     image = basis.view(np.float64).reshape(d, 2 * q * q).T
     span, r = np.linalg.qr(image)
     norms = np.hypot.reduce(r, axis=0)  # ||R e_k||, where a sum of squares could overflow
     noise = max(2 * q * q, d) * np.finfo(np.float64).eps * norms
     keep = np.flatnonzero(np.abs(r.diagonal()) > noise[: len(r)])  # d > 2q^2: the rest drop
-    if len(keep) == d:
-        return span, r, keep
-    span = np.linalg.qr(image[:, keep])[0]
-    return span, span.T @ image, keep
+    if len(keep) < d:
+        span, r = np.linalg.qr(image[:, keep])
+    return span, r, keep
 
 
-def span_coefficients(r: np.ndarray, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Coefficients c of Q z, for (Q, R, keep) of :func:`orthonormal_span`:
-    R[:, keep] c[keep] = z by back substitution, c 0 for a dropped matrix."""
-    c = np.zeros(r.shape[1])
+def span_coefficients(r: np.ndarray, keep: np.ndarray, z: np.ndarray, dim: int) -> np.ndarray:
+    """The ``dim`` basis coefficients c of Q z, for (Q, R, keep) of
+    :func:`orthonormal_span`: R c[keep] = z by back substitution, c 0 for a
+    dropped matrix."""
+    y, c = np.zeros(len(keep)), np.zeros(dim)
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny pivot may overflow
-        for k, j in reversed(list(enumerate(keep.tolist()))):
-            c[j] = (z[k] - r[k, j + 1 :] @ c[j + 1 :]) / r[k, j]
+        for k in reversed(range(len(keep))):
+            y[k] = (z[k] - r[k, k + 1 :] @ y[k + 1 :]) / r[k, k]
+    c[keep] = y
     return c
 
 

@@ -222,8 +222,9 @@ class SubspaceBasis:
     (Python ints) otherwise.  :meth:`float_image` scatters them to grids
     and divides, and :meth:`element` is one exact product with them; the
     tuple of ``HermitianMatrix`` in :attr:`basis` is built on first read.
-    A basis holds the ``ModularEchelon`` of its coordinates;
-    :meth:`_extended` tests new rows against it, and builds every basis."""
+    A basis holds the ``ModularEchelon`` of its coordinates: the
+    constructor tests all its matrices in one block on a fresh echelon,
+    and :meth:`_extended` tests new rows against a copy of it."""
 
     __slots__ = ("q", "_den", "_coords", "_exps", "_basis", "_echelon")
 
@@ -240,12 +241,12 @@ class SubspaceBasis:
         den = np.array([b.den for b in basis], dtype=dtype)
         grids = np.array([(b.re, b.im) for b in basis], dtype=dtype).reshape(-1, 2 * q * q)
         coords = grids[:, _layout(q)[-1]]
-        self._set(q, den[:0], coords[:0], (), None, ModularEchelon())
-        full = self._extended(den, coords)
-        if full.dim < len(basis):  # full keeps the matrices before the first dependent one
-            k = next((i for i, (a, b) in enumerate(zip(full.basis, basis)) if a != b), full.dim)
+        echelon = ModularEchelon()
+        kept = echelon.add_block(coords, ())
+        if len(kept) < len(basis):  # the first index missing from kept is dependent
+            k = next((i for i, j in enumerate(kept) if i != j), len(kept))
             raise ValueError(f"basis matrix {k} is linearly dependent")
-        self._set(q, full._den, full._coords, tuple(e for e, _ in ranges), basis, full._echelon)
+        self._set(q, den, coords, tuple(e for e, _ in ranges), basis, echelon)
 
     def _extended(self, den, coords) -> "SubspaceBasis":
         """This basis followed by each candidate row (``den`` (m,) and
@@ -434,45 +435,43 @@ def _exact_m_of_float_coeffs(L: SubspaceBasis, coeff_row: np.ndarray) -> Optiona
     return inertia(L.element(fracs)).m  # a nonzero element, see _certify
 
 
-def _batched_stats(basisf, coeffs, tol, workers):
-    n = coeffs.shape[0]
-    chunks = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
+def _batched_stats(span, coords, tol, workers):
+    chunks = [coords[s : s + _CHUNK] for s in range(0, len(coords), _CHUNK)]
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda se: kernels.batch_stats(basisf, coeffs[se[0] : se[1]], tol), chunks)
-            )
+            parts = list(pool.map(lambda chunk: kernels.batch_stats(span, chunk, tol), chunks))
     else:
-        parts = [kernels.batch_stats(basisf, coeffs[s:e], tol) for s, e in chunks]
+        parts = [kernels.batch_stats(span, chunk, tol) for chunk in chunks]
     return tuple(np.concatenate(col) for col in zip(*parts))  # npl, nmi, nun, f
 
 
 def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchReport:
-    """Full falsifier pass: sampling histogram, exact escalation of
-    tolerance-band samples, certification of direct hits (samples with
-    m <= 1, by the exact m for escalated ones), then alternating
-    projection (:func:`~minertia.kernels.alternating_projection`) from the
-    most promising samples.
-
-    Starts run one at a time, best sampled objective first, on one
-    orthonormal span made when the phase begins; each hit is certified at
-    once, the first that certifies is the witness and no later start runs.
+    """Full falsifier pass in the coordinates z on Q of one QR of L's float
+    image (:func:`~minertia.kernels.orthonormal_span`), made before the
+    samples, seeded unit vectors z: uniform on the unit sphere of L's span
+    in the Frobenius norm.  A sampling histogram, exact escalation of
+    tolerance-band samples and certification of direct hits (m <= 1, by
+    the exact m for escalated ones), then alternating projection
+    (:func:`~minertia.kernels.alternating_projection`) from the best
+    samples, one start at a time, until a hit certifies.  Every candidate
+    reaches exact arithmetic through the basis coefficients of Q z.
     ``samples_used`` counts the samples plus the iterations that ran."""
-    basisf = L.float_image()
-    coeffs = _stream(cfg.seed, _PURPOSE_FALSIFY, _salt).standard_normal((cfg.samples, L.dim))
-    norms = np.linalg.norm(coeffs, axis=1)
+    span, r, keep = kernels.orthonormal_span(L.float_image())
+    z = _stream(cfg.seed, _PURPOSE_FALSIFY, _salt).standard_normal((cfg.samples, len(keep)))
+    norms = np.linalg.norm(z, axis=1)
     norms[norms == 0] = 1.0
-    coeffs /= norms[:, None]  # seeded unit coefficient rows
-    npl, nmi, nun, f = _batched_stats(basisf, coeffs, FLOAT_TOLERANCE, cfg.workers)
+    z /= norms[:, None]  # seeded unit coordinate rows
+    npl, nmi, nun, f = _batched_stats(span, z, FLOAT_TOLERANCE, cfg.workers)
+    lift = functools.partial(kernels.span_coefficients, r, keep, dim=L.dim)  # z -> c of Q z
 
     m = np.minimum(npl, nmi)
     certain = nun == 0
     histogram = {k: n for k, n in enumerate(np.bincount(m[certain]).tolist()) if n}
     escalated = np.flatnonzero(~certain)
     for i in escalated:  # tolerance-band samples: their m is decided exactly
-        mi = _exact_m_of_float_coeffs(L, coeffs[i])
+        mi = _exact_m_of_float_coeffs(L, lift(z[i]))
         if mi is not None:
             histogram[mi] = histogram.get(mi, 0) + 1
         m[i] = 2 if mi is None else mi  # certify below only an exact m <= 1
@@ -480,17 +479,16 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
     samples_used = int(cfg.samples)
     witness: Optional[Witness] = None
     for i in np.flatnonzero(m <= 1):
-        witness = _certify(L, coeffs[i])
+        witness = _certify(L, lift(z[i]))
         if witness is not None:
             break
 
     if witness is None:
-        span, r, keep = kernels.orthonormal_span(basisf)
-        for c0 in coeffs[np.argsort(-f, kind="stable")[:PROJECTION_STARTS]]:
-            z, _, iterations, hit = kernels.alternating_projection(span, r @ c0, CERTIFY_MARGIN)
+        for z0 in z[np.argsort(-f, kind="stable")[:PROJECTION_STARTS]]:
+            zh, _, iterations, hit = kernels.alternating_projection(span, z0, CERTIFY_MARGIN)
             samples_used += iterations
             if hit:
-                witness = _certify(L, kernels.span_coefficients(r, keep, z))
+                witness = _certify(L, lift(zh))
                 if witness is not None:
                     break
 

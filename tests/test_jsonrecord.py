@@ -4,6 +4,7 @@ every report class reads back exactly what it writes, and anything else
 raises ValueError naming the key."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,17 @@ class TestRejectsCoercion:
     def test_search_report_list_histogram(self):
         with pytest.raises(ValueError, match="'histogram'"):
             SearchReport.from_json(_with(SearchReport, histogram=[[1, 20]]))
+
+    @pytest.mark.parametrize("key", ["-0", "00", "01", "+1", " 1", "1.0", "1e0", "", "-"])
+    def test_search_report_histogram_key_other_than_one_integer_spelling(self, key):
+        # "-0" read as 0 would let {"0": 1, "-0": 7} come back as {0: 7}
+        message = f"'histogram' keys must be decimal integers, got {key!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SearchReport.from_json(_with(SearchReport, histogram={"0": 1, key: 7}))
+
+    def test_search_report_histogram_keys_read_back(self):
+        doc = _with(SearchReport, histogram={"-12": 1, "0": 2, "10": 3})
+        assert SearchReport.from_json(doc).histogram == {-12: 1, 0: 2, 10: 3}
 
     @pytest.mark.parametrize("key,bad", [("q", 5.7), ("is_odd", "false")])
     def test_degree_record(self, key, bad):

@@ -530,50 +530,101 @@ def _cli_search(*argv):
     return json.loads(out.getvalue())
 
 
+def _sampled(L, cfg, salt=0):
+    """What ``run_search`` samples: the orthonormal span Q of L's float
+    image, the seeded unit coordinate rows z on it, and the lift of a row
+    to its basis coefficients."""
+    span, r, keep = kernels.orthonormal_span(L.float_image())
+    rng = search._stream(cfg.seed, search._PURPOSE_FALSIFY, salt)
+    z = rng.standard_normal((cfg.samples, len(keep)))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    return span, z, lambda zi: kernels.span_coefficients(r, keep, zi, L.dim)
+
+
 class TestProjectionPhase:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_phase_stops_at_the_first_certified_start(self, monkeypatch, workers):
-        real, real_span = kernels.alternating_projection, kernels.orthonormal_span
-        runs, spans = [], []
+        real = kernels.alternating_projection
+        runs = []
 
         def counted(*args):
             runs.append(real(*args))
             return runs[-1]
 
         monkeypatch.setattr(kernels, "alternating_projection", counted)
-        monkeypatch.setattr(kernels, "orthonormal_span", lambda b: spans.append(real_span(b)) or spans[-1])
-        doc = _cli_search("--q", "5", "--dim", "9", "--seed", "1", "--workers", str(workers))
-        L, cfg = random_subspace(5, 9, 1), SearchConfig(seed=1, workers=workers)
-        span, r, keep = real_span(L.float_image())
+        # seeds 1 and 2 certify a sample; seed 3 runs the phase
+        doc = _cli_search("--q", "5", "--dim", "9", "--seed", "3", "--workers", str(workers))
+        L, cfg = random_subspace(5, 9, 3), SearchConfig(seed=3, workers=workers)
+        span, z, lift = _sampled(L, cfg)
 
         def certify(result):
-            z, _, _, hit = result
-            return search._certify(L, kernels.span_coefficients(r, keep, z)) if hit else None
+            zh, _, _, hit = result
+            return search._certify(L, lift(zh)) if hit else None
 
-        # every start before the last fails to certify; the last gives the
-        # witness, and the orthonormal span is made once for all of them
-        assert 0 < len(runs) < search.PROJECTION_STARTS and len(spans) == 1
-        assert [a.tobytes() for a in spans[0]] == [a.tobytes() for a in (span, r, keep)]
+        # every start before the last fails to certify; the last gives the witness
+        assert 0 < len(runs) < search.PROJECTION_STARTS
         assert [certify(run) for run in runs[:-1]] == [None] * (len(runs) - 1)
         assert certify(runs[-1]).to_json() == doc["witness"]
         assert doc["samples_used"] == cfg.samples + sum(run[2] for run in runs)
 
         # the eager schedule (all starts, then the first that certifies in
         # rank order) picks the same witness
-        basisf = L.float_image()
-        coeffs = search._stream(1, search._PURPOSE_FALSIFY).standard_normal((cfg.samples, L.dim))
-        coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
-        f = kernels.batch_stats(basisf, coeffs, search.FLOAT_TOLERANCE)[3]
+        f = kernels.batch_stats(span, z, search.FLOAT_TOLERANCE)[3]
         order = np.argsort(-f, kind="stable")[: search.PROJECTION_STARTS]
-        eager = [real(span, r @ coeffs[i], search.CERTIFY_MARGIN) for i in order]
+        eager = [real(span, z[i], search.CERTIFY_MARGIN) for i in order]
         first = next(w for w in map(certify, eager) if w is not None)
         assert first.to_json() == doc["witness"]
 
-    def test_no_orthonormal_span_when_a_sample_certifies(self, monkeypatch):
-        spans = []
-        monkeypatch.setattr(kernels, "orthonormal_span", spans.append)
-        rep = run_search(random_subspace(5, 9, 2), SearchConfig(seed=2))
-        assert rep.witness is not None and rep.samples_used == 128 and spans == []
+    @pytest.mark.parametrize("seed,phase", [(2, False), (3, True)])
+    def test_one_orthonormal_span_per_search_also_when_a_sample_certifies(
+        self, monkeypatch, seed, phase
+    ):
+        real, spans = kernels.orthonormal_span, []
+        monkeypatch.setattr(kernels, "orthonormal_span", lambda b: spans.append(real(b)) or spans[-1])
+        L, cfg = random_subspace(5, 9, seed), SearchConfig(seed=seed)
+        rep = run_search(L, cfg)
+        assert rep.witness is not None and (rep.samples_used > cfg.samples) == phase
+        want = real(L.float_image())
+        assert len(spans) == 1 and [a.tobytes() for a in spans[0]] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize(
+        "L,cfg,chunks",
+        [
+            (random_subspace(5, 9, 3), SearchConfig(seed=3), 1),
+            # witness-free, more samples than two chunks, sampled in a thread pool
+            (SubspaceBasis(4, gamma_matrices(4)[:3]), SearchConfig(3, 2 * search._CHUNK + 1, 2), 3),
+        ],
+    )
+    def test_sampling_and_projection_read_the_one_span(self, monkeypatch, L, cfg, chunks):
+        # the float image is only the QR's input: every sample and every
+        # start reads the Q that orthonormal_span returned, and no complex image
+        names = ("orthonormal_span", "batch_stats", "alternating_projection")
+        reals = {name: getattr(kernels, name) for name in names}
+        seen = {name: [] for name in reals}
+
+        def spy(name):
+            def call(*args):
+                seen[name].append(args)
+                return reals[name](*args)
+
+            return call
+
+        for name in reals:
+            monkeypatch.setattr(kernels, name, spy(name))
+        rep = run_search(L, cfg)
+        [(image,)] = seen["orthonormal_span"]
+        assert image.dtype == np.complex128 and image.shape == (L.dim, L.q, L.q)
+        span = reals["orthonormal_span"](image)[0]
+        assert len(seen["batch_stats"]) == chunks and seen["alternating_projection"]
+        assert rep.samples_used == cfg.samples + sum(
+            reals["alternating_projection"](*a)[2] for a in seen["alternating_projection"]
+        )
+        args = seen["batch_stats"] + seen["alternating_projection"]
+        first = args[0][0]
+        assert all(a[0] is first for a in args) and first.tobytes() == span.tobytes()
+        assert first.dtype == np.float64 and first.shape == (2 * L.q * L.q, L.dim)
+        assert sum(len(a[1]) for a in seen["batch_stats"]) == cfg.samples
+        assert all(a[1].shape[-1] == L.dim for a in args)
 
     @pytest.mark.parametrize("q,dim", [(4, 3), (4, 5), (8, 5)])
     def test_witness_free_subspace_runs_every_start_to_stagnation(self, q, dim):
@@ -624,9 +675,10 @@ class TestPhaseRobustness:
         for dim in sorted({1, q * q}):
             L = random_subspace(q, dim, seed=q)
             assert self._check(L, SearchConfig(seed=q, samples=samples)).witness is not None
-            span, r, _ = kernels.orthonormal_span(L.float_image())
-            for c0 in np.eye(dim):
-                assert kernels.alternating_projection(span, r @ c0, search.CERTIFY_MARGIN)[3]
+            # at q <= 3 every nonzero element has m <= 1: each column of Q hits
+            span, _, keep = kernels.orthonormal_span(L.float_image())
+            for z0 in np.eye(len(keep)):
+                assert kernels.alternating_projection(span, z0, search.CERTIFY_MARGIN)[3]
 
     @pytest.mark.parametrize("q", [1, 3])
     def test_empty_basis(self, q):
@@ -657,9 +709,9 @@ class TestPhaseRobustness:
         for seed in (1, 2, 3):
             self._check(L, SearchConfig(seed=seed, samples=1))
         span, r, keep = kernels.orthonormal_span(L.float_image())
-        for c0 in np.eye(L.dim):
-            z = kernels.alternating_projection(span, r @ c0, search.CERTIFY_MARGIN)[0]
-            kernels.span_coefficients(r, keep, z)
+        for z0 in np.eye(len(keep)):
+            z = kernels.alternating_projection(span, z0, search.CERTIFY_MARGIN)[0]
+            kernels.span_coefficients(r, keep, z, L.dim)
 
 
 def _perfbench_tracing():
@@ -896,18 +948,18 @@ class TestCertification:
     def test_direct_hits_are_the_samples_with_m_at_most_1(self, monkeypatch, q, dim, seed, tol):
         # an escalated sample counts by its exact m, so one whose exact m is
         # >= 2 (or whose lift is zero) is never certified; at (6, 4, 1, 0.3)
-        # that is all 200 samples, which once made 28 rejected _certify calls
+        # 198 of 200 samples are escalated and none has an exact m <= 1, but
+        # the float counts of 28 give m <= 1: a _certify call each, once
         monkeypatch.setattr(search, "FLOAT_TOLERANCE", tol)
         L, cfg = random_subspace(q, dim, seed), SearchConfig(seed=seed, samples=200)
-        coeffs = search._stream(seed, search._PURPOSE_FALSIFY).standard_normal((cfg.samples, L.dim))
-        coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
-        npl, nmi, nun, _ = kernels.batch_stats(L.float_image(), coeffs, tol)
+        span, z, lift = _sampled(L, cfg)
+        npl, nmi, nun, _ = kernels.batch_stats(span, z, tol)
         expected = []
         for i in range(cfg.samples):
-            m = search._exact_m_of_float_coeffs(L, coeffs[i]) if nun[i] else min(npl[i], nmi[i])
+            m = search._exact_m_of_float_coeffs(L, lift(z[i])) if nun[i] else min(npl[i], nmi[i])
             if m is not None and m <= 1:
                 expected.append(i)
-                if search._certify(L, coeffs[i]) is not None:
+                if search._certify(L, lift(z[i])) is not None:
                     break
 
         calls = []
@@ -919,9 +971,10 @@ class TestCertification:
         run_search(L, cfg)
         direct = calls[: next((k for k, c in enumerate(calls) if c is None), len(calls))]
         assert len(direct) == len(expected)
-        assert all(np.array_equal(row, coeffs[i]) for row, i in zip(direct, expected))
+        assert all(np.array_equal(row, lift(z[i])) for row, i in zip(direct, expected))
         if (q, dim, seed, tol) == (6, 4, 1, 0.3):
-            assert expected == [] and nun.all()
+            float_hits = (np.minimum(npl, nmi) <= 1) & (nun > 0)
+            assert expected == [] and nun.astype(bool).sum() == 198 and float_hits.sum() == 28
 
 
 class TestHistogram:
@@ -931,13 +984,12 @@ class TestHistogram:
         monkeypatch.setattr(search, "FLOAT_TOLERANCE", tol)
         L, cfg = random_subspace(4, 5, 3), SearchConfig(seed=3, samples=120)
         rep = run_search(L, cfg)
-        coeffs = search._stream(3, search._PURPOSE_FALSIFY).standard_normal((cfg.samples, L.dim))
-        coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
-        npl, nmi, nun, _ = kernels.batch_stats(L.float_image(), coeffs, tol)
+        span, z, lift = _sampled(L, cfg)
+        npl, nmi, nun, _ = kernels.batch_stats(span, z, tol)
         want, escalated = {}, 0
         for i in range(cfg.samples):
             escalated += bool(nun[i])
-            m = search._exact_m_of_float_coeffs(L, coeffs[i]) if nun[i] else min(npl[i], nmi[i])
+            m = search._exact_m_of_float_coeffs(L, lift(z[i])) if nun[i] else min(npl[i], nmi[i])
             if m is not None:  # None: a zero lift, which is not counted
                 want[int(m)] = want.get(int(m), 0) + 1
         assert rep.histogram == want and rep.escalations == escalated
