@@ -50,8 +50,8 @@ BACKEND = "numpy"
 
 def batch_stats(span: np.ndarray, coords: np.ndarray, tol: float):
     """Per-sample sign counts and objective for the elements Q z of the
-    coordinate rows z of ``coords`` (n, r) on the orthonormal columns Q =
-    ``span`` (2q^2, r) of :func:`orthonormal_span`.
+    coordinate rows z of ``coords`` (n, r) on the orthonormal columns Q,
+    turned into matrices: ``span`` holds their (2q^2, r) real views.
 
     Returns int64 arrays (n_plus, n_minus, n_uncertain) and float64 f, the
     objective max(lambda_2, -lambda_{q-1}) / max|lambda| of each sorted
@@ -73,24 +73,23 @@ def batch_stats(span: np.ndarray, coords: np.ndarray, tol: float):
     return n_plus, n_minus, q - n_plus - n_minus, f.astype(np.float64)
 
 
-def orthonormal_span(basis: np.ndarray):
-    """(Q, R, keep) of one QR, A[:, keep] = QR, of the real (2q^2, d) image A
-    of the C-contiguous (d, q, q) ``basis``, a view with Re and Im side by
-    side: ``(Q @ z).view(np.complex128)`` is the element with coordinates z
-    on Q, of Frobenius norm ||z||, and ``y.view(np.float64).ravel() @ Q``
-    projects a Hermitian y onto Q.  A matrix whose float image lies in the
-    span of those before it up to rounding leaves a pivot |R_kk| of at most
-    max(2q^2, d) eps times its column's norm ||A e_k|| = ||R e_k||: every
-    such matrix leaves ``keep`` at once, and one more QR spans the rest."""
-    d, q, _ = basis.shape
-    image = basis.view(np.float64).reshape(d, 2 * q * q).T
-    span, r = np.linalg.qr(image)
-    norms = np.hypot.reduce(r, axis=0)  # ||R e_k||, where a sum of squares could overflow
-    noise = max(2 * q * q, d) * np.finfo(np.float64).eps * norms
-    keep = np.flatnonzero(np.abs(r.diagonal()) > noise[: len(r)])  # d > 2q^2: the rest drop
-    if len(keep) < d:
+def orthonormal_span(image: np.ndarray):
+    """(Q, R, keep) of a QR, A[:, keep] = QR, of the (q^2, d) float
+    ``image`` A of a basis.  A matrix whose image lies in the span of
+    those before it up to rounding leaves a pivot |R_kk| of at most
+    max(q^2, d) eps times ||A e_k|| = ||R e_k|| (by hypot: a sum of
+    squares could overflow).  Its QR step leaves each later column's part
+    in row k to R, on q^2 rows maybe all of it: only the first such matrix
+    leaves ``keep`` before the QR of the rest is made again, until no
+    pivot is noise (one QR for a drawn basis); past q^2, columns leave."""
+    keep, (span, r) = np.arange(image.shape[1]), np.linalg.qr(image)
+    while True:
+        noise = max(len(image), len(keep)) * np.finfo(np.float64).eps * np.hypot.reduce(r, axis=0)
+        small = np.flatnonzero(np.abs(r.diagonal()) <= noise[: len(r)])
+        if not len(small) and len(keep) <= len(image):
+            return span, r, keep
+        keep = np.delete(keep, small[0]) if len(small) else keep[: len(image)]
         span, r = np.linalg.qr(image[:, keep])
-    return span, r, keep
 
 
 def span_coefficients(r: np.ndarray, keep: np.ndarray, z: np.ndarray, dim: int) -> np.ndarray:

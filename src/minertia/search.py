@@ -165,9 +165,9 @@ _F64_EXACT = 1 << 53  # every integer of smaller magnitude is a float64
 
 
 def _float_range(grid) -> Tuple[int, bool]:
-    """How a basis matrix's float image is made, from one pass over its
-    numerators for the largest |Re| or |Im|, top: the exponent e of the
-    exact power of two 2^-e that scales the image into range (0 while
+    """How a basis matrix's float image column is made, from one pass over
+    its numerators for the largest |Re| or |Im|, top: the exponent e of the
+    exact power of two 2^-e that scales the column into range (0 while
     top / den lies in [2^-1000, 2^1000], else about its binary logarithm),
     and whether den and top lie below 2^53, so that every integer of the
     grid converts to float64 exactly."""
@@ -183,31 +183,31 @@ def _layout(q: int):
     """The order of the q^2 real coordinates of a q x q Hermitian matrix,
     the order one draw produces them in: per row, Re of the diagonal entry,
     then Re and Im of each entry right of it.  Returns the bounds of one
-    draw ((n, d) pairs, -9 <= n < 10 and 1 <= d < 10); the scatter, the
-    coordinate index of Re and of Im at each (i, j) and the sign of Im
-    there; and its inverse, the gather from the Re grid followed by the Im
-    grid, both flattened."""
-    re_at = np.zeros((q, q), dtype=np.intp)
-    im_at = np.zeros((q, q), dtype=np.intp)
-    im_sign = np.zeros((q, q), dtype=np.int64)
+    draw ((n, d) pairs, -9 <= n < 10 and 1 <= d < 10); the gather from the
+    Re grid followed by the Im grid, both flattened; the sign of Im at each
+    (i, j); the float image's weights, sqrt 2 off the diagonal; and the
+    scatter back to a complex grid's real view: the index of Re and of Im
+    at each (i, j), (q, q, 2), and their factors, 1 / weight and sign / weight."""
+    at = np.zeros((q, q, 2), dtype=np.intp)
+    im_sign = np.sign(np.arange(q) - np.arange(q)[:, None])  # sign(j - i)
     gather = []
     for i in range(q):
-        re_at[i, i] = len(gather)
+        at[i, i, 0] = len(gather)
         gather.append(i * q + i)
         for j in range(i + 1, q):
-            re_at[i, j] = re_at[j, i] = len(gather)
-            im_at[i, j] = im_at[j, i] = len(gather) + 1
-            im_sign[i, j], im_sign[j, i] = 1, -1
+            at[i, j] = at[j, i] = len(gather), len(gather) + 1
             gather += [i * q + j, q * q + i * q + j]
+    weight = np.sqrt(2.0 - np.isin(np.arange(q * q), np.diagonal(at[..., 0])))
+    unweight = np.stack((1 / weight[at[..., 0]], im_sign / weight[at[..., 1]]), axis=-1)
     bounds = np.array([-9, 1] * (q * q)), np.array([10, 10] * (q * q))
-    return bounds, re_at, im_at, im_sign, np.array(gather, dtype=np.intp)
+    return bounds, np.array(gather, dtype=np.intp), im_sign, weight, at, unweight
 
 
 def _grids(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The Re and Im grids, (..., q, q), of coordinate rows (..., q^2) in
     the order of :func:`_layout`, of the coordinates' dtype."""
-    _, re_at, im_at, im_sign, _ = _layout(math.isqrt(coords.shape[-1]))
-    return coords[..., re_at], coords[..., im_at] * im_sign
+    _, _, im_sign, _, at, _ = _layout(math.isqrt(coords.shape[-1]))
+    return coords[..., at[..., 0]], coords[..., at[..., 1]] * im_sign
 
 
 class SubspaceBasis:
@@ -219,9 +219,9 @@ class SubspaceBasis:
     2520), and its numerators over it, ``coords`` (dim, q^2), its real
     coordinates in the order of :func:`_layout`; int64 when every integer
     lies below 2^53 (see :func:`_float_range`) and of ``dtype=object``
-    (Python ints) otherwise.  :meth:`float_image` scatters them to grids
-    and divides, and :meth:`element` is one exact product with them; the
-    tuple of ``HermitianMatrix`` in :attr:`basis` is built on first read.
+    (Python ints) otherwise.  :meth:`float_image` divides and weights
+    them, and :meth:`element` is one exact product with them; the tuple
+    of ``HermitianMatrix`` in :attr:`basis` is built on first read.
     A basis holds the ``ModularEchelon`` of its coordinates: the
     constructor tests all its matrices in one block on a fresh echelon,
     and :meth:`_extended` tests new rows against a copy of it."""
@@ -240,7 +240,7 @@ class SubspaceBasis:
         dtype = np.int64 if all(f for _, f in ranges) else object
         den = np.array([b.den for b in basis], dtype=dtype)
         grids = np.array([(b.re, b.im) for b in basis], dtype=dtype).reshape(-1, 2 * q * q)
-        coords = grids[:, _layout(q)[-1]]
+        coords = grids[:, _layout(q)[1]]
         echelon = ModularEchelon()
         kept = echelon.add_block(coords, ())
         if len(kept) < len(basis):  # the first index missing from kept is dependent
@@ -306,24 +306,19 @@ class SubspaceBasis:
         return HermitianMatrix.from_scaled(den, re.tolist(), im.tolist())
 
     def float_image(self) -> np.ndarray:
-        """(dim, q, q) complex128 image of the basis, matrix i scaled by
-        2^-e_i (see :func:`_float_range`); an unscaled entry equals
-        ``complex(entry)``.
-
-        The integer coordinates are scattered to grids, then one division
-        by the denominators gives it: in float64 for int64 arrays, whose
-        integers lie below 2^53 and so convert exactly, and as Python int
-        true division for object arrays; both round each quotient
-        correctly.  (Scattering first keeps the Im diagonal's 0 a +0.0.)"""
+        """(q^2, dim) float64 image of the basis: column i is matrix i's
+        coordinates over its denominator times 2^-e_i (see
+        :func:`_float_range`), each rounded once (in float64 for int64
+        arrays, whose integers convert exactly, and by Python int true
+        division for object arrays), then weighted by sqrt 2 off the
+        diagonal: the Euclidean inner product of columns is the Frobenius one."""
         den, coords = self._den, self._coords
         if any(self._exps):  # object arrays: multiply by 2^|e_i| on one side
             den = den * np.array([1 << max(e, 0) for e in self._exps], dtype=object)
             coords = coords * np.array([1 << max(-e, 0) for e in self._exps], dtype=object)[:, None]
-        re, im = _grids(coords)
-        image = np.empty(re.shape, dtype=np.complex128)
-        image.real = re / den[:, None, None]
-        image.imag = im / den[:, None, None]
-        return image
+        image = (coords / den[:, None]).astype(np.float64, copy=False)
+        image *= _layout(self.q)[3]
+        return image.T
 
     def _unscale(self, fracs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
         """Basis coefficients of the element that ``fracs`` combine on the
@@ -395,7 +390,19 @@ class Witness:
     inertia: Inertia
 
 
-@json_record
+def _inconsistent(r: "SearchReport"):
+    q, w = r.q, r.witness
+    if q < 1 or not 0 <= r.dim <= q * q:
+        return f"q = {q} and dim = {r.dim} need q >= 1 and 0 <= dim <= q^2"
+    if w is not None and (w.element.q, len(w.coefficients)) != (q, r.dim):
+        return f"its witness needs a {q} x {q} element and {r.dim} coefficients"
+    if min(r.workers, r.samples_used) < 1 or r.escalations < 0:
+        return "'workers' and 'samples_used' must be >= 1 and 'escalations' >= 0"
+    if not all(0 <= k <= q // 2 and n >= 1 for k, n in r.histogram.items()):
+        return f"'histogram' needs keys in [0, {q // 2}] and counts >= 1"
+
+
+@json_record(check=_inconsistent)
 class SearchReport:
     q: int
     dim: int
@@ -451,7 +458,8 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
     """Full falsifier pass in the coordinates z on Q of one QR of L's float
     image (:func:`~minertia.kernels.orthonormal_span`), made before the
     samples, seeded unit vectors z: uniform on the unit sphere of L's span
-    in the Frobenius norm.  A sampling histogram, exact escalation of
+    in the Frobenius norm.  Q's columns become q x q matrices once, by the
+    scatter of :func:`_layout`.  A sampling histogram, exact escalation of
     tolerance-band samples and certification of direct hits (m <= 1, by
     the exact m for escalated ones), then alternating projection
     (:func:`~minertia.kernels.alternating_projection`) from the best
@@ -459,6 +467,9 @@ def run_search(L: SubspaceBasis, cfg: SearchConfig, _salt: int = 0) -> SearchRep
     reaches exact arithmetic through the basis coefficients of Q z.
     ``samples_used`` counts the samples plus the iterations that ran."""
     span, r, keep = kernels.orthonormal_span(L.float_image())
+    *_, at, unweight = _layout(L.q)
+    span = span[at.ravel()]  # (2q^2, r): each column's matrix as a complex grid's real view
+    span *= unweight.reshape(-1, 1)
     z = _stream(cfg.seed, _PURPOSE_FALSIFY, _salt).standard_normal((cfg.samples, len(keep)))
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0] = 1.0

@@ -234,8 +234,9 @@ class TestRejectsCoercion:
             SearchReport.from_json(_with(SearchReport, histogram={"0": 1, key: 7}))
 
     def test_search_report_histogram_keys_read_back(self):
-        doc = _with(SearchReport, histogram={"-12": 1, "0": 2, "10": 3})
-        assert SearchReport.from_json(doc).histogram == {-12: 1, 0: 2, 10: 3}
+        # keys up to floor(q / 2) = 10 at q = 21, one of them two digits long
+        doc = _with(SearchReport, q=21, witness=None, histogram={"0": 2, "7": 1, "10": 3})
+        assert SearchReport.from_json(doc).histogram == {0: 2, 7: 1, 10: 3}
 
     @pytest.mark.parametrize("key,bad", [("q", 5.7), ("is_odd", "false")])
     def test_degree_record(self, key, bad):
@@ -350,6 +351,32 @@ class TestRejectsInconsistentValues:
         doc = _with(Witness, element=element.to_json(), inertia=Inertia(2, 2, 0).to_json())
         with pytest.raises(ValueError, match="m <= 1"):
             Witness.from_json(doc)
+
+
+    # each edit of a q = 3, dim 3 report with a witness; every one read back at the parent
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"q": -2}, r"q = -2 and dim = 3 need q >= 1"),
+            ({"q": 0, "witness": None}, r"q = 0 and dim = 3 need q >= 1"),
+            ({"dim": 10, "witness": None}, r"q = 3 and dim = 10 need .* 0 <= dim <= q\^2"),
+            ({"dim": -1, "witness": None}, r"q = 3 and dim = -1 need .* 0 <= dim <= q\^2"),
+            ({"q": 4}, r"its witness needs a 4 x 4 element and 3 coefficients"),
+            ({"dim": 7}, r"its witness needs a 3 x 3 element and 7 coefficients"),
+            ({"workers": 0}, r"'workers' and 'samples_used' must be >= 1"),
+            ({"samples_used": -5}, r"'workers' and 'samples_used' must be >= 1"),
+            ({"samples_used": 0}, r"'workers' and 'samples_used' must be >= 1"),
+            ({"escalations": -1}, r"'workers' .* >= 1 and 'escalations' >= 0"),
+            ({"histogram": {"0": 4, "5": 1}}, r"'histogram' needs keys in \[0, 1\]"),
+            ({"histogram": {"-1": 1}}, r"'histogram' needs keys in \[0, 1\]"),
+            ({"histogram": {"0": 0}}, r"'histogram' needs .* counts >= 1"),
+            ({"histogram": {"1": -3}}, r"'histogram' needs .* counts >= 1"),
+        ],
+    )
+    def test_search_report_must_agree_with_itself(self, changes, message):
+        assert VALID[SearchReport]["q"] == 3 and VALID[SearchReport]["dim"] == 3
+        with pytest.raises(ValueError, match=f"^SearchReport JSON is inconsistent: {message}"):
+            SearchReport.from_json(_with(SearchReport, **changes))
 
 
 _WARNED = GrowReport(5, 9, 1, 1, random_subspace(5, 1, 1), _STEPS[:1])

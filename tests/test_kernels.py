@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import gamma_matrices
+from conftest import as_matrices, gamma_matrices
 from minertia import kernels, search
 from minertia.cli import main
 from minertia.hermitian_core import HermitianMatrix
@@ -24,10 +24,28 @@ def nprng():
     return np.random.default_rng(20240917)
 
 
-def _samples(basis, n, rng):
-    """The orthonormal span (Q, R, keep) of ``basis`` and n random
-    coordinate rows z on Q, as the search draws them (not normalized)."""
-    span, r, keep = kernels.orthonormal_span(basis)
+def _image(basis):
+    """The (q^2, d) float image of a (d, q, q) complex Hermitian stack, as
+    ``SubspaceBasis.float_image`` makes it: each matrix's coordinates in
+    the order of ``search._layout``, weighted by sqrt 2 off the diagonal."""
+    d, q, _ = basis.shape
+    _, gather, _, weight, _, _ = search._layout(q)
+    grids = np.concatenate((basis.real, basis.imag), axis=1).reshape(d, 2 * q * q)
+    return (grids[:, gather] * weight).T
+
+
+def _span(image):
+    """(Q, R, keep) of the QR of ``image``, with Q turned into matrices as
+    the search turns it."""
+    span, r, keep = kernels.orthonormal_span(image)
+    return as_matrices(span), r, keep
+
+
+def _samples(image, n, rng):
+    """The orthonormal span (Q, R, keep) of ``image``, Q turned into
+    matrices, and n random coordinate rows z on Q, as the search draws
+    them (not normalized)."""
+    span, r, keep = _span(image)
     return span, r, keep, rng.standard_normal((n, len(keep)))
 
 
@@ -35,7 +53,7 @@ class TestBatchStats:
     def test_matches_single_path(self, nprng):
         d, q, n = 4, 5, 64
         basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
-        span, r, keep, z = _samples(basis, n, nprng)
+        span, r, keep, z = _samples(_image(basis), n, nprng)
         npl, nmi, nun, f = kernels.batch_stats(span, z, 1e-9)
         for i in range(n):
             # the sample's element, summed from its basis coefficients
@@ -51,14 +69,15 @@ class TestBatchStats:
 
     def test_shape_validation(self, nprng):
         basis = np.stack([random_hermitian_f(nprng, 3) for _ in range(2)])
-        span = kernels.orthonormal_span(basis)[0]
+        span = _span(_image(basis))[0]
         with pytest.raises(ValueError):
             kernels.batch_stats(span, nprng.standard_normal((5, 3)), 1e-9)
 
 
 # batch_stats as it was before it skipped np.linalg.norm and
-# np.max(np.abs(...)), with the objective one row at a time; it must give
-# the same floats bit for bit.
+# np.max(np.abs(...)), with the objective one row at a time, fed the Q
+# that the search turns into matrices; it must give the same floats bit
+# for bit.
 def _reference_objective(ev):
     q = ev.shape[0]
     scale = float(np.max(np.abs(ev)))
@@ -87,7 +106,7 @@ class TestAgainstTheReferenceKernels:
         basis = np.stack([random_hermitian_f(nprng, q) for _ in range(3)])
         if zero_basis:
             basis[:] = 0
-        span, r, keep, z = _samples(basis, 50, nprng)
+        span, r, keep, z = _samples(_image(basis), 50, nprng)
         z[0] = 0.0
         got = kernels.batch_stats(span, z, 1e-9)
         want = _reference_batch_stats(span, z, 1e-9)
@@ -109,7 +128,7 @@ def _project(basis, c0, margin=CERTIFY_MARGIN):
     """The projection from the element with basis coefficients c0, its
     coordinates z0 on Q, with the hit's or last coordinates carried back:
     (c, f, iterations, hit, z0, z)."""
-    span, r, keep = kernels.orthonormal_span(basis)
+    span, r, keep = _span(_image(basis))
     z0 = span.T @ (_real_image(basis) @ c0)
     z, f, iterations, hit = kernels.alternating_projection(span, z0, margin)
     return kernels.span_coefficients(r, keep, z, len(basis)), f, iterations, hit, z0, z
@@ -120,7 +139,7 @@ def _zero_pivot_basis():
     # float images are diag(1, 0, 0, 0): their QR has an exactly zero pivot
     e = HermitianMatrix.diagonal([1, 0, 0, 0])
     twin = e.add(HermitianMatrix.diagonal([0, 1, 0, 0]).scale(Fraction(1, 2**1100)))
-    return SubspaceBasis(4, [e, twin] + gamma_matrices(4)).float_image()
+    return SubspaceBasis(4, [e, twin] + gamma_matrices(4))
 
 
 # the least-squares map and the projection in basis coefficients as they
@@ -166,6 +185,7 @@ def _reference_projection(basis, c0, margin):
 
 class TestAgainstTheReferenceProjection:
     def _agree(self, basis, starts, dropped=False):
+        # the reference reads the complex matrices, the kernels their float image
         d, q, _ = basis.shape
         flat = basis.reshape(d, q * q)
         later = 0
@@ -190,59 +210,63 @@ class TestAgainstTheReferenceProjection:
             self._agree(basis, nprng.standard_normal((6, d)))
 
     def test_same_iterations_hits_and_coefficients_past_a_dropped_pivot(self, nprng):
-        basis = _zero_pivot_basis()
-        assert kernels.orthonormal_span(basis)[2].tolist() == [0, 2, 3, 4, 5, 6]
+        L = _zero_pivot_basis()
+        basis = np.array([[[complex(e) for e in row] for row in b.entries] for b in L.basis])
+        assert np.array_equal(_image(basis), L.float_image())
+        assert kernels.orthonormal_span(L.float_image())[2].tolist() == [0, 2, 3, 4, 5, 6]
         assert self._agree(basis, nprng.standard_normal((24, len(basis))), dropped=True) > 0
 
 
 class TestOrthonormalSpan:
     @pytest.mark.parametrize("q,d", [(1, 1), (2, 3), (4, 9), (5, 9), (6, 30)])
     def test_matches_lstsq_on_the_real_image(self, nprng, q, d):
+        # the least-squares fit of y in the Frobenius norm, on the real view
         basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
         y = random_hermitian_f(nprng, q)
-        image = _real_image(basis)
-        want = np.linalg.lstsq(image, _real_image(y[None])[:, 0], rcond=None)[0]
-        span, r, keep = kernels.orthonormal_span(basis)
+        want = np.linalg.lstsq(_real_image(basis), _real_image(y[None])[:, 0], rcond=None)[0]
+        image = _image(basis)
+        span, r, keep = kernels.orthonormal_span(image)
+        assert image.shape == span.shape == (q * q, d)
         assert keep.tolist() == list(range(d)) and r.shape == (d, d)
         assert np.allclose(span.T @ span, np.eye(d), atol=1e-12)
         assert np.allclose(span @ r, image, rtol=1e-12, atol=1e-12)
-        got = kernels.span_coefficients(r, keep, y.view(np.float64).ravel() @ span, d)
+        got = kernels.span_coefficients(r, keep, y.view(np.float64).ravel() @ as_matrices(span), d)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_an_exactly_zero_pivot_drops_its_column(self):
         # diag(1, 0) and diag(1, 2^-1100) are independent, but both float
         # images are diag(1, 0): their QR has an exactly zero pivot, on
         # which a solve of R raises LinAlgError
-        basis = SubspaceBasis(2, [
+        image = SubspaceBasis(2, [
             HermitianMatrix.diagonal([1, 0]),
             HermitianMatrix.from_scaled(2 ** 1100, [[2 ** 1100, 0], [0, 1]], [[0, 0], [0, 0]]),
             HermitianMatrix([[0, 1], [1, 0]]),
         ]).float_image()
-        assert np.array_equal(basis[0], basis[1])
-        r = np.linalg.qr(_real_image(basis))[1]
+        assert image.shape == (4, 3) and np.array_equal(image[:, 0], image[:, 1])
+        r = np.linalg.qr(image)[1]
         assert 0 in r.diagonal()
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(r, np.eye(3))
-        span, r, keep = kernels.orthonormal_span(basis)
+        span, r, keep = kernels.orthonormal_span(image)
         assert keep.tolist() == [0, 2] and np.isfinite(r).all()
         # Q and R are the QR of the kept columns alone: R is square
         assert r.shape == (2, 2) and np.array_equal(r, np.triu(r))
         assert np.allclose(span.T @ span, np.eye(2), atol=1e-12)
-        assert np.allclose(span @ r, _real_image(basis)[:, keep], rtol=1e-12, atol=1e-12)
+        assert np.allclose(span @ r, image[:, keep], rtol=1e-12, atol=1e-12)
         y = np.array([[2.0, 3.0], [3.0, 0.0]], dtype=np.complex128)
-        c = kernels.span_coefficients(r, keep, y.view(np.float64).ravel() @ span, 3)
+        c = kernels.span_coefficients(r, keep, y.view(np.float64).ravel() @ as_matrices(span), 3)
         assert c[1] == 0 and np.allclose(c, [2.0, 0.0, 3.0])
 
     def test_the_zero_pivot_basis_keeps_a_square_r_of_its_other_columns(self):
-        basis = _zero_pivot_basis()
-        span, r, keep = kernels.orthonormal_span(basis)
+        image = _zero_pivot_basis().float_image()
+        span, r, keep = kernels.orthonormal_span(image)
         assert keep.tolist() == [0, 2, 3, 4, 5, 6] and r.shape == (6, 6)
-        assert np.allclose(span @ r, _real_image(basis)[:, keep], rtol=1e-12, atol=1e-12)
+        assert np.allclose(span @ r, image[:, keep], rtol=1e-12, atol=1e-12)
         # each kept matrix's coordinates lift to itself, and the twin to diag(1, 0, 0, 0)
-        image = _real_image(basis)
-        for j in range(len(basis)):
-            c = kernels.span_coefficients(r, keep, span.T @ image[:, j], len(basis))
-            want = np.eye(len(basis))[0 if j == 1 else j]
+        d = image.shape[1]
+        for j in range(d):
+            c = kernels.span_coefficients(r, keep, span.T @ image[:, j], d)
+            want = np.eye(d)[0 if j == 1 else j]
             assert c[1] == 0 and np.allclose(c, want, rtol=0, atol=1e-12)
 
 
@@ -271,8 +295,8 @@ class TestAlternatingProjection:
     def test_every_start_on_a_witness_free_subspace_stops_by_stagnation(self, nprng, q, dim):
         # every nonzero element has eigenvalues +-|a|, q/2 times each: the
         # objective stays -1, and no start reaches the iteration cap
-        basis = SubspaceBasis(q, gamma_matrices(q)[:dim]).float_image()
-        span, _, _, starts = _samples(basis, 12, nprng)
+        image = SubspaceBasis(q, gamma_matrices(q)[:dim]).float_image()
+        span, _, _, starts = _samples(image, 12, nprng)
         for z0 in starts:
             z, f, iterations, hit = kernels.alternating_projection(span, z0, CERTIFY_MARGIN)
             assert not hit and abs(f + 1) < 1e-9
@@ -280,9 +304,9 @@ class TestAlternatingProjection:
 
     @pytest.mark.parametrize("q,d", [(3, 2), (4, 3), (5, 6), (6, 10)])
     def test_reruns_are_bit_identical(self, nprng, q, d):
-        basis = np.stack([random_hermitian_f(nprng, q) for _ in range(d)])
-        span, r, keep, starts = _samples(basis, 6, nprng)
-        again = kernels.orthonormal_span(basis)
+        image = _image(np.stack([random_hermitian_f(nprng, q) for _ in range(d)]))
+        span, r, keep, starts = _samples(image, 6, nprng)
+        again = _span(image)
         assert [a.tobytes() for a in (span, r, keep)] == [a.tobytes() for a in again]
         for z0 in starts:
             first = kernels.alternating_projection(span, z0, CERTIFY_MARGIN)

@@ -2,9 +2,11 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import re
 import warnings
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gamma_matrices
+from conftest import as_matrices, gamma_matrices
 from minertia import criteria, kernels, search
 from minertia.cli import main
 from minertia.criteria import check_witness
@@ -47,6 +49,22 @@ def integers(L):
     lists, equal across dtypes."""
     re, im = search._grids(L._coords)
     return L._den.tolist(), re.tolist(), im.tolist()
+
+
+def expected_image(L):
+    """L's float image from its matrices, coordinate by coordinate: each
+    Re and Im in the order of ``search._layout`` times 2^-e of its matrix,
+    correctly rounded, then times sqrt 2 off the diagonal."""
+    columns = []
+    for X, e in zip(L.basis, L._exps):
+        column = []
+        for i in range(L.q):
+            z = X.entries[i][i]
+            column.append(float(z.re * Fraction(2) ** -e))
+            for z in X.entries[i][i + 1 :]:
+                column += [float(part * Fraction(2) ** -e) * math.sqrt(2) for part in (z.re, z.im)]
+        columns.append(column)
+    return np.array(columns, dtype=np.float64).reshape(L.dim, L.q * L.q).T
 
 
 class TestSubspaceBasis:
@@ -108,19 +126,21 @@ class TestSubspaceBasis:
         assert L._den.tolist() == [2520] * dim
         assert (L._coords * M._den[:, None] == M._coords * L._den[:, None]).all()
         image = L.float_image()
-        assert M.float_image().tobytes() == image.tobytes()
-        for k, b in enumerate(L.basis):
-            assert image[k].tolist() == [[complex(e) for e in row] for row in b.entries]
+        assert M.float_image().tobytes() == image.tobytes() == expected_image(L).tobytes()
         coeffs = [Fraction(k + 1, 7) for k in range(dim)]
         assert M.element(coeffs) == L.element(coeffs)
 
     @pytest.mark.parametrize("first", ["element", "basis"])
-    def test_drawn_basis_builds_its_matrices_only_when_basis_is_read(self, first):
-        # the float image divides the drawn int64 arrays and element
-        # multiplies them; only reading basis builds the HermitianMatrix tuple
+    def test_drawn_basis_builds_its_matrices_only_when_basis_is_read(self, monkeypatch, first):
+        # the float image divides the drawn int64 arrays, with no grid and
+        # no matrix, and element multiplies them; only reading basis
+        # builds the HermitianMatrix tuple
         L = random_subspace(5, 9, 1)
-        L.float_image()
-        assert L._basis is None and not hasattr(L, "_grids")
+        with monkeypatch.context() as patch:
+            for owner, name in ((search, "_grids"), (HermitianMatrix, "from_scaled")):
+                patch.setattr(owner, name, lambda *a, name=name: pytest.fail(f"float_image calls {name}"))
+            L.float_image()
+        assert L._basis is None
         if first == "element":
             L.element([Fraction(1)] * 9)
             assert L._basis is None
@@ -321,7 +341,7 @@ class TestBlockDraw:
     def test_grids_and_the_gather_are_inverse(self, q):
         # a drawn int64 block: scattered to grids and gathered back, the
         # same coordinates
-        gather = search._layout(q)[-1]
+        gather = search._layout(q)[1]
         _, coords = search._draw_block(q, search._stream(q, search._PURPOSE_BASIS), 6)
         re, im = search._grids(coords)
         assert re.dtype == im.dtype == np.int64
@@ -535,10 +555,19 @@ def _sampled(L, cfg, salt=0):
     image, the seeded unit coordinate rows z on it, and the lift of a row
     to its basis coefficients."""
     span, r, keep = kernels.orthonormal_span(L.float_image())
+    span = as_matrices(span)
     rng = search._stream(cfg.seed, search._PURPOSE_FALSIFY, salt)
     z = rng.standard_normal((cfg.samples, len(keep)))
     z /= np.linalg.norm(z, axis=1)[:, None]
     return span, z, lambda zi: kernels.span_coefficients(r, keep, zi, L.dim)
+
+
+def _searched_span(monkeypatch, L, cfg):
+    """``run_search(L, cfg)`` and the Q, turned into matrices, that its
+    first ``batch_stats`` call read."""
+    real, spans = kernels.batch_stats, []
+    monkeypatch.setattr(kernels, "batch_stats", lambda span, *a: spans.append(span) or real(span, *a))
+    return run_search(L, cfg), spans[0]
 
 
 class TestProjectionPhase:
@@ -596,8 +625,8 @@ class TestProjectionPhase:
         ],
     )
     def test_sampling_and_projection_read_the_one_span(self, monkeypatch, L, cfg, chunks):
-        # the float image is only the QR's input: every sample and every
-        # start reads the Q that orthonormal_span returned, and no complex image
+        # the float image is only the QR's input: its Q is turned into
+        # matrices once, and every sample and every start reads those
         names = ("orthonormal_span", "batch_stats", "alternating_projection")
         reals = {name: getattr(kernels, name) for name in names}
         seen = {name: [] for name in reals}
@@ -613,15 +642,15 @@ class TestProjectionPhase:
             monkeypatch.setattr(kernels, name, spy(name))
         rep = run_search(L, cfg)
         [(image,)] = seen["orthonormal_span"]
-        assert image.dtype == np.complex128 and image.shape == (L.dim, L.q, L.q)
-        span = reals["orthonormal_span"](image)[0]
+        assert image.dtype == np.float64 and image.shape == (L.q * L.q, L.dim)
+        span = as_matrices(reals["orthonormal_span"](image)[0])
         assert len(seen["batch_stats"]) == chunks and seen["alternating_projection"]
         assert rep.samples_used == cfg.samples + sum(
             reals["alternating_projection"](*a)[2] for a in seen["alternating_projection"]
         )
         args = seen["batch_stats"] + seen["alternating_projection"]
         first = args[0][0]
-        assert all(a[0] is first for a in args) and first.tobytes() == span.tobytes()
+        assert all(a[0] is first for a in args) and np.array_equal(first, span)
         assert first.dtype == np.float64 and first.shape == (2 * L.q * L.q, L.dim)
         assert sum(len(a[1]) for a in seen["batch_stats"]) == cfg.samples
         assert all(a[1].shape[-1] == L.dim for a in args)
@@ -653,7 +682,7 @@ class TestPhaseRobustness:
         twin = x.add(HermitianMatrix.diagonal([1, -1, 1, -1]).scale(Fraction(1, 2**80)))
         L = SubspaceBasis(4, [x, twin] + gamma_matrices(4)[:3])
         image = L.float_image()
-        assert np.array_equal(image[0], image[1])
+        assert np.array_equal(image[:, 0], image[:, 1])
         assert kernels.orthonormal_span(image)[2].tolist() == [0, 2, 3, 4]
         calls, certify = [], search._certify
         monkeypatch.setattr(search, "_certify", lambda *a: calls.append(a) or certify(*a))
@@ -677,16 +706,20 @@ class TestPhaseRobustness:
             assert self._check(L, SearchConfig(seed=q, samples=samples)).witness is not None
             # at q <= 3 every nonzero element has m <= 1: each column of Q hits
             span, _, keep = kernels.orthonormal_span(L.float_image())
+            span = as_matrices(span)
             for z0 in np.eye(len(keep)):
                 assert kernels.alternating_projection(span, z0, search.CERTIFY_MARGIN)[3]
 
     @pytest.mark.parametrize("q", [1, 3])
-    def test_empty_basis(self, q):
+    def test_empty_basis(self, monkeypatch, q):
         # every sample is the zero element, escalated and left out of the
-        # histogram; the phase runs on a span of no columns
-        rep = self._check(SubspaceBasis(q, []), SearchConfig(seed=1, samples=3))
+        # histogram; Q has no columns, and neither has Q as matrices
+        L = SubspaceBasis(q, [])
+        rep, span = _searched_span(monkeypatch, L, SearchConfig(seed=1, samples=3))
         assert rep.witness is None and rep.samples_used == 3
         assert rep.histogram == {} and rep.escalations == 3
+        assert kernels.orthonormal_span(L.float_image())[0].shape == (q * q, 0)
+        assert span.shape == (2 * q * q, 0)
 
     @pytest.mark.parametrize("q,dim", [(4, 6), (5, 9), (6, 6)])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -709,6 +742,7 @@ class TestPhaseRobustness:
         for seed in (1, 2, 3):
             self._check(L, SearchConfig(seed=seed, samples=1))
         span, r, keep = kernels.orthonormal_span(L.float_image())
+        span = as_matrices(span)
         for z0 in np.eye(len(keep)):
             z = kernels.alternating_projection(span, z0, search.CERTIFY_MARGIN)[0]
             kernels.span_coefficients(r, keep, z, L.dim)
@@ -837,7 +871,7 @@ class TestFloatRange:
 
     @pytest.mark.parametrize("num", [2**53 - 1, 2**53, 2**53 + 1, 3 * (2**53 + 1)])
     @pytest.mark.parametrize("den", [1, 3, 2**53 - 1, 2**53 + 1])
-    def test_float_image_is_each_entry_as_complex_at_the_2_53_bound(self, num, den):
+    def test_float_image_is_each_rounded_quotient_at_the_2_53_bound(self, num, den):
         X = HermitianMatrix.from_scaled(den, [[num, 1], [1, -num]], [[0, num - 2], [2 - num, 0]])
         L = SubspaceBasis(2, [X, HermitianMatrix.diagonal([Fraction(1, 3), 1])])
         assert [part[0] for part in integers(L)] == [
@@ -846,8 +880,12 @@ class TestFloatRange:
         # int64 arrays, divided in float64, only while every integer converts exactly
         f64 = num < 2**53 and den < 2**53
         assert L._coords.dtype == (np.int64 if f64 else object) and L._exps == (0, 0)
-        want = np.array([[[complex(e) for e in row] for row in b.entries] for b in L.basis])
-        assert L.float_image().tobytes() == want.tobytes()
+        image = L.float_image()
+        assert image.tobytes() == expected_image(L).tobytes()
+        # the coordinates Re 00, Re 01, Im 01 and Re 11 of X, rounded once, then weighted
+        r2 = math.sqrt(2)
+        want = [num / den, 1 / den * r2, (num - 2) / den * r2, -num / den]
+        assert image[:, 0].tolist() == want
 
     def test_float64_division_past_the_bound_would_round_twice(self):
         # (2^53 + 1) / 3 is an integer, but 2^53 + 1 is no float64: why
@@ -856,7 +894,7 @@ class TestFloatRange:
         assert np.float64(num) / np.float64(den) != num / den
         X = HermitianMatrix.from_scaled(den, [[num, 1], [1, 0]], [[0, 0], [0, 0]])
         L = SubspaceBasis(2, [X])
-        assert L._coords.dtype == object and L.float_image()[0, 0, 0] == num // den
+        assert L._coords.dtype == object and L.float_image()[0, 0] == num // den
 
     def test_drawn_grids_take_the_float64_division(self):
         drawn = [random_subspace(q, q * q, seed=3) for q in (1, 2, 5, 9)]
@@ -864,32 +902,57 @@ class TestFloatRange:
         for L in drawn:
             assert L._coords.dtype == L._den.dtype == np.int64
             assert all(search._float_range(b.grid)[1] for b in L.basis)
-            want = [[[complex(e) for e in row] for row in b.entries] for b in L.basis]
-            assert L.float_image().tobytes() == np.array(want, dtype=np.complex128).tobytes()
+            assert L.float_image().tobytes() == expected_image(L).tobytes()
 
     @pytest.mark.parametrize("scaled", [False, True])
-    def test_float_image_divides_the_scattered_integer_grids(self, scaled):
-        # the integer coordinates are scattered to grids, then divided: the
-        # Im diagonal is 0 / den = +0.0 also where the Re diagonal is
-        # negative (dividing first, then multiplying by the Im sign 0, would
-        # give -0.0 there); == with complex(entry) cannot see the sign of 0
+    def test_float_image_divides_the_integer_coordinates(self, scaled):
+        # each coordinate is its integer times 2^-e over the denominator,
+        # one correctly rounded quotient, then weighted by sqrt 2 off the
+        # diagonal; with no grid in between
         L = random_subspace(5, 9, 2)
         if scaled:
             L = SubspaceBasis(5, [X.scale(Fraction(2) ** (1100 * (-1) ** k)) for k, X in enumerate(L.basis)])
             assert all(L._exps) and L._coords.dtype == object
-        assert (L._coords[:, 0] < 0).any()
+        weight = [math.sqrt(2) if k not in (0, 9, 16, 21, 24) else 1.0 for k in range(25)]
         want = []
-        for X, e in zip(L.basis, L._exps):
-            d, up = X.den << max(e, 0), 1 << max(-e, 0)
-            want.append([[complex(r * up / d, m * up / d) for r, m in zip(*rows)] for rows in zip(X.re, X.im)])
+        for den, row, e in zip(L._den.tolist(), L._coords.tolist(), L._exps):
+            d, up = den << max(e, 0), 1 << max(-e, 0)
+            want.append([n * up / d * w for n, w in zip(row, weight)])
         image = L.float_image()
-        assert image.tobytes() == np.array(want, dtype=np.complex128).tobytes()
-        assert image.flags.c_contiguous  # orthonormal_span reads a real view of it
-        assert not np.signbit(np.diagonal(image.imag, axis1=1, axis2=2)).any()
+        assert image.dtype == np.float64 and image.shape == (25, 9)
+        assert image.tobytes() == np.array(want).T.tobytes() == expected_image(L).tobytes()
 
     def test_empty_basis_image(self):
         for L in (SubspaceBasis(3, []), grow_subspace(3, 0, FAST).basis):
-            assert L.float_image().shape == (0, 3, 3)
+            assert L.float_image().shape == (9, 0)
+
+    @pytest.mark.parametrize("q", [1, 2, 5, 9])
+    def test_image_gram_is_the_frobenius_gram(self, q):
+        # <A, B> = tr(A B) for Hermitian A and B, summed in Fractions
+        L = random_subspace(q, min(q * q, 12), seed=q)
+        got = L.float_image().T @ L.float_image()
+
+        def frobenius(a, b):
+            pairs = zip(chain(*a.entries), chain(*b.entries))
+            return sum(x.re * y.re + x.im * y.im for x, y in pairs)
+
+        want = [[frobenius(a, b) for b in L.basis] for a in L.basis]
+        for i, j in np.ndindex(L.dim, L.dim):
+            scale = math.sqrt(want[i][i] * want[j][j])
+            assert abs(Fraction(got[i, j]) - want[i][j]) <= Fraction(1e-14) * Fraction(scale)
+
+    @pytest.mark.parametrize("q,dim", [(1, 1), (2, 4), (5, 9), (9, 49), (4, 6)])
+    def test_expanded_q_is_orthonormal_and_hermitian(self, monkeypatch, q, dim):
+        # the Q that run_search turns into matrices: entry by entry the
+        # matrices of the QR's columns, orthonormal in the Frobenius norm
+        L = random_subspace(q, dim, seed=2)
+        matrices = _searched_span(monkeypatch, L, SearchConfig(seed=2, samples=1))[1]
+        assert matrices.shape == (2 * q * q, dim)
+        assert np.array_equal(matrices, as_matrices(kernels.orthonormal_span(L.float_image())[0]))
+        assert np.allclose(matrices.T @ matrices, np.eye(dim), rtol=0, atol=1e-13)
+        for x in matrices.T.copy():
+            x = x.view(np.complex128).reshape(q, q)
+            assert np.array_equal(x, x.conj().T)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -948,8 +1011,8 @@ class TestCertification:
     def test_direct_hits_are_the_samples_with_m_at_most_1(self, monkeypatch, q, dim, seed, tol):
         # an escalated sample counts by its exact m, so one whose exact m is
         # >= 2 (or whose lift is zero) is never certified; at (6, 4, 1, 0.3)
-        # 198 of 200 samples are escalated and none has an exact m <= 1, but
-        # the float counts of 28 give m <= 1: a _certify call each, once
+        # all 200 samples are escalated and none has an exact m <= 1, but
+        # the float counts of 25 give m <= 1: a _certify call each, once
         monkeypatch.setattr(search, "FLOAT_TOLERANCE", tol)
         L, cfg = random_subspace(q, dim, seed), SearchConfig(seed=seed, samples=200)
         span, z, lift = _sampled(L, cfg)
@@ -974,7 +1037,7 @@ class TestCertification:
         assert all(np.array_equal(row, lift(z[i])) for row, i in zip(direct, expected))
         if (q, dim, seed, tol) == (6, 4, 1, 0.3):
             float_hits = (np.minimum(npl, nmi) <= 1) & (nun > 0)
-            assert expected == [] and nun.astype(bool).sum() == 198 and float_hits.sum() == 28
+            assert expected == [] and nun.astype(bool).sum() == 200 and float_hits.sum() == 25
 
 
 class TestHistogram:
