@@ -104,7 +104,7 @@ def span_coefficients(r: np.ndarray, keep: np.ndarray, z: np.ndarray, dim: int) 
     return c
 
 
-MARGIN_DELTA = 0.02  # eigenvalues 2..q are raised to this share of max|lambda|
+MARGIN_DELTA = 0.1  # eigenvalues 2..q are raised to this share of max|lambda|
 STALL_ITERATIONS, MIN_IMPROVEMENT, MAX_ITERATIONS = 15, 1e-6, 200
 
 
@@ -114,10 +114,11 @@ def alternating_projection(span: np.ndarray, z0: np.ndarray, margin: float):
     at least ``MARGIN_DELTA`` max|lambda|, on X or -X, whichever has the larger
     f = lambda_2 / max|lambda| at the start.  An iteration is one ``eigh``: a
     hit once f >= margin, else the eigenvalues over max|lambda|, all but the
-    least raised to ``MARGIN_DELTA``, make a matrix that Q projects back.  A
-    start also ends after ``STALL_ITERATIONS`` iterations without raising its
-    best f by ``MIN_IMPROVEMENT``, at ``MAX_ITERATIONS`` or at a zero or
-    non-finite element.  Returns (z, f: the hit's or best, iterations, hit)."""
+    least raised to ``MARGIN_DELTA`` (far past a hit's margin, so each step
+    goes deep), make a matrix that Q projects back.  A start also ends after
+    ``STALL_ITERATIONS`` iterations without raising its best f by
+    ``MIN_IMPROVEMENT``, at ``MAX_ITERATIONS`` or at a zero or non-finite
+    element.  Returns (z, f: the hit's or best, iterations, hit)."""
     q = math.isqrt(len(span) // 2)
     k = min(1, q - 1)  # lambda_2, or lambda_1 at q = 1
     z, iterations, best, stalled = np.array(z0, dtype=np.float64), 0, -math.inf, 0

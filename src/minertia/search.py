@@ -55,7 +55,7 @@ class SearchConfig:
     """
 
     seed: int
-    samples: int = 128
+    samples: int = 32
     workers: int = 1
 
     def __post_init__(self):
@@ -352,11 +352,11 @@ def _draw_block(q: int, rng: np.random.Generator, count: int):
     and its q^2 coordinates over it, n * (2520 / d).  Each matrix takes
     2q^2 integers, one (n, d) per coordinate in the order of
     :func:`_layout` (the order of one scalar draw per integer).  One call
-    draws all of them with the bounds tiled; that gives the same integers,
-    and leaves the generator in the same state, as ``count`` draws of one
-    matrix each."""
+    draws all of them, a (count, 2q^2) array on the bounds broadcast; that
+    gives the same integers, and leaves the generator in the same state,
+    as ``count`` draws of one matrix each."""
     (low, high), *_ = _layout(q)
-    draws = rng.integers(np.tile(low, count), np.tile(high, count)).reshape(count, -1)
+    draws = rng.integers(low, high, size=(count, low.size))
     return np.full(count, _DRAW_DEN, dtype=np.int64), draws[:, 0::2] * (_DRAW_DEN // draws[:, 1::2])
 
 
@@ -435,10 +435,11 @@ def _certify(L: SubspaceBasis, coeff_row: np.ndarray) -> Optional[Witness]:
 
 def _exact_m_of_float_coeffs(L: SubspaceBasis, coeff_row: np.ndarray) -> Optional[int]:
     """Exact minimal inertia of the rational lift of a float coefficient
-    vector (floats are dyadic rationals, so the lift is exact)."""
-    fracs = L._unscale([Fraction(float(x)) for x in coeff_row])
-    if not any(fracs):
+    vector (floats are dyadic rationals, so the lift is exact); None when
+    the row is zero or not finite (a lift past a tiny pivot may overflow)."""
+    if not (np.isfinite(coeff_row).all() and coeff_row.any()):
         return None
+    fracs = L._unscale([Fraction(float(x)) for x in coeff_row])
     return inertia(L.element(fracs)).m  # a nonzero element, see _certify
 
 

@@ -41,6 +41,7 @@ from minertia.strata import ConeClassification, ConeLabel, classify_cone
 
 _SEARCH = run_search(random_subspace(3, 3, 1), SearchConfig(seed=1, samples=20))
 _BASIS = random_subspace(2, 2, 1)
+_SAMPLES = SearchConfig(seed=0).samples  # the default budget
 _STEPS = (GrowStep(0, 3, True, 2), GrowStep(1, 8, False, 8))
 _REPORT = best_bound(Assumptions(q=5, pencil=PencilData(b=2, fiber_component_counts=(3, 2))))
 
@@ -106,7 +107,7 @@ REPRS = [
      "SurfaceRecord(name='symmetric square of a genus-3 curve', q=3, p_g=3, h11=10, "
      "no_irregular_pencils=True, note='smallest known h11 for q=3; the sharp lower bound 9 "
      "is unrealized')"),
-    (SearchConfig(seed=1), "SearchConfig(seed=1, samples=128, workers=1)"),
+    (SearchConfig(seed=1), f"SearchConfig(seed=1, samples={_SAMPLES}, workers=1)"),
     (_WITNESS, "Witness(coefficients=(Fraction(1, 1), Fraction(-1, 2)), "
      "element=HermitianMatrix(q=2), inertia=Inertia(n_plus=1, n_minus=1, n_zero=0))"),
     (SearchReport(5, 9, 1, None, 128, {2: 120, 3: 8}, 1, "numpy", 0),
@@ -130,7 +131,7 @@ class TestRecords:
     def test_positional_keyword_and_default_arguments(self):
         assert Assumptions(q=5) == Assumptions(5, None, False, None, False)
         assert PencilData(2) == PencilData(b=2, fiber_component_counts=())
-        assert SearchConfig(3, workers=2) == SearchConfig(workers=2, seed=3, samples=128)
+        assert SearchConfig(3, workers=2) == SearchConfig(workers=2, seed=3, samples=_SAMPLES)
         assert Inertia(n_zero=0, n_plus=1, n_minus=4) == Inertia(1, 4, 0)
         assert Inertia(1, n_zero=0, n_minus=4) == Inertia(1, 4, 0)
 

@@ -322,7 +322,7 @@ class TestAlternatingProjection:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--q", "5", "--dim", "9", "--seed", "3"],  # seeds 1 and 2 certify a sample
+        ["--q", "5", "--dim", "9", "--seed", "3"],  # seed 2 certifies a sample
         ["--q", "5", "--dim", "6", "--seed", "4"],
         ["--q", "9", "--dim", "49", "--seed", "2"],
         # more samples than one chunk: two workers sample in a thread pool
@@ -339,5 +339,6 @@ def test_search_prints_the_same_report_with_one_and_two_workers(argv):
         assert doc.pop("workers") == int(workers)
         docs.append(doc)
     assert docs[0] == docs[1]
-    samples = int(argv[argv.index("--samples") + 1]) if "--samples" in argv else 128
+    default = search.SearchConfig(seed=0).samples
+    samples = int(argv[argv.index("--samples") + 1]) if "--samples" in argv else default
     assert docs[0]["samples_used"] > samples  # the projection phase ran

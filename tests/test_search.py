@@ -424,6 +424,18 @@ class TestFalsifier:
         assert w is not None
         assert w.inertia.m <= 1
 
+    def test_search_power_floor(self):
+        # (q, dim) below the dimension limits 3, 8 and 15, where a witness is
+        # not guaranteed: the default budget certifies at least this many of
+        # the 140 searches, so a cheaper budget has to show what it loses
+        panel = [(4, 2), (5, 3), (5, 4), (5, 5), (5, 6), (6, 6), (6, 10)]
+        certified = sum(
+            run_search(random_subspace(q, dim, seed), SearchConfig(seed=seed)).witness is not None
+            for q, dim in panel
+            for seed in range(1, 21)
+        )
+        assert certified >= 84
+
     def test_witness_is_exactly_certified(self):
         L = random_subspace(5, 9, seed=7)
         w = run_search(L, SearchConfig(seed=7)).witness
@@ -581,7 +593,7 @@ class TestProjectionPhase:
             return runs[-1]
 
         monkeypatch.setattr(kernels, "alternating_projection", counted)
-        # seeds 1 and 2 certify a sample; seed 3 runs the phase
+        # seed 2 certifies a sample; seeds 1 and 3 run the phase
         doc = _cli_search("--q", "5", "--dim", "9", "--seed", "3", "--workers", str(workers))
         L, cfg = random_subspace(5, 9, 3), SearchConfig(seed=3, workers=workers)
         span, z, lift = _sampled(L, cfg)
@@ -658,8 +670,9 @@ class TestProjectionPhase:
     @pytest.mark.parametrize("q,dim", [(4, 3), (4, 5), (8, 5)])
     def test_witness_free_subspace_runs_every_start_to_stagnation(self, q, dim):
         rep = run_search(SubspaceBasis(q, gamma_matrices(q)[:dim]), SearchConfig(seed=3))
-        assert rep.witness is None and rep.histogram == {q // 2: 128}
-        assert rep.samples_used == 128 + search.PROJECTION_STARTS * (kernels.STALL_ITERATIONS + 1)
+        samples = SearchConfig(seed=0).samples
+        assert rep.witness is None and rep.histogram == {q // 2: samples}
+        assert rep.samples_used == samples + search.PROJECTION_STARTS * (kernels.STALL_ITERATIONS + 1)
 
 
 class TestPhaseRobustness:
@@ -697,6 +710,18 @@ class TestPhaseRobustness:
         twin = e.add(HermitianMatrix.diagonal([0, 1, 0, 0]).scale(Fraction(1, 2**1100)))
         L = SubspaceBasis(4, [e, twin] + gamma_matrices(4))
         self._check(L, SearchConfig(seed=seed, samples=1))
+
+    def test_a_pivot_past_the_noise_whose_lift_overflows(self):
+        # B's float image differs from A's by 2^-1039, so its QR pivot
+        # (about 2^-1038) stays above the noise and lifting through it
+        # overflows; every element is singular, so every sample is escalated
+        s = Fraction(1, 2**999)
+        a = HermitianMatrix.diagonal([1, -1, 0]).scale(s)
+        b = a.add(HermitianMatrix.diagonal([1, 1, 0]).scale(s / 2**40))
+        c = HermitianMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]]).scale(s)
+        cfg = SearchConfig(seed=1)
+        rep = self._check(SubspaceBasis(3, [a, b, c]), cfg)
+        assert rep.escalations == cfg.samples and rep.histogram == {}
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("samples", [1, 5])
@@ -1099,4 +1124,5 @@ class TestConfigValidation:
             SearchConfig(**{"seed": 1, field: value})
 
     def test_config_holds_what_the_cli_sets(self):
-        assert repr(SearchConfig(seed=1)) == "SearchConfig(seed=1, samples=128, workers=1)"
+        samples = SearchConfig(seed=0).samples
+        assert repr(SearchConfig(seed=1)) == f"SearchConfig(seed=1, samples={samples}, workers=1)"
