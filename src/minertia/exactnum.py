@@ -3,9 +3,10 @@
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
 denominator); :func:`exact_rational` says what the API takes as one.  On
 top of that this module provides the entry value type ``GaussianRational``
-(rational real and imaginary parts, no arithmetic), and univariate
-polynomials with rational coefficients including a multiplicity-detecting
-gcd tower.
+(rational real and imaginary parts, no arithmetic), and a gcd tower that
+detects multiplicities on integer coefficient lists (:func:`_int_gcd_tower`).
+``RationalPolynomial`` is only the result type of the public ``char_poly``,
+:func:`poly_gcd` and :func:`poly_gcd_tower`, with no arithmetic.
 
 From the JSON edge inward a matrix is a scaled Gaussian-integer grid
 ``(den, re, im)``, one positive common denominator and two integer grids
@@ -22,7 +23,7 @@ import re
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter, mul
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .errors import InconsistencyError
 
@@ -186,7 +187,8 @@ class GaussianRational:
 
 
 class RationalPolynomial:
-    """Univariate polynomial with rational coefficients, ascending degree.
+    """Univariate polynomial with rational coefficients, ascending degree,
+    immutable: the result type of ``char_poly`` and the two gcds below.
 
     The zero polynomial has an empty coefficient tuple; otherwise trailing
     zeros are trimmed so ``degree == len(coeffs) - 1``.
@@ -203,13 +205,6 @@ class RationalPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("RationalPolynomial is immutable")
 
-    @classmethod
-    def from_roots(cls, roots: Sequence[RationalLike]) -> "RationalPolynomial":
-        p = cls([1])
-        for r in roots:
-            p = p * cls([-exact_rational(r), 1])
-        return p
-
     @property
     def degree(self) -> int:
         """Degree of a nonzero polynomial; -1 for the zero polynomial."""
@@ -218,64 +213,14 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def evaluate(self, x: RationalLike) -> Fraction:
-        x = exact_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            [k * c for k, c in enumerate(self.coeffs)][1:]
-        )
+        return RationalPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "RationalPolynomial":
         if not self.coeffs:
             return self
         lead = self.coeffs[-1]
         return RationalPolynomial([c / lead for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPolynomial([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return RationalPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        acc = RationalPolynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"RationalPolynomial({list(self.coeffs)!r})"
 
 
 def _primitive_int_coeffs(p: RationalPolynomial) -> list:

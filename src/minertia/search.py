@@ -162,18 +162,22 @@ class ModularEchelon:
 
 
 _F64_EXACT = 1 << 53  # every integer of smaller magnitude is a float64
+# A column whose largest entry lies in [2^-W, 2^W] stays unscaled.  At W = 500 a
+# QR pivot past the noise rule is at least about 2^-552, a normal float, so lifts
+# through it stay finite; a wider window could keep a subnormal pivot and overflow.
+_FLOAT_WINDOW = 500
 
 
 def _float_range(grid) -> Tuple[int, bool]:
     """How a basis matrix's float image column is made, from one pass over
     its numerators for the largest |Re| or |Im|, top: the exponent e of the
     exact power of two 2^-e that scales the column into range (0 while
-    top / den lies in [2^-1000, 2^1000], else about its binary logarithm),
-    and whether den and top lie below 2^53, so that every integer of the
-    grid converts to float64 exactly."""
+    top / den lies in [2^-W, 2^W], W = ``_FLOAT_WINDOW``, else about its
+    binary logarithm), and whether den and top lie below 2^53, so that
+    every integer of the grid converts to float64 exactly."""
     den, re, im = grid
     top = max(map(abs, chain.from_iterable(re + im)))
-    in_range = den <= top << 1000 and top <= den << 1000
+    in_range = den <= top << _FLOAT_WINDOW and top <= den << _FLOAT_WINDOW
     exponent = 0 if in_range else top.bit_length() - den.bit_length()
     return exponent, max(den, top) < _F64_EXACT
 

@@ -56,15 +56,6 @@ def d2_real_dimension(q: int) -> int:
     return 4 * q - 5
 
 
-def cone_dimension(q: int) -> int:
-    """Complex dimension of the cone over the rank <= 2 locus, 4q - 4.
-
-    Documented constant only; the cone's degree equals the degree of the
-    rank <= 2 locus itself, and neither is verified projectively here.
-    """
-    return 4 * q - 4
-
-
 def classify_d2(X: HermitianMatrix) -> StratumLabel:
     """Stratum label of a nonzero matrix, from its exact inertia.
 

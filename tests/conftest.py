@@ -7,6 +7,7 @@ matrices; the other test modules import them from here.
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,3 +55,20 @@ def as_matrices(span):
                 x[i, j] = complex(next(coords) * half, next(coords) * half)
                 x[j, i] = x[i, j].conjugate()
     return out.view(np.float64).reshape(len(out), 2 * q * q).T
+
+
+def root_expansion(roots, scale=1):
+    """The coefficients of scale * prod(x - r) over ``roots``, ascending,
+    as a tuple of Fractions: the reference polynomial tests build from."""
+    cs = [Fraction(scale)]
+    for r in roots:
+        cs = [a - r * b for a, b in zip([0, *cs], [*cs, 0])]
+    return tuple(cs)
+
+
+def horner(coeffs, x):
+    """The polynomial with ascending ``coeffs`` at x, by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc

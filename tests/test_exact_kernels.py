@@ -1,7 +1,8 @@
 """The integer exact kernels against independent references.
 
-* ``char_poly`` (Berkowitz on the scaled integer matrix) is evaluated and
-  compared with det(sI - X) from a plain Fraction elimination written here.
+* ``char_poly`` (Berkowitz on the scaled integer matrix) is evaluated by a
+  Horner step and compared with det(sI - X) from a plain Fraction
+  elimination, both written in the tests.
 * ``inertia`` (fraction-free symmetric elimination) is compared with the
   sign-variation oracle on hypothesis-drawn zero-diagonal and low-rank
   matrices, the inputs that exercise the congruence and zero-block steps.
@@ -11,9 +12,13 @@
   2^61 - 1 written here.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
+import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 from operator import mul
@@ -24,12 +29,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_hermitian, rand_hermitian_generic, rand_low_rank
+from conftest import horner, rand_hermitian, rand_hermitian_generic, rand_low_rank
 from minertia.errors import InconsistencyError
-from minertia import strata
+from minertia import cli, exactnum, hermitian_core, strata
 from minertia.exactnum import (
     GaussianRational,
-    RationalPolynomial,
     poly_gcd_tower,
     scaled_gaussian_grid,
 )
@@ -99,7 +103,7 @@ class TestCharPolyAgainstDeterminant:
             for s in (Fraction(0), s_small, s_scaled):
                 det = fraction_det(shifted_pairs(X, s))
                 assert det[1] == 0
-                assert p.evaluate(s) == det[0]
+                assert horner(p.coeffs, s) == det[0]
 
     @pytest.mark.parametrize("q", [9, 10])
     def test_both_parities_of_the_half_power_count(self, q):
@@ -109,7 +113,7 @@ class TestCharPolyAgainstDeterminant:
         p = char_poly(X)
         for s in (Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 9))):
             det = fraction_det(shifted_pairs(X, s))
-            assert det[1] == 0 and p.evaluate(s) == det[0]
+            assert det[1] == 0 and horner(p.coeffs, s) == det[0]
 
     def test_mixed_huge_and_tiny_entries(self):
         rng = random.Random(7)
@@ -122,7 +126,7 @@ class TestCharPolyAgainstDeterminant:
                 entries[i][j], entries[j][i] = z, z.conj()
         X = HermitianMatrix(entries)
         s = Fraction(5, 1 << 199)
-        assert char_poly(X).evaluate(s) == fraction_det(shifted_pairs(X, s))[0]
+        assert horner(char_poly(X).coeffs, s) == fraction_det(shifted_pairs(X, s))[0]
 
 
 def _fraction_strategy(max_abs=6):
@@ -267,13 +271,13 @@ def _reference_shift(X):
         return None
     e = g.degree
     s = -g.coeffs[e - 1] / e
-    assert g == RationalPolynomial([-s, 1]) ** e
+    assert g.coeffs == tuple(math.comb(e, k) * (-s) ** (e - k) for k in range(e + 1))  # (y - s)^e
     return s, inertia(X.shift(s))
 
 
-def _perfbench_matgen():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "matgen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_matgen", path)
+def _perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -285,7 +289,7 @@ class TestIntegerConePath:
 
     @pytest.mark.parametrize("q", range(5, 11))
     def test_every_perfbench_category(self, q):
-        matgen = _perfbench_matgen()
+        matgen = _perfbench("matgen")
         gen = matgen._Gen(random.Random(q))
         cats = sorted(set(matgen.INERTIA_CATS + matgen.CLASSIFY_CATS + matgen.CONE_CATS))
         for cat in cats * 3:
@@ -349,6 +353,47 @@ class TestIntegerConePath:
         X = HermitianMatrix.diagonal([3] * (q - 2) + [1, -1])
         with pytest.raises(InconsistencyError, match="fails its rank <= 2 check"):
             strata._high_multiplicity_shift(X)
+
+
+def _call_cli(argv, stdin_text):
+    """One in-process CLI call on ``stdin_text``: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        saved, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+        try:
+            rc = cli.main(argv)
+        finally:
+            sys.stdin = saved
+    return rc, out.getvalue()
+
+
+class TestMatricesBenchmarkContract:
+    """perfbench's ``matrices`` workload checks each CLI output exactly; its
+    NotInC2 check is what calls ``char_poly``, ``derivative`` and
+    ``poly_gcd``, and its tracer wraps its layers by name, ``char_poly``
+    and ``poly_gcd_tower`` among them."""
+
+    def test_one_pool_passes_its_output_check_under_the_tracer(self, monkeypatch):
+        matgen = _perfbench("matgen")
+        monkeypatch.setitem(sys.modules, "matgen", matgen)  # workloads imports it by name
+        workloads, tracing = _perfbench("workloads"), _perfbench("tracing")
+        wl = workloads.Matrices(1)
+        originals = hermitian_core.char_poly, exactnum.poly_gcd_tower, strata.classify_cone
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()  # every LAYERS name must resolve
+            outputs = [_call_cli(*wl.request(i)) for i in range(len(wl.pool))]
+            failed, props, ok = wl.check(outputs, ())
+        finally:
+            tracer.uninstall()
+        assert (hermitian_core.char_poly, exactnum.poly_gcd_tower, strata.classify_cone) == originals
+        assert len(outputs) == 240 and ok and not any(failed), props["problems"]
+        not_in_c2 = props["cone_label_histogram"]["NotInC2"]
+        assert not_in_c2 > 0
+        c = tracer.counts
+        cone = sum(r["op"] == matgen.CONE for r in wl.pool)
+        assert c["strata.classify_cone.calls"] == cone
+        assert c["hermitian_core.char_poly.calls"] == not_in_c2  # the check's, not the CLI's
 
 
 class TestSelfChecks:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import horner, root_expansion
 from minertia.exactnum import (
     GaussianRational,
     RationalPolynomial,
@@ -92,47 +93,43 @@ class TestRationalPolynomial:
         assert p.degree == 1
         assert RationalPolynomial([]).degree == -1
 
-    def test_from_roots_frozen_expansion(self):
-        # (x-1)^3 (x-2) = x^4 - 5x^3 + 9x^2 - 7x + 2, expanded by hand
-        p = RationalPolynomial.from_roots([1, 1, 1, 2])
-        assert p.coeffs == (
-            Fraction(2),
-            Fraction(-7),
-            Fraction(9),
-            Fraction(-5),
-            Fraction(1),
-        )
-
-    def test_evaluate_and_derivative(self):
+    def test_derivative_monic_and_zero(self):
         p = RationalPolynomial([2, -7, 9, -5, 1])
-        assert p.evaluate(1) == 0
-        assert p.evaluate(2) == 0
-        assert p.evaluate(0) == 2
         assert p.derivative().coeffs == (
             Fraction(-7),
             Fraction(18),
             Fraction(-15),
             Fraction(4),
         )
+        assert RationalPolynomial([3, 6]).monic().coeffs == (Fraction(1, 2), Fraction(1))
+        z = RationalPolynomial()
+        assert z.is_zero() and z.monic() is z and z.derivative().is_zero()
+        assert not p.is_zero() and RationalPolynomial([5]).derivative().is_zero()
 
-    def test_power(self):
-        p = RationalPolynomial([-1, 1]) ** 3
-        assert p == RationalPolynomial([-1, 3, -3, 1])
+    def test_only_the_read_surface_and_immutable(self):
+        public = {name for name in dir(RationalPolynomial) if not name.startswith("_")}
+        assert public == {"coeffs", "degree", "derivative", "is_zero", "monic"}
+        p = RationalPolynomial([1, 2])
+        with pytest.raises(AttributeError):
+            p.coeffs = ()
 
 
 class TestPolyGcdTower:
+    def test_root_expansion(self):
+        # (x-1)^3 (x-2) = x^4 - 5x^3 + 9x^2 - 7x + 2, expanded by hand
+        assert root_expansion([1, 1, 1, 2]) == (2, -7, 9, -5, 1)
+        assert horner(root_expansion([1, 1, 1, 2]), 0) == 2
+
     def test_triple_root_depth_two(self):
-        p = RationalPolynomial.from_roots([1, 1, 1, 2])
-        g = poly_gcd_tower(p, 2)
-        assert g == RationalPolynomial([-1, 1])
+        g = poly_gcd_tower(RationalPolynomial(root_expansion([1, 1, 1, 2])), 2)
+        assert g.coeffs == (-1, 1)
 
     def test_depth_zero_returns_monic_input(self):
         p = RationalPolynomial([-10, 2])  # 2x - 10
-        assert poly_gcd_tower(p, 0) == RationalPolynomial([-5, 1])
+        assert poly_gcd_tower(p, 0).coeffs == (-5, 1)
 
     def test_coprime_derivative(self):
-        p = RationalPolynomial.from_roots([1, 2])
-        g = poly_gcd_tower(p, 1)
+        g = poly_gcd_tower(RationalPolynomial(root_expansion([1, 2])), 1)
         assert g.degree == 0
 
     def test_zero_polynomial_rejected(self):
@@ -148,52 +145,44 @@ class TestPolyGcdTower:
         for _ in range(40):
             roots = rng.sample(range(-6, 7), rng.randint(1, 3))
             mults = [rng.randint(1, 4) for _ in roots]
-            p = RationalPolynomial([1])
-            for r, m in zip(roots, mults):
-                p = p * (RationalPolynomial([-r, 1]) ** m)
             scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
-            p = p * scale
+            p = RationalPolynomial(root_expansion([r for r, m in zip(roots, mults) for _ in range(m)], scale))
             for depth in range(0, 5):
-                expected = RationalPolynomial([1])
-                for r, m in zip(roots, mults):
-                    if m > depth:
-                        expected = expected * (
-                            RationalPolynomial([-r, 1]) ** (m - depth)
-                        )
-                assert poly_gcd_tower(p, depth) == expected
+                expected = root_expansion([r for r, m in zip(roots, mults) for _ in range(m - depth)])
+                assert poly_gcd_tower(p, depth).coeffs == expected
 
     @pytest.mark.parametrize("seed", range(12))
     def test_tower_of_rational_roots_keeps_the_excess_multiplicities(self, seed):
-        # from_roots of each root taken multiplicity - depth times, for every
-        # depth up to the degree, under a non-unit (possibly negative) scale
+        # the expansion of each root taken multiplicity - depth times, for
+        # every depth up to the degree, under a non-unit (possibly negative) scale
         rng = random.Random(seed)
         roots = {Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(1, 4))}
         mults = {r: rng.randint(1, 4) for r in roots}
         scale = Fraction(rng.choice([-1, 1]) * rng.randint(2, 30), rng.randint(1, 11))
-        p = RationalPolynomial.from_roots([r for r in roots for _ in range(mults[r])]) * scale
+        p = RationalPolynomial(root_expansion([r for r in roots for _ in range(mults[r])], scale))
         for depth in range(p.degree + 1):
             excess = [r for r in roots for _ in range(mults[r] - depth)]
-            assert poly_gcd_tower(p, depth) == RationalPolynomial.from_roots(excess)
+            assert poly_gcd_tower(p, depth).coeffs == root_expansion(excess)
 
     def test_tower_roots_are_roots_of_p(self):
-        p = RationalPolynomial.from_roots([3, 3, 3, -2, -2, 5])
+        p = RationalPolynomial(root_expansion([3, 3, 3, -2, -2, 5]))
         g = poly_gcd_tower(p, 1)  # roots of multiplicity >= 2
-        assert g == RationalPolynomial.from_roots([3, 3, -2]).monic()
+        assert g.coeffs == root_expansion([3, 3, -2])
         # each rational root of the tower must be a root of p itself
         for root in (3, -2):
-            assert g.evaluate(root) == 0
-            assert p.evaluate(root) == 0
+            assert horner(g.coeffs, root) == 0
+            assert horner(p.coeffs, root) == 0
 
     def test_gcd_of_scaled_inputs(self):
-        a = RationalPolynomial.from_roots([1, 2]) * Fraction(3, 7)
-        b = RationalPolynomial.from_roots([2, 5]) * Fraction(-2, 9)
-        assert poly_gcd(a, b) == RationalPolynomial([-2, 1])
+        a = RationalPolynomial(root_expansion([1, 2], Fraction(3, 7)))
+        b = RationalPolynomial(root_expansion([2, 5], Fraction(-2, 9)))
+        assert poly_gcd(a, b).coeffs == (-2, 1)
 
     def test_gcd_with_zero(self):
         p = RationalPolynomial([-4, 2])
         z = RationalPolynomial([])
-        assert poly_gcd(p, z) == RationalPolynomial([-2, 1])
-        assert poly_gcd(z, z) == z
+        assert poly_gcd(p, z).coeffs == (-2, 1)
+        assert poly_gcd(z, z).coeffs == ()
 
 
 class TestGridCombination:

@@ -201,7 +201,7 @@ class TestElement:
         gens = gamma_matrices(4) + [HermitianMatrix.diagonal([1, 1, 1, -1])]
         L = SubspaceBasis(4, [g.scale(scales[k % len(scales)]) for k, g in enumerate(gens)])
         assert L._coords.dtype == object
-        assert any(L._exps) == any(abs(s) > 2**1000 or abs(s) < 2**-1000 for s in scales)
+        assert any(L._exps) == any(abs(s) > 2**500 or abs(s) < 2**-500 for s in scales)
         for coeffs in _coefficient_rows(L.dim, np.random.default_rng(7)):
             for row in (coeffs, L._unscale(coeffs)):
                 assert L.element(row) == _reference_element(L, row)
@@ -711,17 +711,36 @@ class TestPhaseRobustness:
         L = SubspaceBasis(4, [e, twin] + gamma_matrices(4))
         self._check(L, SearchConfig(seed=seed, samples=1))
 
-    def test_a_pivot_past_the_noise_whose_lift_overflows(self):
-        # B's float image differs from A's by 2^-1039, so its QR pivot
-        # (about 2^-1038) stays above the noise and lifting through it
-        # overflows; every element is singular, so every sample is escalated
-        s = Fraction(1, 2**999)
+    @staticmethod
+    def _near_pair_basis(e):
+        # A, B = A + 2^-40 D and C, all scaled by 2^-e: at q = 3 every nonzero
+        # element is singular with m <= 1, so every sample is escalated and
+        # the search certifies one
+        s = Fraction(2) ** -e
         a = HermitianMatrix.diagonal([1, -1, 0]).scale(s)
         b = a.add(HermitianMatrix.diagonal([1, 1, 0]).scale(s / 2**40))
         c = HermitianMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]]).scale(s)
+        return SubspaceBasis(3, [a, b, c])
+
+    def test_a_pivot_past_the_noise_whose_lift_overflows(self):
+        # unscaled, B's float image would differ from A's by 2^-1039, a QR
+        # pivot (about 2^-1038) above the noise that every lift overflows
+        # through; scaled into the float window, the pivot is normal
         cfg = SearchConfig(seed=1)
-        rep = self._check(SubspaceBasis(3, [a, b, c]), cfg)
-        assert rep.escalations == cfg.samples and rep.histogram == {}
+        L = self._near_pair_basis(999)
+        rep = self._check(L, cfg)
+        assert rep.escalations == cfg.samples and rep.witness is not None
+        check_witness(L, rep.witness)
+
+    # both edges of the float window, and 993..1000, where an unscaled B's
+    # pivot would be subnormal
+    @pytest.mark.parametrize("e", [-1030, -1000, -501, -500, 0, 500, 501, 600, 993, 996, 1000, 1030])
+    def test_the_near_pair_certifies_at_every_scale(self, e):
+        cfg = SearchConfig(seed=1)
+        L = self._near_pair_basis(e)
+        rep = self._check(L, cfg)
+        assert rep.escalations == cfg.samples and rep.witness is not None
+        check_witness(L, rep.witness)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("samples", [1, 5])
@@ -881,7 +900,7 @@ class TestFloatRange:
         assert w is not None
         check_witness(L, w)
 
-    @pytest.mark.parametrize("k,scaled", [(1000, False), (1001, True), (-1000, False), (-1001, True)])
+    @pytest.mark.parametrize("k,scaled", [(500, False), (501, True), (-500, False), (-501, True)])
     def test_only_out_of_range_images_are_scaled(self, k, scaled):
         L = SubspaceBasis(2, [HermitianMatrix.diagonal([Fraction(2) ** k, -Fraction(2) ** k / 3])])
         assert (L._exps != (0,)) == scaled

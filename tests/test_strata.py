@@ -24,7 +24,6 @@ from minertia.strata import (
     _high_multiplicity_shift,
     classify_cone,
     classify_d2,
-    cone_dimension,
     d2_real_dimension,
     dim_limit_min_inertia_ge2,
 )
@@ -293,7 +292,6 @@ class TestDimensionConstants:
 
     def test_documented_dimensions(self):
         assert d2_real_dimension(5) == 15
-        assert cone_dimension(5) == 16
 
 
 class TestSerialization:
